@@ -7,12 +7,11 @@ the weights, and a training/evaluation harness for few-shot fractions,
 ablations, and unseen-entity substitution.
 """
 
-from .attention import AttentionConfig, ContextAttention, FusionGate, gate_fuse, relative_index
+from .attention import AttentionConfig, ContextAttention, FusionGate, relative_index
 from .charlstm import CharLstmEncoder, CharVocab
-from .crf import CrfHead, TagSet, crf_nll, spans_from_bio, viterbi
+from .crf import CrfHead, TagSet, crf_nll_batch, spans_from_bio, viterbi_decode
 from .data import (
     DataError,
-    DatasetManifest,
     SlotSpan,
     Utterance,
     bio_from_spans,
@@ -25,10 +24,10 @@ from .data import (
     tokenize,
 )
 from .evaluate import EvalReport, span_f1
-from .layers import BlockDiagonalDenseLayer, DenseLayer, dropout
-from .model import Checkpoint, ModelConfig, SlotModel, count_parameters, parameter_reduction, predict
+from .layers import Dense, dropout
+from .model import Checkpoint, ModelConfig, SlotModel, count_parameters, parameter_reduction
 from .params import Parameter, ParameterStore, grad_check
-from .tensor import Tensor, backward, matmul, softmax_lastdim
+from .tensor import Tensor, backward, softmax_lastdim
 from .training import AdamW, train
 
 __version__ = "0.1.0"
@@ -36,15 +35,13 @@ __version__ = "0.1.0"
 __all__ = [
     "AdamW",
     "AttentionConfig",
-    "BlockDiagonalDenseLayer",
     "Checkpoint",
     "CharLstmEncoder",
     "CharVocab",
     "ContextAttention",
     "CrfHead",
     "DataError",
-    "DatasetManifest",
-    "DenseLayer",
+    "Dense",
     "EvalReport",
     "FusionGate",
     "ModelConfig",
@@ -58,16 +55,13 @@ __all__ = [
     "backward",
     "bio_from_spans",
     "count_parameters",
-    "crf_nll",
+    "crf_nll_batch",
     "dropout",
     "fraction_split",
-    "gate_fuse",
     "grad_check",
     "load_conll",
     "load_jsonl",
-    "matmul",
     "parameter_reduction",
-    "predict",
     "relative_index",
     "save_conll",
     "save_jsonl",
@@ -77,5 +71,5 @@ __all__ = [
     "substitute_entities",
     "tokenize",
     "train",
-    "viterbi",
+    "viterbi_decode",
 ]

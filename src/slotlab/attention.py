@@ -17,11 +17,11 @@ from functools import lru_cache
 import numpy as np
 
 from . import tensor as T
-from .layers import dropout, make_dense
+from .layers import Dense, dropout
 from .params import ParameterStore, glorot_uniform
 from .tensor import ConfigError, DimensionError, Tensor
 
-VARIANTS = ("abstract_rel", "self_rel", "self_abs", "none")
+VARIANTS = ("abstract_rel", "self_rel", "self_abs")
 
 
 @dataclass
@@ -76,21 +76,17 @@ class ContextAttention:
         self.store = store
         self.cfg = cfg
         self.prefix = prefix
-        if cfg.variant == "none":
-            return
         width = cfg.num_heads * cfg.head_size
         rng = store.rng(prefix + ".init")
         if cfg.variant == "abstract_rel":
             self.query = store.create(prefix + ".query", glorot_uniform(rng, (cfg.num_heads, cfg.head_size)))
         else:
-            self.query_proj = make_dense(
+            self.query_proj = Dense(
                 store, prefix + ".query_proj", cfg.d_model, width, use_bias=False, num_blocks=num_blocks
             )
-        self.key_proj = make_dense(store, prefix + ".key", cfg.d_model, width, use_bias=False, num_blocks=num_blocks)
-        self.value_proj = make_dense(
-            store, prefix + ".value", cfg.d_model, width, use_bias=False, num_blocks=num_blocks
-        )
-        self.out_proj = make_dense(store, prefix + ".out", width, cfg.d_model, use_bias=False, num_blocks=num_blocks)
+        self.key_proj = Dense(store, prefix + ".key", cfg.d_model, width, use_bias=False, num_blocks=num_blocks)
+        self.value_proj = Dense(store, prefix + ".value", cfg.d_model, width, use_bias=False, num_blocks=num_blocks)
+        self.out_proj = Dense(store, prefix + ".out", width, cfg.d_model, use_bias=False, num_blocks=num_blocks)
         if cfg.variant in ("abstract_rel", "self_rel"):
             scale = 1.0 / np.sqrt(cfg.head_size)
             self.rel_embed = store.create(
@@ -113,11 +109,6 @@ class ContextAttention:
         """E [B, T, d_model] padded -> (A [B, T, d_model], probs [B, heads, T, T])."""
         cfg = self.cfg
         B, length, _ = E.shape
-        if cfg.variant == "none":
-            zeros = T.constant(np.zeros((B, length, cfg.d_model), dtype=E.data.dtype))
-            probs = T.constant(np.zeros((B, cfg.num_heads, length, length), dtype=E.data.dtype))
-            return zeros, probs
-
         h, d = cfg.num_heads, cfg.head_size
         if cfg.variant == "self_abs":
             E = E + T.constant(sinusoid_table(length, cfg.d_model).astype(E.data.dtype))
@@ -149,27 +140,16 @@ class ContextAttention:
         ctx = T.reshape(T.einsum2("bhij,bjhd->bihd", used, V4), (B, length, h * d))
         return self.out_proj(ctx), probs
 
-    def attend(self, E: Tensor, training: bool = False) -> tuple[Tensor, Tensor]:
-        """E [T, d_model] -> (A [T, d_model], probs [heads, T, T])."""
-        length = E.shape[0]
-        E3 = T.reshape(E, (1,) + E.shape)
-        A3, probs = self.attend_batch(E3, np.array([length]), training)
-        return T.reshape(A3, E.shape), T.reshape(probs, probs.shape[1:])
-
 
 class FusionGate:
     """Sigmoid gate g = dense([A; E]); output g*E + (1-g)*A."""
 
     def __init__(self, store: ParameterStore, d_model: int, num_blocks: int = 1, prefix: str = "gate"):
         self.d_model = d_model
-        self.layer = make_dense(store, prefix, 2 * d_model, d_model, activation="sigmoid", num_blocks=num_blocks)
+        self.layer = Dense(store, prefix, 2 * d_model, d_model, activation="sigmoid", num_blocks=num_blocks)
 
     def fuse(self, A: Tensor, E: Tensor) -> Tensor:
         if A.shape != E.shape:
-            raise DimensionError(f"gate_fuse: shapes differ, {A.shape} vs {E.shape}")
+            raise DimensionError(f"gate: shapes differ, {A.shape} vs {E.shape}")
         g = self.layer(T.concat([A, E], axis=-1))
         return g * E + (1.0 - g) * A
-
-
-def gate_fuse(A: Tensor, E: Tensor, gate: FusionGate) -> Tensor:
-    return gate.fuse(A, E)

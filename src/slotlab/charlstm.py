@@ -9,13 +9,12 @@ mask, which reproduces the per-word results exactly.
 
 from __future__ import annotations
 
-import json
 from typing import Sequence
 
 import numpy as np
 
 from . import tensor as T
-from .layers import dropout, make_dense
+from .layers import Dense, dropout
 from .params import ParameterStore, glorot_uniform, orthogonal
 from .tensor import ContractError, Tensor
 
@@ -49,13 +48,6 @@ class CharVocab:
             raise ContractError("cannot encode an empty word")
         return [self._ids.get(c, UNK_ID) for c in word]
 
-    def to_json(self) -> str:
-        return json.dumps({"chars": self.chars})
-
-    @classmethod
-    def from_json(cls, text: str) -> "CharVocab":
-        return cls(json.loads(text)["chars"])
-
     def __eq__(self, other) -> bool:
         return isinstance(other, CharVocab) and self.chars == other.chars
 
@@ -63,8 +55,9 @@ class CharVocab:
 class CharLstmEncoder:
     """Char embeddings -> unidirectional LSTM -> dense projection per word.
 
-    With num_blocks > 1 the two LSTM kernels are stored block-diagonally;
-    the recurrent kernel keeps its per-gate orthogonal init inside each block.
+    With num_blocks > 1 the two LSTM kernels are stored block-diagonally with
+    the per-block Glorot init of Dense; the per-gate orthogonal init of the
+    recurrent kernel applies only at num_blocks == 1.
     """
 
     def __init__(
@@ -79,23 +72,22 @@ class CharLstmEncoder:
     ):
         self.store = store
         self.lstm_units = lstm_units
-        self.d_model = d_model
         rng = store.rng(prefix + ".init")
         self.embed = store.create(prefix + ".char_embed", glorot_uniform(rng, (vocab_size, char_embed_dim)))
-        self.input_map = make_dense(
+        self.input_map = Dense(
             store, prefix + ".lstm.input", char_embed_dim, 4 * lstm_units, use_bias=False, num_blocks=num_blocks
         )
-        self.recurrent_map = make_dense(
+        self.recurrent_map = Dense(
             store, prefix + ".lstm.recurrent", lstm_units, 4 * lstm_units, use_bias=False, num_blocks=num_blocks
         )
         if num_blocks == 1:
-            self.recurrent_map.kernel.data[...] = np.concatenate(
+            self.recurrent_map.kernel.data[0] = np.concatenate(
                 [orthogonal(rng, (lstm_units, lstm_units)) for _ in range(4)], axis=1
             )
         bias = np.zeros(4 * lstm_units)
         bias[lstm_units : 2 * lstm_units] = 1.0  # forget gate opens at init
         self.b = store.create(prefix + ".lstm.bias", bias)
-        self.proj = make_dense(store, prefix + ".word_proj", lstm_units, d_model, activation="tanh")
+        self.proj = Dense(store, prefix + ".word_proj", lstm_units, d_model, activation="tanh")
 
     def _step(self, x_t: Tensor, h: Tensor, c: Tensor) -> tuple[Tensor, Tensor]:
         H = self.lstm_units
@@ -135,10 +127,6 @@ class CharLstmEncoder:
                 h = keep * h_new + T.constant(1.0 - active) * h
                 c = keep * c_new + T.constant(1.0 - active) * c
         return self.proj(h)
-
-    def encode_word(self, char_ids: Sequence[int]) -> Tensor:
-        """Single word -> [d_model]."""
-        return T.reshape(self.encode_words([list(char_ids)]), (self.d_model,))
 
     def encode_utterance(
         self,

@@ -9,14 +9,13 @@ new x span).
 
 from __future__ import annotations
 
-import json
 from typing import Sequence
 
 import numpy as np
 
 from . import tensor as T
 from .data import SlotSpan
-from .layers import make_dense
+from .layers import Dense
 from .params import ParameterStore
 from .tensor import ContractError, Tensor
 
@@ -62,13 +61,6 @@ class TagSet:
     def tag(self, index: int) -> str:
         return self.tags[index]
 
-    def to_json(self) -> str:
-        return json.dumps({"tags": self.tags})
-
-    @classmethod
-    def from_json(cls, text: str) -> "TagSet":
-        return cls(json.loads(text)["tags"])
-
     def __eq__(self, other) -> bool:
         return isinstance(other, TagSet) and self.tags == other.tags
 
@@ -78,7 +70,7 @@ class CrfHead:
 
     def __init__(self, store: ParameterStore, d_model: int, num_tags: int, prefix: str = "crf"):
         self.num_tags = num_tags
-        self.emission = make_dense(store, prefix + ".emission", d_model, num_tags)
+        self.emission = Dense(store, prefix + ".emission", d_model, num_tags)
         self.transitions = store.create(prefix + ".transitions", np.zeros((num_tags, num_tags)))
         self.start = store.create(prefix + ".start", np.zeros(num_tags))
         self.end = store.create(prefix + ".end", np.zeros(num_tags))
@@ -102,7 +94,7 @@ def crf_nll_batch(H: Tensor, gold: np.ndarray, lengths: np.ndarray, head: CrfHea
     if gold.shape != (B, Tmax):
         raise ContractError(f"gold shape {gold.shape} does not match features {(B, Tmax)}")
     if lengths.min() < 1:
-        raise ContractError("crf_nll: every sequence needs at least one step")
+        raise ContractError("crf_nll_batch: every sequence needs at least one step")
     _validate_gold(gold, lengths, K)
     dtype = H.data.dtype
 
@@ -137,16 +129,6 @@ def crf_nll_batch(H: Tensor, gold: np.ndarray, lengths: np.ndarray, head: CrfHea
     return log_z - score
 
 
-def crf_nll(H: Tensor, gold: Sequence[int], head: CrfHead) -> Tensor:
-    """Scalar NLL of a gold tag sequence for features H [T, d_model]."""
-    n = H.shape[0]
-    if len(gold) != n:
-        raise ContractError(f"gold length {len(gold)} does not match {n} steps")
-    H3 = T.reshape(H, (1,) + H.shape)
-    losses = crf_nll_batch(H3, np.asarray([gold], dtype=np.int64), np.array([n]), head)
-    return T.reshape(losses, ())
-
-
 def viterbi_decode(
     emissions: np.ndarray, transitions: np.ndarray, start: np.ndarray, end: np.ndarray
 ) -> tuple[list[int], float]:
@@ -166,12 +148,6 @@ def viterbi_decode(
         path.append(int(back[t, path[-1]]))
     path.reverse()
     return path, float(delta[last])
-
-
-def viterbi(H: Tensor, head: CrfHead) -> tuple[list[int], float]:
-    """Decode features [T, d_model] to (tags, path score)."""
-    em = head.emission(H).data
-    return viterbi_decode(em, head.transitions.data, head.start.data, head.end.data)
 
 
 def spans_from_bio(tags: Sequence[int], tagset: TagSet) -> list[SlotSpan]:

@@ -50,31 +50,6 @@ class Utterance:
         return len(self.tokens)
 
 
-@dataclass
-class DatasetManifest:
-    """Enough provenance to re-derive any reported number."""
-
-    name: str
-    split_sizes: dict[str, int]
-    slot_types: list[str]
-    fraction: str = "1"
-    seed: int = 0
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "split_sizes": dict(self.split_sizes),
-            "slot_types": list(self.slot_types),
-            "fraction": self.fraction,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_utterances(cls, name: str, splits: dict[str, list["Utterance"]], fraction: str = "1", seed: int = 0):
-        slots = sorted({sp.slot_type for utts in splits.values() for u in utts for sp in u.spans})
-        return cls(name, {k: len(v) for k, v in splits.items()}, slots, fraction, seed)
-
-
 # ---------------------------------------------------------------------------
 # tokenization
 

@@ -1,10 +1,11 @@
-"""Dense, block-diagonal dense, and dropout layers.
+"""The dense layer, whose kernel may be block-diagonal, and dropout.
 
-The block-diagonal layer stores only the diagonal blocks of its kernel
-(1/num_blocks of the full weight count) and computes the forward pass as a
-batched per-block contraction over the feature axis split into contiguous
-chunks, which is exactly multiplication by the expanded block-diagonal
-matrix.
+A dense layer with num_blocks = k stores only the k diagonal blocks of its
+[in_dim, out_dim] kernel, as one [k, in_dim/k, out_dim/k] parameter: 1/k of
+the full weight count. Plain dense is k = 1. The input feature axis is split
+into k contiguous chunks, chunk i is multiplied by block i, and the outputs
+are laid out contiguously again, which is exactly multiplication by the
+expanded block-diagonal matrix.
 """
 
 from __future__ import annotations
@@ -19,55 +20,14 @@ ACTIVATIONS = {
     "none": lambda x: x,
     "sigmoid": T.sigmoid,
     "tanh": T.tanh,
-    "relu": T.relu,
 }
 
 
-def _check_activation(activation: str) -> None:
-    if activation not in ACTIVATIONS:
-        raise ConfigError(f"unknown activation {activation!r}")
+class Dense:
+    """x @ expand(kernel) + bias followed by an optional activation.
 
-
-class DenseLayer:
-    """Affine map x @ kernel + bias followed by an optional activation."""
-
-    def __init__(
-        self,
-        store: ParameterStore,
-        name: str,
-        in_dim: int,
-        out_dim: int,
-        activation: str = "none",
-        use_bias: bool = True,
-    ):
-        _check_activation(activation)
-        self.in_dim = in_dim
-        self.out_dim = out_dim
-        self.activation = activation
-        self.kernel = store.create(name + ".kernel", glorot_uniform(store.rng(name + ".kernel"), (in_dim, out_dim)))
-        self.bias = store.create(name + ".bias", np.zeros(out_dim)) if use_bias else None
-
-    def __call__(self, x: Tensor) -> Tensor:
-        if x.shape[-1] != self.in_dim:
-            raise T.DimensionError(f"dense: input last dim {x.shape} does not match kernel {self.kernel.shape}")
-        out = T.matmul(x, self.kernel.value)
-        if self.bias is not None:
-            out = out + self.bias.value
-        return ACTIVATIONS[self.activation](out)
-
-    @property
-    def param_count(self) -> int:
-        return self.kernel.count + (self.bias.count if self.bias is not None else 0)
-
-
-class BlockDiagonalDenseLayer:
-    """Dense layer whose kernel is nonzero only in num_blocks diagonal blocks.
-
-    The input feature axis is split into num_blocks contiguous chunks; chunk i
-    is multiplied by block kernel i and the outputs are laid out contiguously
-    again, so the result equals x @ expand(blocks) + bias where expand places
-    the blocks on the diagonal of an otherwise-zero [in_dim, out_dim] matrix.
-    Only the blocks are stored: in_dim*out_dim/num_blocks kernel weights.
+    Each block draws its own Glorot-uniform init, in block order, from the
+    stream named after the kernel.
     """
 
     def __init__(
@@ -76,17 +36,16 @@ class BlockDiagonalDenseLayer:
         name: str,
         in_dim: int,
         out_dim: int,
-        num_blocks: int,
         activation: str = "none",
         use_bias: bool = True,
+        num_blocks: int = 1,
     ):
-        _check_activation(activation)
+        if activation not in ACTIVATIONS:
+            raise ConfigError(f"unknown activation {activation!r}")
         if num_blocks < 1:
             raise ConfigError(f"num_blocks must be positive, got {num_blocks}")
         if in_dim % num_blocks or out_dim % num_blocks:
-            raise ConfigError(
-                f"block dense {name!r}: dims ({in_dim}, {out_dim}) not divisible by num_blocks={num_blocks}"
-            )
+            raise ConfigError(f"dense {name!r}: dims ({in_dim}, {out_dim}) not divisible by num_blocks={num_blocks}")
         self.in_dim = in_dim
         self.out_dim = out_dim
         self.num_blocks = num_blocks
@@ -94,42 +53,18 @@ class BlockDiagonalDenseLayer:
         m, n = in_dim // num_blocks, out_dim // num_blocks
         rng = store.rng(name + ".kernel")
         blocks = np.stack([glorot_uniform(rng, (m, n)) for _ in range(num_blocks)])
-        self.block_kernels = store.create(name + ".blocks", blocks)
+        self.kernel = store.create(name + ".kernel", blocks)
         self.bias = store.create(name + ".bias", np.zeros(out_dim)) if use_bias else None
 
     def __call__(self, x: Tensor) -> Tensor:
-        if x.shape[-1] != self.in_dim:
-            raise T.DimensionError(f"block dense: input last dim {x.shape} does not match in_dim {self.in_dim}")
-        lead = x.shape[:-1]
-        k = self.num_blocks
-        if k == 1:
-            out = T.matmul(x, T.reshape(self.block_kernels.value, (self.in_dim, self.out_dim)))
-        else:
-            flat = T.reshape(x, (-1, k, self.in_dim // k))
-            out = T.einsum2("bkm,kmn->bkn", flat, self.block_kernels.value)
-            out = T.reshape(out, lead + (self.out_dim,))
+        out = T.block_matmul(x, self.kernel.value)
         if self.bias is not None:
             out = out + self.bias.value
         return ACTIVATIONS[self.activation](out)
 
     @property
     def param_count(self) -> int:
-        return self.block_kernels.count + (self.bias.count if self.bias is not None else 0)
-
-
-def make_dense(
-    store: ParameterStore,
-    name: str,
-    in_dim: int,
-    out_dim: int,
-    activation: str = "none",
-    use_bias: bool = True,
-    num_blocks: int = 1,
-) -> DenseLayer | BlockDiagonalDenseLayer:
-    """Dense or block-diagonal dense, selected by num_blocks > 1."""
-    if num_blocks > 1:
-        return BlockDiagonalDenseLayer(store, name, in_dim, out_dim, num_blocks, activation, use_bias)
-    return DenseLayer(store, name, in_dim, out_dim, activation, use_bias)
+        return self.kernel.count + (self.bias.count if self.bias is not None else 0)
 
 
 def dropout(x: Tensor, rate: float, training: bool, rng: np.random.Generator) -> Tensor:

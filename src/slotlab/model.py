@@ -18,15 +18,15 @@ from typing import Sequence
 import numpy as np
 
 from . import tensor as T
-from .attention import AttentionConfig, ContextAttention, FusionGate
+from .attention import VARIANTS as ATTENTION_VARIANTS, AttentionConfig, ContextAttention, FusionGate
 from .charlstm import CharLstmEncoder, CharVocab
-from .crf import CrfHead, TagSet, crf_nll, crf_nll_batch, spans_from_bio, viterbi_decode
+from .crf import CrfHead, TagSet, crf_nll_batch, spans_from_bio, viterbi_decode
 from .data import SlotSpan, Utterance, bio_from_spans
 from .params import ParameterStore
 from .tensor import ConfigError, ContractError, Tensor
 
-CHECKPOINT_FORMAT_VERSION = 1
-VARIANTS = ("abstract_rel", "self_rel", "self_abs", "none")
+CHECKPOINT_FORMAT_VERSION = 2
+VARIANTS = ATTENTION_VARIANTS + ("none",)
 
 
 @dataclass
@@ -123,16 +123,6 @@ class SlotModel:
     def word_ids(self, utt: Utterance) -> list[list[int]]:
         return [self.vocab.encode(w) for w in utt.words]
 
-    def features(self, utt: Utterance, training: bool = False) -> Tensor:
-        """Fused features [T, d_model] feeding the CRF."""
-        if len(utt.tokens) < 1:
-            raise ContractError("cannot encode an utterance with no tokens")
-        E = self.encoder.encode_utterance(self.word_ids(utt), self.config.dropout, training)
-        if self.attention is None:
-            return E
-        A, _ = self.attention.attend(E, training)
-        return self.gate.fuse(A, E)
-
     def features_batch(self, utts: Sequence[Utterance], training: bool = False) -> tuple[Tensor, np.ndarray]:
         """Padded fused features [B, Tmax, d_model] plus true lengths."""
         lengths = np.array([len(u.tokens) for u in utts])
@@ -168,25 +158,18 @@ class SlotModel:
             gold[b, : len(u.tokens)] = bio_from_spans(u, self.tagset)
         return T.reduce_mean(crf_nll_batch(H3, gold, lengths, self.crf))
 
-    def nll(self, utt: Utterance) -> Tensor:
-        return T.reshape(crf_nll(self.features(utt), bio_from_spans(utt, self.tagset), self.crf), ())
-
     # ------------------------------------------------------------------
     # decoding
 
-    def predict_tags(self, utt: Utterance) -> list[int]:
-        em = self.crf.emission(self.features(utt, training=False)).data
-        tags, _ = viterbi_decode(em, self.crf.transitions.data, self.crf.start.data, self.crf.end.data)
-        return tags
-
     def predict(self, utt: Utterance) -> list[SlotSpan]:
-        return spans_from_bio(self.predict_tags(utt), self.tagset)
+        return self.predict_batch([utt])[0]
 
     def predict_batch(self, utts: Sequence[Utterance]) -> list[list[SlotSpan]]:
         if not utts:
             return []
-        H3, lengths = self.features_batch(utts, training=False)
-        em3 = self.crf.emission(H3).data
+        with T.no_grad():
+            H3, lengths = self.features_batch(utts, training=False)
+            em3 = self.crf.emission(H3).data
         out = []
         for b, n in enumerate(lengths):
             tags, _ = viterbi_decode(
@@ -309,20 +292,14 @@ class Checkpoint:
             raise ConfigError(f"unsupported checkpoint format_version {manifest.get('format_version')!r}")
         config = ModelConfig.from_dict(manifest["config"])
         blob = (directory / manifest.get("blob_file", "params.bin")).read_bytes()
-        dtype_code = "<f4" if config.dtype == "f32" else "<f8"
-        itemsize = 4 if config.dtype == "f32" else 8
+        dtype = np.dtype("<f4" if config.dtype == "f32" else "<f8")
         arrays = {}
         for entry in manifest["params"]:
-            shape = tuple(entry["shape"])
+            name, shape, start = entry["name"], tuple(entry["shape"]), entry["offset"]
             n = int(np.prod(shape)) if shape else 1
-            start = entry["offset"]
-            arr = np.frombuffer(blob, dtype=dtype_code, count=n, offset=start).reshape(shape)
-            arrays[entry["name"]] = arr.astype(np.float32 if config.dtype == "f32" else np.float64)
-            if itemsize * n + start > len(blob):
-                raise ConfigError(f"checkpoint blob truncated at parameter {entry['name']!r}")
+            if start + dtype.itemsize * n > len(blob):
+                raise ConfigError(f"checkpoint blob truncated at parameter {name!r}")
+            arr = np.frombuffer(blob, dtype=dtype, count=n, offset=start).reshape(shape)
+            arrays[name] = arr.astype(np.float32 if config.dtype == "f32" else np.float64)
         return cls(config, CharVocab(manifest["char_vocab"]), TagSet(manifest["tagset"]), arrays)
 
-
-def predict(utt: Utterance, checkpoint: Checkpoint) -> list[SlotSpan]:
-    """One-shot prediction; build the model once via build_model for batches."""
-    return checkpoint.build_model().predict(utt)

@@ -96,6 +96,10 @@ class ParameterStore:
         return {p.name: p.data.copy() for p in self}
 
     def restore(self, arrays: dict[str, np.ndarray]) -> None:
+        missing = [name for name in self._params if name not in arrays]
+        unknown = [name for name in arrays if name not in self._params]
+        if missing or unknown:
+            raise ContractError(f"restore: missing parameters {missing}, unknown parameters {unknown}")
         for p in self:
             src = arrays[p.name]
             if src.shape != p.shape:

@@ -12,6 +12,10 @@ accumulate-until-zeroed contract.
 
 from __future__ import annotations
 
+import ctypes
+import os
+import sys
+from contextlib import contextmanager
 from typing import Callable, Sequence
 
 import numpy as np
@@ -115,9 +119,6 @@ class Tensor:
     def __neg__(self):
         return neg(self)
 
-    def __matmul__(self, other):
-        return matmul(self, _lift(other, self))
-
 
 def constant(data, like: Tensor | None = None, dtype=None) -> Tensor:
     """A tensor outside the gradient graph, dtype-matched to `like` if given."""
@@ -132,11 +133,69 @@ def _lift(value, like: Tensor) -> Tensor:
     return constant(value, like=like)
 
 
+# glibc mallopt parameters, and the values a process running large ops keeps them at.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_TRIM_BYTES, _MMAP_BYTES = 256 << 20, 32 << 20
+_LARGE_RESULT_BYTES = 1 << 20
+_thresholds_fixed = False
+
+
+def _fix_malloc_thresholds() -> None:
+    """Keep the heap memory of freed arrays in the process for the next step to reuse.
+
+    A paper-size training step or batched forward allocates and frees many
+    numpy temporaries of about 1 MiB. glibc's thresholds for mmapping a block
+    and for trimming the heap top move with the allocation history, so in one
+    process those blocks stay mapped and in the next they go back to the OS
+    after every step and are page-faulted in again: about a quarter of a
+    training step, and tens of thousands of faults per batched predict with a
+    retained graph. Fixed thresholds (the largest mmap threshold glibc would
+    pick itself, and a trim threshold above a step's working set) make every
+    step reuse the same memory. `_result` calls this at the first op result
+    of 1 MiB or more: desk-size models, whose temporaries stay below that, run
+    steadily under glibc's defaults and keep a smaller resident set with them.
+    Nothing is changed off Linux, when libc has no mallopt, or when the
+    environment already sets either threshold.
+    """
+    global _thresholds_fixed
+    _thresholds_fixed = True
+    if sys.platform != "linux" or {"MALLOC_TRIM_THRESHOLD_", "MALLOC_MMAP_THRESHOLD_"} & set(os.environ):
+        return
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_BYTES)
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_BYTES)
+
+
+_grad_enabled = True
+
+
+@contextmanager
+def no_grad():
+    """Inside the block, op results record no backward graph.
+
+    Intermediates are then freed as soon as nothing reads them, instead of
+    living until the result is dropped, so a forward pass keeps only its
+    live arrays in memory. The switch is process-wide, not per thread.
+    """
+    global _grad_enabled
+    previous, _grad_enabled = _grad_enabled, False
+    try:
+        yield
+    finally:
+        _grad_enabled = previous
+
+
 def _result(data: np.ndarray, parents: tuple[Tensor, ...], backward: Callable) -> Tensor:
+    if not _thresholds_fixed and data.nbytes >= _LARGE_RESULT_BYTES:
+        _fix_malloc_thresholds()
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
-    if any(p.requires_grad for p in parents):
+    if _grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = parents
         out._backward = backward
@@ -216,53 +275,36 @@ def tanh(x: Tensor) -> Tensor:
     return _result(out, (x,), bwd)
 
 
-def relu(x: Tensor) -> Tensor:
-    out = np.maximum(x.data, 0.0)
-
-    def bwd(g, sink):
-        sink(x, g * (x.data > 0))
-
-    return _result(out, (x,), bwd)
-
-
-def exp(x: Tensor) -> Tensor:
-    out = np.exp(x.data)
-
-    def bwd(g, sink):
-        sink(x, g * out)
-
-    return _result(out, (x,), bwd)
-
-
-def log(x: Tensor) -> Tensor:
-    out = np.log(x.data)
-
-    def bwd(g, sink):
-        sink(x, g / x.data)
-
-    return _result(out, (x,), bwd)
-
-
 # ---------------------------------------------------------------------------
 # contractions
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """a[..., m, k] @ b[k, n]; b must be 2-D."""
-    if b.data.ndim != 2:
-        raise DimensionError(f"matmul: right operand must be 2-D, got shape {b.shape}")
-    if a.data.ndim < 1 or a.data.shape[-1] != b.data.shape[0]:
-        raise DimensionError(f"matmul: inner dimensions disagree, {a.shape} x {b.shape}")
-    data = a.data @ b.data
+def block_matmul(x: Tensor, w: Tensor) -> Tensor:
+    """x[..., N, k*m] times the block-diagonal matrix whose blocks are w[k, m, n].
+
+    Feature chunk i of x meets block i and the outputs are laid out
+    contiguously again, giving [..., N, k*n]. Forward and input gradient are
+    one batched np.matmul over the [..., k, N, m] layout, so k = 1 runs the
+    same BLAS calls as x @ w[0]; the kernel gradient contracts all rows at once.
+    """
+    if w.data.ndim != 3:
+        raise DimensionError(f"block_matmul: kernel must be [k, m, n], got shape {w.shape}")
+    k, m, n = w.data.shape
+    if x.data.ndim < 2 or x.data.shape[-1] != k * m:
+        raise DimensionError(f"block_matmul: inner dimensions disagree, {x.shape} x {w.shape}")
+    lead = x.data.shape[:-1]
+    xk = x.data.reshape(lead + (k, m)).swapaxes(-3, -2)
+    data = np.matmul(xk, w.data).swapaxes(-3, -2).reshape(lead + (k * n,))
 
     def bwd(g, sink):
-        if a.requires_grad:
-            sink(a, g @ b.data.T)
-        if b.requires_grad:
-            k = a.data.shape[-1]
-            sink(b, a.data.reshape(-1, k).T @ g.reshape(-1, g.shape[-1]))
+        if x.requires_grad:
+            gk = g.reshape(lead + (k, n)).swapaxes(-3, -2)
+            sink(x, np.matmul(gk, w.data.swapaxes(1, 2)).swapaxes(-3, -2).reshape(x.data.shape))
+        if w.requires_grad:
+            rows = x.data.reshape(-1, k, m).transpose(1, 2, 0)
+            sink(w, np.matmul(rows, g.reshape(-1, k, n).swapaxes(0, 1)))
 
-    return _result(data, (a, b), bwd)
+    return _result(data, (x, w), bwd)
 
 
 def einsum2(spec: str, a: Tensor, b: Tensor) -> Tensor:

@@ -19,10 +19,10 @@ import pytest
 from slotlab import tensor as T
 from slotlab.charlstm import CharLstmEncoder, CharVocab
 from slotlab.attention import AttentionConfig, ContextAttention, FusionGate
-from slotlab.crf import CrfHead, TagSet, crf_nll, viterbi
+from slotlab.crf import CrfHead, TagSet, crf_nll_batch, viterbi_decode
 from slotlab.data import SlotSpan, fraction_split, load_jsonl, utterance_from_words
 from slotlab.evaluate import span_f1
-from slotlab.layers import BlockDiagonalDenseLayer, DenseLayer
+from slotlab.layers import Dense
 from slotlab.model import Checkpoint, ModelConfig, SlotModel, count_parameters, parameter_reduction
 from slotlab.params import ParameterStore, grad_check
 from slotlab.synthetic import desk_config, make_from_to_corpus
@@ -85,13 +85,13 @@ def test_criterion_1_gradient_correctness():
 
         # per-layer: dense
         store = ParameterStore(seed=1)
-        dense = DenseLayer(store, "dense", 5, 4, activation="tanh")
+        dense = Dense(store, "dense", 5, 4, activation="tanh")
         x = Tensor(np.random.default_rng(1).standard_normal((3, 5)))
         assert grad_check(lambda s: T.reduce_sum(dense(x) * 1.7), store) < 1e-5
 
         # per-layer: block dense
         store = ParameterStore(seed=2)
-        blk = BlockDiagonalDenseLayer(store, "blk", 6, 4, 2, activation="sigmoid")
+        blk = Dense(store, "blk", 6, 4, activation="sigmoid", num_blocks=2)
         xb = Tensor(np.random.default_rng(2).standard_normal((3, 6)))
         assert grad_check(lambda s: T.reduce_sum(blk(xb) * np.arange(12.0).reshape(3, 4)), store) < 1e-5
 
@@ -108,11 +108,11 @@ def test_criterion_1_gradient_correctness():
             store, AttentionConfig(num_heads=2, head_size=4, d_model=6, max_relative_distance=2, attention_dropout=0.0)
         )
         gate = FusionGate(store, 6)
-        E = Tensor(np.random.default_rng(4).standard_normal((4, 6)))
+        E = Tensor(np.random.default_rng(4).standard_normal((1, 4, 6)))
 
         def attn_gate(s):
-            A, _ = attn.attend(E)
-            return T.reduce_sum(gate.fuse(A, E) * np.arange(24.0).reshape(4, 6))
+            A, _ = attn.attend_batch(E, np.array([4]))
+            return T.reduce_sum(gate.fuse(A, E) * np.arange(24.0).reshape(1, 4, 6))
 
         assert grad_check(attn_gate, store) < 1e-5
 
@@ -120,8 +120,9 @@ def test_criterion_1_gradient_correctness():
         store = ParameterStore(seed=5)
         head = CrfHead(store, 3, 4)
         head.transitions.data[...] = np.random.default_rng(5).standard_normal((4, 4)) * 0.5
-        H = Tensor(np.random.default_rng(6).standard_normal((4, 3)))
-        assert grad_check(lambda s: crf_nll(H * 1.0, [0, 3, 2, 1], head), store) < 1e-5
+        H = Tensor(np.random.default_rng(6).standard_normal((1, 4, 3)))
+        gold = np.array([[0, 3, 2, 1]])
+        assert grad_check(lambda s: T.reduce_sum(crf_nll_batch(H * 1.0, gold, np.array([4]), head)), store) < 1e-5
 
         # full model: f64, dropout off, 3-token utterance, 5 tags
         cfg = ModelConfig(
@@ -132,7 +133,7 @@ def test_criterion_1_gradient_correctness():
         model = SlotModel(cfg, CharVocab(list("abcdefghij")), TagSet.from_slot_types(["x", "y"]))
         utt = utterance_from_words("abc de fgh".split(), [SlotSpan(0, 0, "x"), SlotSpan(2, 2, "y")])
         assert model.tagset.size == 5 and len(utt.tokens) == 3
-        assert grad_check(lambda s: model.nll(utt), model.store, eps=3e-4) < 1e-4
+        assert grad_check(lambda s: model.loss([utt], training=False), model.store, eps=3e-4) < 1e-4
 
         elapsed = time.perf_counter() - t0
         assert elapsed < 120.0, f"gradient checks took {elapsed:.1f}s"
@@ -151,12 +152,12 @@ def test_criterion_2_block_diagonal_equivalence():
             in_dim, out_dim = k * m, k * n
             batch = int(rng.integers(1, 5))
             store = ParameterStore(seed=case)
-            layer = BlockDiagonalDenseLayer(store, "b", in_dim, out_dim, k)
-            assert layer.block_kernels.count == in_dim * out_dim // k
+            layer = Dense(store, "b", in_dim, out_dim, num_blocks=k)
+            assert layer.kernel.count == in_dim * out_dim // k
 
             full = np.zeros((in_dim, out_dim))
             for i in range(k):
-                full[i * m : (i + 1) * m, i * n : (i + 1) * n] = layer.block_kernels.data[i]
+                full[i * m : (i + 1) * m, i * n : (i + 1) * n] = layer.kernel.data[i]
             x = rng.standard_normal((batch, in_dim))
             expected = x @ full + layer.bias.data
             got = layer(Tensor(x)).data
@@ -178,8 +179,8 @@ def test_criterion_3_crf_oracle_equivalence():
             head.transitions.data[...] = rng.standard_normal((K, K))
             head.start.data[...] = rng.standard_normal(K)
             head.end.data[...] = rng.standard_normal(K)
-            H = Tensor(rng.standard_normal((n, 2)))
-            em = head.emission(H).data
+            H = Tensor(rng.standard_normal((1, n, 2)))
+            em = head.emission(H).data[0]
 
             def oracle(path):
                 s = head.start.data[path[0]] + head.end.data[path[-1]]
@@ -192,11 +193,11 @@ def test_criterion_3_crf_oracle_equivalence():
             log_z_oracle = float(np.log(np.exp(scores - scores.max()).sum()) + scores.max())
 
             gold = [int(rng.integers(K)) for _ in range(n)]
-            nll = float(crf_nll(H, gold, head).data)
+            nll = float(crf_nll_batch(H, np.array([gold]), np.array([n]), head).data[0])
             log_z_forward = nll + oracle(tuple(gold))
             assert abs(log_z_forward - log_z_oracle) < 1e-10
 
-            path, dp_score = viterbi(H, head)
+            path, dp_score = viterbi_decode(em, head.transitions.data, head.start.data, head.end.data)
             assert oracle(tuple(path)) == scores.max()
             assert abs(dp_score - scores.max()) < 1e-10
 

@@ -10,7 +10,6 @@ from slotlab.attention import (
     AttentionConfig,
     ContextAttention,
     FusionGate,
-    gate_fuse,
     relative_index,
     sinusoid_table,
 )
@@ -32,6 +31,12 @@ def make_attention(variant="abstract_rel", heads=1, head_size=4, d_model=6, R=3,
     return store, ContextAttention(store, cfg)
 
 
+def attend(attn, E, training=False):
+    """One utterance E [T, d_model] as a batch of one -> (A [T, d_model], probs [heads, T, T])."""
+    A, probs = attn.attend_batch(T.reshape(E, (1,) + E.shape), np.array([E.shape[0]]), training)
+    return T.reshape(A, E.shape), T.reshape(probs, probs.shape[1:])
+
+
 def test_relative_index_center():
     assert relative_index(5, 5, 8) == 8
 
@@ -48,7 +53,7 @@ def test_relative_index_clamps():
 def test_length_one_masked_row_is_zero():
     store, attn = make_attention()
     E = Tensor(np.random.default_rng(0).standard_normal((1, 6)))
-    A, probs = attn.attend(E)
+    A, probs = attend(attn, E)
     assert np.array_equal(A.data, np.zeros((1, 6)))
     assert np.array_equal(probs.data, np.zeros((1, 1, 1)))
 
@@ -58,12 +63,12 @@ def test_two_token_abstract_matches_enumeration_oracle():
     rng = np.random.default_rng(1)
     attn.query.data[...] = rng.standard_normal((1, 4))
     E = rng.standard_normal((2, 6))
-    A, probs = attn.attend(Tensor(E))
+    A, probs = attend(attn, Tensor(E))
 
     # oracle: direct enumeration of score(i, j) = q . (K e_j + r_{j-i}) / sqrt(d)
     q = attn.query.data[0]
-    K = E @ attn.key_proj.kernel.data  # [2, 4]
-    V = E @ attn.value_proj.kernel.data
+    K = E @ attn.key_proj.kernel.data[0]  # [2, 4]
+    V = E @ attn.value_proj.kernel.data[0]
     r = attn.rel_embed.data
     d = 4
     for i in range(2):
@@ -72,7 +77,7 @@ def test_two_token_abstract_matches_enumeration_oracle():
         p = e / e.sum()
         assert np.max(np.abs(probs.data[0, i] - p)) < 1e-12
         ctx = p[0] * V[0] + p[1] * V[1]
-        expected_row = ctx @ attn.out_proj.kernel.data
+        expected_row = ctx @ attn.out_proj.kernel.data[0]
         assert np.max(np.abs(A.data[i] - expected_row)) < 1e-12
 
 
@@ -80,17 +85,17 @@ def test_self_rel_matches_enumeration_oracle():
     store, attn = make_attention(variant="self_rel")
     rng = np.random.default_rng(2)
     E = rng.standard_normal((3, 6))
-    A, probs = attn.attend(Tensor(E))
-    Q = E @ attn.query_proj.kernel.data
-    K = E @ attn.key_proj.kernel.data
-    V = E @ attn.value_proj.kernel.data
+    A, probs = attend(attn, Tensor(E))
+    Q = E @ attn.query_proj.kernel.data[0]
+    K = E @ attn.key_proj.kernel.data[0]
+    V = E @ attn.value_proj.kernel.data[0]
     r = attn.rel_embed.data
     for i in range(3):
         scores = np.array([Q[i] @ (K[j] + r[relative_index(i, j, 3)]) for j in range(3)]) / 2.0
         e = np.exp(scores - scores.max())
         p = e / e.sum()
         assert np.max(np.abs(probs.data[0, i] - p)) < 1e-12
-        expected_row = (p @ V) @ attn.out_proj.kernel.data
+        expected_row = (p @ V) @ attn.out_proj.kernel.data[0]
         assert np.max(np.abs(A.data[i] - expected_row)) < 1e-12
 
 
@@ -99,9 +104,9 @@ def test_self_abs_uses_positions_and_no_rel_table():
     assert not hasattr(attn, "rel_embed")
     rng = np.random.default_rng(3)
     E = rng.standard_normal((3, 6))
-    A, probs = attn.attend(Tensor(E))
+    A, probs = attend(attn, Tensor(E))
     Ep = E + sinusoid_table(3, 6)
-    Q, K, V = (Ep @ m.kernel.data for m in (attn.query_proj, attn.key_proj, attn.value_proj))
+    Q, K, V = (Ep @ m.kernel.data[0] for m in (attn.query_proj, attn.key_proj, attn.value_proj))
     for i in range(3):
         scores = (Q[i] @ K.T) / 2.0
         e = np.exp(scores - scores.max())
@@ -110,21 +115,12 @@ def test_self_abs_uses_positions_and_no_rel_table():
     assert A.shape == (3, 6)
 
 
-def test_variant_none_returns_zeros():
-    store, attn = make_attention(variant="none")
-    E = Tensor(np.ones((4, 6)))
-    A, probs = attn.attend(E)
-    assert np.array_equal(A.data, np.zeros((4, 6)))
-    assert np.array_equal(probs.data, np.zeros((1, 4, 4)))
-    assert len(store) == 0
-
-
 @settings(max_examples=25, deadline=None)
 @given(st.integers(1, 16), st.integers(0, 2**31 - 1))
 def test_prob_rows_sum_to_one_or_zero(length, seed):
     store, attn = make_attention(heads=2, seed=seed % 1000)
     E = Tensor(np.random.default_rng(seed).standard_normal((length, 6)))
-    _, probs = attn.attend(E)
+    _, probs = attend(attn, E)
     sums = probs.data.sum(axis=-1)
     if length == 1:
         assert np.array_equal(sums, np.zeros((2, 1)))
@@ -136,10 +132,10 @@ def test_masked_output_independent_of_current_token():
     store, attn = make_attention(heads=2, d_model=6)
     rng = np.random.default_rng(4)
     E = rng.standard_normal((5, 6))
-    A1, _ = attn.attend(Tensor(E))
+    A1, _ = attend(attn, Tensor(E))
     E2 = E.copy()
     E2[2] += rng.standard_normal(6) * 3.0
-    A2, _ = attn.attend(Tensor(E2))
+    A2, _ = attend(attn, Tensor(E2))
     assert np.max(np.abs(A1.data[2] - A2.data[2])) < 1e-12
     assert np.max(np.abs(A1.data[1] - A2.data[1])) > 1e-6  # neighbours do change
 
@@ -151,10 +147,10 @@ def test_asymmetric_relative_embeddings_distinguish_directions():
     attn.rel_embed.data[attn.cfg.max_relative_distance + 1] = -1.0  # offset +1
     rng = np.random.default_rng(5)
     E = rng.standard_normal((3, 6))
-    _, probs1 = attn.attend(Tensor(E))
+    _, probs1 = attend(attn, Tensor(E))
     swapped = E.copy()
     swapped[[0, 2]] = swapped[[2, 0]]
-    _, probs2 = attn.attend(Tensor(swapped))
+    _, probs2 = attend(attn, Tensor(swapped))
     assert np.max(np.abs(probs1.data[0, 1] - probs2.data[0, 1])) > 1e-6
 
 
@@ -164,7 +160,7 @@ def test_attention_gradients():
         E = Tensor(np.random.default_rng(9).standard_normal((4, 6)))
 
         def f(s):
-            A, _ = attn.attend(E)
+            A, _ = attend(attn, E)
             return T.reduce_sum(T.tanh(A) * np.arange(24.0).reshape(4, 6))
 
         assert grad_check(f, store) < 1e-5, variant
@@ -174,7 +170,7 @@ def test_attention_dropout_applied_to_values_only_in_training():
     store1, attn = make_attention(seed=11)
     attn.cfg.attention_dropout = 0.5
     E = Tensor(np.random.default_rng(11).standard_normal((4, 6)))
-    _, probs = attn.attend(E, training=True)
+    _, probs = attend(attn, E, training=True)
     assert np.max(np.abs(probs.data.sum(-1) - 1.0)) < 1e-12  # returned probs are pre-dropout
 
 
@@ -203,8 +199,8 @@ def test_gate_matches_elementwise_oracle():
     gate = FusionGate(store, 4)
     rng = np.random.default_rng(2)
     A, E = rng.standard_normal((3, 4)), rng.standard_normal((3, 4))
-    out = gate_fuse(Tensor(A), Tensor(E), gate).data
-    z = np.concatenate([A, E], axis=1) @ gate.layer.kernel.data + gate.layer.bias.data
+    out = gate.fuse(Tensor(A), Tensor(E)).data
+    z = np.concatenate([A, E], axis=1) @ gate.layer.kernel.data[0] + gate.layer.bias.data
     g = 1.0 / (1.0 + np.exp(-z))
     expected = g * E + (1.0 - g) * A
     assert np.max(np.abs(out - expected)) < 1e-12

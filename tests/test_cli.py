@@ -129,3 +129,29 @@ def test_ablate_cli(tmp_path, capsys):
     assert payload["manifest"]["examples"] == 8
     out = capsys.readouterr().out
     assert "crf_only" in out
+
+
+def test_predict_on_truncated_checkpoint_exits_1_without_traceback(tmp_path):
+    import os
+    import subprocess
+    import sys
+
+    from slotlab.charlstm import CharVocab
+    from slotlab.crf import TagSet
+    from slotlab.model import Checkpoint, ModelConfig, SlotModel
+
+    cfg = ModelConfig(char_embed_dim=8, lstm_units=8, d_model=16, num_heads=2, head_size=8, max_relative_distance=2)
+    model = SlotModel(cfg, CharVocab(list("abc")), TagSet.from_slot_types(["x"]))
+    Checkpoint.from_model(model).save(tmp_path / "ck")
+    blob = tmp_path / "ck" / "params.bin"
+    blob.write_bytes(blob.read_bytes()[:-8])
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "slotlab.cli", "predict", "--ckpt", str(tmp_path / "ck"), "--text", "abc"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 1
+    assert "error:" in proc.stderr and "truncated" in proc.stderr
+    assert "Traceback" not in proc.stderr

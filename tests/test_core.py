@@ -1,5 +1,11 @@
 """Tensor op semantics and gradient correctness against finite differences."""
 
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,12 +24,12 @@ from slotlab.tensor import (
 
 def test_matmul_identity():
     a = Tensor(np.eye(2))
-    b = Tensor([[5.0, 6.0], [7.0, 8.0]])
-    assert np.array_equal(T.matmul(a, b).data, b.data)
+    b = Tensor([[[5.0, 6.0], [7.0, 8.0]]])
+    assert np.array_equal(T.block_matmul(a, b).data, b.data[0])
 
 
 def test_matmul_hand_case():
-    out = T.matmul(Tensor([[1.0, 2.0]]), Tensor([[3.0], [4.0]]))
+    out = T.block_matmul(Tensor([[1.0, 2.0]]), Tensor([[[3.0], [4.0]]]))
     assert out.data.tolist() == [[11.0]]
 
 
@@ -35,23 +41,24 @@ def test_matmul_matches_triple_loop_oracle():
         for j in range(2):
             for k in range(4):
                 expected[i, j] += a[i, k] * b[k, j]
-    got = T.matmul(Tensor(a), Tensor(b)).data
+    got = T.block_matmul(Tensor(a), Tensor(b[None])).data
     assert np.max(np.abs(got - expected)) < 1e-12
 
 
 def test_matmul_shape_mismatch_names_both_shapes():
     with pytest.raises(DimensionError) as err:
-        T.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 2))))
-    assert "(2, 3)" in str(err.value) and "(4, 2)" in str(err.value)
+        T.block_matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((1, 4, 2))))
+    assert "(2, 3)" in str(err.value) and "(1, 4, 2)" in str(err.value)
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 2**31 - 1))
 def test_matmul_associativity(seed):
     rng = np.random.default_rng(seed)
-    a, b, c = rng.standard_normal((3, 4)), rng.standard_normal((4, 5)), rng.standard_normal((5, 2))
-    left = T.matmul(T.matmul(Tensor(a), Tensor(b)), Tensor(c)).data
-    right = T.matmul(Tensor(a), Tensor(T.matmul(Tensor(b), Tensor(c)).data)).data
+    a, b, c = rng.standard_normal((3, 4)), rng.standard_normal((1, 4, 5)), rng.standard_normal((1, 5, 2))
+    mm = T.block_matmul
+    left = mm(mm(Tensor(a), Tensor(b)), Tensor(c)).data
+    right = mm(Tensor(a), Tensor(mm(Tensor(b[0]), Tensor(c)).data[None])).data
     assert np.max(np.abs(left - right)) < 1e-10
 
 
@@ -124,9 +131,62 @@ def test_backward_shared_subexpression():
     assert np.allclose(p.grad, [12.0])
 
 
+def test_no_grad_records_no_graph_and_restores_on_exit():
+    store = ParameterStore(seed=1)
+    p = store.create("p", np.array([3.0, -1.0]))
+    with T.no_grad():
+        y = T.tanh(p.value * p.value)
+    assert not y.requires_grad and y._parents == () and y._backward is None
+    assert np.array_equal(y.data, np.tanh(p.data * p.data))
+    with pytest.raises(RuntimeError), T.no_grad():
+        raise RuntimeError("leave the block early")
+    z = T.reduce_sum(p.value * p.value)
+    assert z.requires_grad
+    backward(z)
+    assert np.array_equal(p.grad, 2 * p.data)
+
+
+_CHURN = """
+import resource
+import sys
+import numpy as np
+from slotlab import tensor as T
+
+size = int(sys.argv[1])
+T.add(T.constant(np.zeros(size)), T.constant(np.zeros(size)))
+
+def churn():
+    arrays = [np.ones(1 << 17) for _ in range(8)]  # eight 1 MiB temporaries, as in one full-size LSTM step
+    del arrays
+
+for _ in range(3):
+    churn()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(5):
+    churn()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.system() != "Linux" or platform.libc_ver()[0] != "glibc", reason="glibc mallopt")
+def test_freed_arrays_are_reused_after_a_large_op():
+    """After an op makes a 1 MiB result, freed MiB arrays stay in the heap; small ops and the environment win."""
+    src = str(Path(T.__file__).resolve().parents[1])
+
+    def faults(op_elements, **env):
+        run_env = {k: v for k, v in os.environ.items() if not k.startswith("MALLOC_")}
+        run_env.update(PYTHONPATH=src, **env)
+        cmd = [sys.executable, "-c", _CHURN, str(op_elements)]
+        return int(subprocess.run(cmd, capture_output=True, text=True, env=run_env, check=True).stdout)
+
+    assert faults(1 << 17) < 100
+    assert faults(1 << 10) > 5000  # glibc's own thresholds: 40 MiB faulted in again
+    assert faults(1 << 17, MALLOC_MMAP_THRESHOLD_="131072") > 5000
+
+
 def _composite(store: ParameterStore):
     a, b = store["a"].value, store["b"].value
-    h = T.tanh(T.matmul(a, b) + store["c"].value)
+    h = T.tanh(T.block_matmul(a, T.reshape(b, (1, 4, 4))) + store["c"].value)
     s = T.softmax_lastdim(h * 1.7)
     z = T.einsum2("ij,jk->ik", s, b)
     return T.reduce_mean(T.sigmoid(z)) + T.logsumexp_lastdim(T.reshape(h, (-1,)))
@@ -145,12 +205,12 @@ def test_composite_graph_matches_finite_differences(seed):
 def test_grad_check_linear_layer_tight():
     store = ParameterStore(seed=7)
     rng = store.rng("init")
-    store.create("w", rng.standard_normal((5, 3)))
+    store.create("w", rng.standard_normal((1, 5, 3)))
     store.create("b", rng.standard_normal(3))
     x = Tensor(rng.standard_normal((4, 5)))
 
     def f(s):
-        return T.reduce_sum(T.tanh(T.matmul(x, s["w"].value) + s["b"].value))
+        return T.reduce_sum(T.tanh(T.block_matmul(x, s["w"].value) + s["b"].value))
 
     assert grad_check(f, store) < 1e-6
 
@@ -158,8 +218,8 @@ def test_grad_check_linear_layer_tight():
 @pytest.mark.parametrize(
     "op",
     [
-        lambda x: T.relu(x),
-        lambda x: T.exp(x * 0.3),
+        lambda x: T.block_matmul(x, Tensor(np.arange(16.0).reshape(2, 2, 4) * 0.1)),
+        lambda x: T.einsum2("ij,kj->ik", x, Tensor(np.arange(12.0).reshape(3, 4) * 0.1)),
         lambda x: T.sigmoid(x),
         lambda x: T.tanh(x),
         lambda x: T.logsumexp_lastdim(x),
@@ -239,7 +299,7 @@ def test_grad_check_reports_nan_parameter():
     store.create("bad", np.ones(2))
 
     def f(s):
-        return T.reduce_sum(T.log(s["bad"].value - 1.0))  # log(0) -> -inf, grad -> nan-ish
+        return T.logsumexp_lastdim(s["bad"].value - np.inf)  # log(0) -> -inf, grad 0/0 -> nan
 
     with np.errstate(divide="ignore", invalid="ignore"):
         with pytest.raises(Exception) as err:

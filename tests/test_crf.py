@@ -5,7 +5,8 @@ import itertools
 import numpy as np
 import pytest
 
-from slotlab.crf import CrfHead, TagSet, crf_nll, crf_nll_batch, spans_from_bio, viterbi, viterbi_decode
+from slotlab import tensor as T
+from slotlab.crf import CrfHead, TagSet, crf_nll_batch, spans_from_bio, viterbi_decode
 from slotlab.data import SlotSpan
 from slotlab.params import ParameterStore, grad_check
 from slotlab.tensor import ContractError, Tensor
@@ -19,6 +20,18 @@ def make_head(d_model=3, num_tags=4, seed=0):
     head.start.data[...] = rng.standard_normal(num_tags) * 0.5
     head.end.data[...] = rng.standard_normal(num_tags) * 0.5
     return store, head
+
+
+def crf_nll(H, gold, head):
+    """Scalar NLL of one sequence H [T, d_model], run as a batch of one."""
+    H3 = T.reshape(H, (1,) + H.shape)
+    return T.reshape(crf_nll_batch(H3, np.array([gold], dtype=np.int64), np.array([H.shape[0]]), head), ())
+
+
+def viterbi(H, head):
+    """Best path of one sequence H [T, d_model]: (tags, score)."""
+    em = head.emission(T.reshape(H, (1,) + H.shape)).data[0]
+    return viterbi_decode(em, head.transitions.data, head.start.data, head.end.data)
 
 
 def path_score_oracle(em, trans, start, end, path):
@@ -241,5 +254,3 @@ def test_tagset_construction_and_validation():
         TagSet(["B-x", "O"])
     with pytest.raises(ContractError):
         TagSet(["O", "B-x", "weird"])
-    again = TagSet.from_json(ts.to_json())
-    assert again == ts

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from slotlab.crf import TagSet, spans_from_bio
 from slotlab.data import (
     DataError,
-    DatasetManifest,
     SlotSpan,
     Utterance,
     bio_from_spans,
@@ -331,11 +330,3 @@ def test_substitute_deterministic():
 def test_substitute_rejects_empty_replacements():
     with pytest.raises(DataError):
         substitute_entities([], "city", [], seed=0)
-
-
-def test_manifest_from_utterances():
-    utts = load_jsonl(FIXTURES / "booking.jsonl")
-    man = DatasetManifest.from_utterances("booking", {"train": utts}, fraction="1/2", seed=7)
-    d = man.to_dict()
-    assert d["split_sizes"] == {"train": 5}
-    assert "time" in d["slot_types"] and d["fraction"] == "1/2" and d["seed"] == 7

@@ -6,17 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slotlab import tensor as T
-from slotlab.layers import ACTIVATIONS, BlockDiagonalDenseLayer, DenseLayer, dropout
+from slotlab.layers import ACTIVATIONS, Dense, dropout
 from slotlab.params import ParameterStore, grad_check
 from slotlab.tensor import ConfigError, Tensor
 
 
 def _dense(store, in_dim, out_dim, activation="none", name="d"):
-    return DenseLayer(store, name, in_dim, out_dim, activation)
+    return Dense(store, name, in_dim, out_dim, activation)
 
 
 def _block(store, in_dim, out_dim, k, activation="none", name="b"):
-    return BlockDiagonalDenseLayer(store, name, in_dim, out_dim, k, activation)
+    return Dense(store, name, in_dim, out_dim, activation, num_blocks=k)
 
 
 def expand_blocks(blocks: np.ndarray) -> np.ndarray:
@@ -61,7 +61,7 @@ def test_dense_matches_loop_oracle():
         for j in range(4):
             acc = layer.bias.data[j]
             for i in range(5):
-                acc += x[b, i] * layer.kernel.data[i, j]
+                acc += x[b, i] * layer.kernel.data[0, i, j]
             expected[b, j] = np.tanh(acc)
     assert np.max(np.abs(layer(Tensor(x)).data - expected)) < 1e-12
 
@@ -76,22 +76,19 @@ def test_dense_dim_mismatch():
 def test_block_k1_reduces_to_dense():
     store = ParameterStore(seed=5)
     blk = _block(store, 6, 4, 1)
-    dense = _dense(store, 6, 4, name="ref")
-    dense.kernel.data[...] = blk.block_kernels.data[0]
-    dense.bias.data[...] = blk.bias.data
-    x = Tensor(np.random.default_rng(5).standard_normal((3, 6)))
-    assert np.array_equal(blk(x).data, dense(x).data)
+    x = np.random.default_rng(5).standard_normal((3, 6))
+    assert np.array_equal(blk(Tensor(x)).data, x @ blk.kernel.data[0] + blk.bias.data)
 
 
 def test_block_k2_hand_case_equals_expanded_kernel():
     store = ParameterStore(seed=0)
     blk = _block(store, 4, 4, 2)
-    blk.block_kernels.data[...] = np.array(
+    blk.kernel.data[...] = np.array(
         [[[1.0, 2.0], [3.0, 4.0]], [[5.0, 6.0], [7.0, 8.0]]]
     )
     blk.bias.data[...] = [0.1, 0.2, 0.3, 0.4]
     x = np.array([[1.0, -1.0, 2.0, 0.5], [0.0, 1.0, 1.0, 1.0]])
-    expected = x @ expand_blocks(blk.block_kernels.data) + blk.bias.data
+    expected = x @ expand_blocks(blk.kernel.data) + blk.bias.data
     assert np.array_equal(blk(Tensor(x)).data, expected)
 
 
@@ -101,8 +98,8 @@ def test_block_param_count_512():
     assert blk.param_count == 512 * 512 // 8 + 512 == 33280
     full = 512 * 512 + 512
     assert full == 262656
-    assert blk.block_kernels.count * 8 == 512 * 512
-    assert abs(262144 / blk.block_kernels.count - 8.0) < 1e-12
+    assert blk.kernel.count * 8 == 512 * 512
+    assert abs(262144 / blk.kernel.count - 8.0) < 1e-12
     assert 262656 / 33280 == pytest.approx(7.89, abs=0.01)
 
 
@@ -119,7 +116,7 @@ def test_block_equivalence_property(k, m, n, batch, seed):
     store = ParameterStore(seed=seed)
     blk = _block(store, in_dim, out_dim, k, activation="sigmoid")
     x = np.random.default_rng(seed).standard_normal((batch, in_dim))
-    full = expand_blocks(blk.block_kernels.data)
+    full = expand_blocks(blk.kernel.data)
     expected = 1.0 / (1.0 + np.exp(-(x @ full + blk.bias.data)))
     assert np.max(np.abs(blk(Tensor(x)).data - expected)) <= 1e-12
 
@@ -129,8 +126,26 @@ def test_block_handles_leading_batch_dims():
     blk = _block(store, 6, 4, 2)
     x = np.random.default_rng(2).standard_normal((3, 5, 6))
     got = blk(Tensor(x)).data
-    expected = x @ expand_blocks(blk.block_kernels.data) + blk.bias.data
+    expected = x @ expand_blocks(blk.kernel.data) + blk.bias.data
     assert np.max(np.abs(got - expected)) <= 1e-12
+
+
+@pytest.mark.parametrize("k", [1, 2, 4])
+def test_block_matmul_on_3d_inputs_matches_expanded_kernel(k):
+    store = ParameterStore(seed=k)
+    rng = store.rng("init")
+    store.create("x", rng.standard_normal((2, 3, 4)))
+    store.create("w", rng.standard_normal((k, 4 // k, 8 // k)))
+    got = T.block_matmul(store["x"].value, store["w"].value).data
+    expected = store["x"].data @ expand_blocks(store["w"].data)
+    assert got.shape == (2, 3, 8)
+    assert np.max(np.abs(got - expected)) <= 1e-12
+    weights = Tensor(rng.standard_normal((2, 3, 8)))
+
+    def f(s):
+        return T.reduce_sum(T.tanh(T.block_matmul(s["x"].value, s["w"].value)) * weights)
+
+    assert grad_check(f, store) < 1e-6
 
 
 def test_block_divisibility_checked_at_construction():
@@ -148,7 +163,7 @@ def test_dense_and_block_gradients():
     x = Tensor(np.random.default_rng(11).standard_normal((3, 4)))
 
     def f(s):
-        return T.reduce_sum(blk(dense(x) @ np.random.default_rng(1).standard_normal((3, 4))))
+        return T.reduce_sum(blk(T.block_matmul(dense(x), Tensor(np.random.default_rng(1).standard_normal((1, 3, 4))))))
 
     assert grad_check(f, store) < 1e-6
 
@@ -183,5 +198,5 @@ def test_dropout_rejects_bad_rate():
 def test_unknown_activation_rejected():
     store = ParameterStore(seed=0)
     with pytest.raises(ConfigError):
-        DenseLayer(store, "x", 2, 2, activation="gelu")
-    assert set(ACTIVATIONS) == {"none", "sigmoid", "tanh", "relu"}
+        Dense(store, "x", 2, 2, activation="gelu")
+    assert set(ACTIVATIONS) == {"none", "sigmoid", "tanh"}

@@ -7,10 +7,10 @@ from slotlab.charlstm import CharVocab
 from slotlab.crf import TagSet
 from slotlab.data import DataError, SlotSpan, utterance_from_words
 from slotlab.evaluate import span_f1
-from slotlab.model import Checkpoint, ModelConfig, SlotModel, count_parameters, parameter_reduction, predict
+from slotlab.model import Checkpoint, ModelConfig, SlotModel, count_parameters, parameter_reduction
 from slotlab.params import grad_check
 from slotlab.synthetic import desk_config, make_from_to_corpus
-from slotlab.tensor import ConfigError, NumericError
+from slotlab.tensor import ConfigError, ContractError, NumericError
 from slotlab.training import build_model, train, _check_finite
 
 VOCAB = CharVocab([chr(97 + i) for i in range(10)])  # size 12
@@ -36,6 +36,11 @@ def tiny_config(**overrides):
 
 def utt(words, *spans):
     return utterance_from_words(words.split(), [SlotSpan(*s) for s in spans])
+
+
+def features(model, u):
+    """Fused features [T, d_model] of one utterance, run as a batch of one."""
+    return model.features_batch([u])[0].data[0]
 
 
 # ---------------------------------------------------------------------------
@@ -107,8 +112,7 @@ def test_variant_none_features_are_word_embeddings():
     model = SlotModel(cfg, VOCAB, TAGSET)
     u = utt("abc de fgh")
     E = model.encoder.encode_words(model.word_ids(u))
-    H = model.features(u)
-    assert np.array_equal(E.data, H.data)
+    assert np.array_equal(E.data, features(model, u))
 
 
 def test_saturated_gate_equals_crf_only_construction():
@@ -121,8 +125,8 @@ def test_saturated_gate_equals_crf_only_construction():
     model.gate.layer.bias.data[...] = 30.0
     u = utt("abc de fgh abc")
     assert model.predict(u) == ref.predict(u)
-    em_a = model.crf.emission(model.features(u)).data
-    em_b = ref.crf.emission(ref.features(u)).data
+    em_a = model.crf.emission(model.features_batch([u])[0]).data
+    em_b = ref.crf.emission(ref.features_batch([u])[0]).data
     assert np.max(np.abs(em_a - em_b)) < 1e-9
 
 
@@ -131,7 +135,7 @@ def test_fixed_seed_rebuild_is_bit_identical():
     a = SlotModel(cfg, VOCAB, TAGSET)
     b = SlotModel(cfg, VOCAB, TAGSET)
     u = utt("abc de")
-    assert np.array_equal(a.features(u).data, b.features(u).data)
+    assert np.array_equal(features(a, u), features(b, u))
     for pa, pb in zip(a.store, b.store):
         assert pa.name == pb.name and np.array_equal(pa.data, pb.data)
 
@@ -142,8 +146,8 @@ def test_f32_and_f64_forward_agree():
     m64 = SlotModel(cfg64, VOCAB, TAGSET)
     m32 = SlotModel(cfg32, VOCAB, TAGSET)
     u = utt("abc de fgh")
-    em64 = m64.crf.emission(m64.features(u)).data
-    em32 = m32.crf.emission(m32.features(u)).data
+    em64 = m64.crf.emission(m64.features_batch([u])[0]).data
+    em32 = m32.crf.emission(m32.features_batch([u])[0]).data
     assert em32.dtype == np.float32
     rel = np.abs(em64 - em32) / np.maximum(1e-6, np.abs(em64))
     assert rel.max() < 1e-3
@@ -180,7 +184,7 @@ def test_two_process_runs_produce_identical_logits(tmp_path):
         "                  head_size=8, num_blocks=4, max_relative_distance=2, seed=5)\n"
         "model = SlotModel(cfg, CharVocab(list('abcdefghij')), TagSet.from_slot_types(['x', 'y']))\n"
         "u = utterance_from_words('abc de fgh'.split(), [])\n"
-        "em = model.crf.emission(model.features(u)).data\n"
+        "em = model.crf.emission(model.features_batch([u])[0]).data\n"
         "print(hashlib.sha256(em.tobytes()).hexdigest())\n"
     )
     runs = {subprocess.run([sys.executable, str(script)], capture_output=True, text=True, check=True).stdout for _ in range(2)}
@@ -188,13 +192,35 @@ def test_two_process_runs_produce_identical_logits(tmp_path):
 
 
 def test_batched_features_match_single():
+    """Each utterance's row of a padded batch equals the utterance run alone."""
     cfg = tiny_config()
     model = SlotModel(cfg, VOCAB, TAGSET)
     utts = [utt("abc de"), utt("fgh abc de i"), utt("a")]
     H3, lengths = model.features_batch(utts)
+    assert H3.shape == (3, 4, cfg.d_model) and lengths.tolist() == [2, 4, 1]
     for b, u in enumerate(utts):
-        single = model.features(u).data
-        assert np.max(np.abs(H3.data[b, : len(u.tokens)] - single)) < 1e-12
+        alone, _ = model.features_batch([u])
+        assert alone.shape == (1, len(u.tokens), cfg.d_model)
+        assert np.max(np.abs(H3.data[b, : len(u.tokens)] - alone.data[0])) < 1e-12
+
+
+def test_predict_batch_decodes_the_graph_built_emissions():
+    """predict_batch runs its forward without a graph; the spans equal decoding the recorded forward."""
+    from slotlab.crf import spans_from_bio, viterbi_decode
+
+    model = SlotModel(tiny_config(), VOCAB, TAGSET)
+    model.crf.emission.bias.data[...] = np.array([0.0, 0.4, 0.1, 0.3, 0.2])
+    utts = [utt("abc de"), utt("fgh abc de i"), utt("a")]
+    H3, lengths = model.features_batch(utts)
+    em3 = model.crf.emission(H3)
+    assert em3.requires_grad
+    crf = model.crf
+    want = [
+        spans_from_bio(viterbi_decode(em3.data[b, :n], crf.transitions.data, crf.start.data, crf.end.data)[0], TAGSET)
+        for b, n in enumerate(lengths)
+    ]
+    assert any(want)
+    assert model.predict_batch(utts) == want
 
 
 def test_full_model_gradient_check():
@@ -203,7 +229,7 @@ def test_full_model_gradient_check():
     u = utt("abc de fgh", (0, 0, "x"), (2, 2, "y"))
 
     def f(store):
-        return model.nll(u)
+        return model.loss([u], training=False)
 
     # wider step than the per-layer checks: the deep graph leaves coordinates
     # with ~1e-8 gradients where 1e-5 steps are dominated by cancellation
@@ -227,7 +253,6 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
         assert np.array_equal(arr, again.arrays[name])
     u = utt("abc de fgh")
     assert again.build_model().predict(u) == model.predict(u)
-    assert predict(u, again) == model.predict(u)
 
 
 def test_checkpoint_round_trip_f32(tmp_path):
@@ -246,9 +271,11 @@ def test_checkpoint_manifest_is_versioned_and_explicit(tmp_path):
     cfg = tiny_config()
     Checkpoint.from_model(SlotModel(cfg, VOCAB, TAGSET)).save(tmp_path / "ck")
     manifest = json.loads((tmp_path / "ck" / "manifest.json").read_text())
-    assert manifest["format_version"] == 1
+    assert manifest["format_version"] == 2
     assert manifest["endianness"] == "little"
     assert manifest["params"][0].keys() == {"name", "shape", "offset", "dtype"}
+    shapes = {p["name"]: p["shape"] for p in manifest["params"]}
+    assert shapes["encoder.lstm.input.kernel"] == [1, 8, 32]  # [num_blocks, in/k, out/k]
     blob = (tmp_path / "ck" / "params.bin").read_bytes()
     total = sum(int(np.prod(p["shape"]) if p["shape"] else 1) for p in manifest["params"])
     assert len(blob) == total * 8
@@ -261,10 +288,47 @@ def test_checkpoint_rejects_unknown_version(tmp_path):
     Checkpoint.from_model(SlotModel(cfg, VOCAB, TAGSET)).save(tmp_path / "ck")
     path = tmp_path / "ck" / "manifest.json"
     manifest = json.loads(path.read_text())
-    manifest["format_version"] = 99
+    for version in (1, 99):  # 1 stored dense kernels as [in, out] under other names
+        manifest["format_version"] = version
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(ConfigError):
+            Checkpoint.load(tmp_path / "ck")
+
+
+def _saved_checkpoint(tmp_path):
+    import json
+
+    Checkpoint.from_model(SlotModel(tiny_config(), VOCAB, TAGSET)).save(tmp_path / "ck")
+    path = tmp_path / "ck" / "manifest.json"
+    return path, json.loads(path.read_text())
+
+
+def test_checkpoint_rejects_truncated_blob(tmp_path):
+    path, _ = _saved_checkpoint(tmp_path)
+    blob = path.parent / "params.bin"
+    blob.write_bytes(blob.read_bytes()[:-8])
+    with pytest.raises(ConfigError, match="truncated"):
+        Checkpoint.load(path.parent)
+
+
+def test_checkpoint_rejects_missing_parameter(tmp_path):
+    import json
+
+    path, manifest = _saved_checkpoint(tmp_path)
+    manifest["params"] = [p for p in manifest["params"] if p["name"] != "gate.bias"]
     path.write_text(json.dumps(manifest))
-    with pytest.raises(ConfigError):
-        Checkpoint.load(tmp_path / "ck")
+    with pytest.raises(ContractError, match="gate.bias"):
+        Checkpoint.load(path.parent).build_model()
+
+
+def test_checkpoint_rejects_unknown_parameter(tmp_path):
+    import json
+
+    path, manifest = _saved_checkpoint(tmp_path)
+    manifest["params"].append({**manifest["params"][-1], "name": "gate.extra"})
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(ContractError, match="gate.extra"):
+        Checkpoint.load(path.parent).build_model()
 
 
 # ---------------------------------------------------------------------------

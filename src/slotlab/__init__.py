@@ -27,7 +27,7 @@ from .evaluate import EvalReport, span_f1
 from .layers import Dense, dropout
 from .model import Checkpoint, ModelConfig, SlotModel, count_parameters, parameter_reduction
 from .params import Parameter, ParameterStore, grad_check
-from .tensor import Tensor, backward, softmax_lastdim
+from .tensor import SlotlabError, Tensor, backward, softmax_lastdim
 from .training import AdamW, train
 
 __version__ = "0.1.0"
@@ -49,6 +49,7 @@ __all__ = [
     "ParameterStore",
     "SlotModel",
     "SlotSpan",
+    "SlotlabError",
     "TagSet",
     "Tensor",
     "Utterance",

@@ -3,8 +3,9 @@
 Each word is encoded independently: its characters run left-to-right through
 a single LSTM starting from a zero state, and the final hidden state is
 projected to the model width. No state crosses word boundaries. Batched
-encoding pads words to a common length and freezes finished rows with a 0/1
-mask, which reproduces the per-word results exactly.
+encoding pads words to a common length and runs every row for every step;
+each word's state is then gathered at its own last character, so padding
+steps never reach the result and the per-word results are reproduced exactly.
 """
 
 from __future__ import annotations
@@ -111,22 +112,16 @@ class CharLstmEncoder:
         ids = np.zeros((n, max_len), dtype=np.int64)  # PAD
         for r, w in enumerate(char_ids):
             ids[r, : len(w)] = w
-        lengths_arr = np.asarray(lengths)
 
-        dtype = self.embed.data.dtype
-        h = T.constant(np.zeros((n, self.lstm_units), dtype=dtype))
+        h = T.constant(np.zeros((n, self.lstm_units), dtype=self.embed.data.dtype))
         c = h
+        hs = []
         for t in range(max_len):
-            x_t = T.take_rows(self.embed.value, ids[:, t])
-            h_new, c_new = self._step(x_t, h, c)
-            active = (t < lengths_arr).astype(dtype).reshape(n, 1)
-            if active.all():
-                h, c = h_new, c_new
-            else:
-                keep = T.constant(active)
-                h = keep * h_new + T.constant(1.0 - active) * h
-                c = keep * c_new + T.constant(1.0 - active) * c
-        return self.proj(h)
+            h, c = self._step(T.take_rows(self.embed.value, ids[:, t]), h, c)
+            hs.append(h)
+        # row t * n + r of the stacked steps is word r after step t
+        last = (np.asarray(lengths) - 1) * n + np.arange(n)
+        return self.proj(T.take_rows(T.concat(hs, axis=0), last))
 
     def encode_utterance(
         self,

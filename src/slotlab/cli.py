@@ -11,7 +11,6 @@ import sys
 from pathlib import Path
 
 from .data import (
-    DataError,
     Utterance,
     fraction_split,
     load_conll,
@@ -22,10 +21,10 @@ from .data import (
 )
 from .evaluate import span_f1
 from .model import Checkpoint, ModelConfig, count_parameters, parameter_reduction
-from .tensor import ConfigError, ContractError, DimensionError, MaskingError, NumericError
+from .tensor import SlotlabError
 from .training import train
 
-ERRORS = (DataError, ConfigError, ContractError, DimensionError, MaskingError, NumericError, OSError)
+ERRORS = (SlotlabError, OSError)
 
 ABLATION_VARIANTS = {
     "crf_only": "none",

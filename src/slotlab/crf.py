@@ -113,18 +113,16 @@ def crf_nll_batch(H: Tensor, gold: np.ndarray, lengths: np.ndarray, head: CrfHea
         picked_tr = T.reshape(T.take_rows(T.reshape(head.transitions.value, (K * K,)), tr_idx.ravel()), (B, Tmax - 1))
         score = score + T.reduce_sum(picked_tr * T.constant(tr_mask), axis=1)
 
-    # partition function by the forward algorithm in log space
+    # partition function by the forward algorithm in log space; every row runs
+    # all Tmax steps and each sequence's alpha is gathered at its last step
     alpha = T.reshape(T.narrow(em, 1, 0, 1), (B, K)) + head.start.value
+    alphas = [alpha]
     for t in range(1, Tmax):
         prev = T.reshape(alpha, (B, K, 1))
         inner = T.logsumexp_lastdim(T.transpose(prev + head.transitions.value, (0, 2, 1)))
-        alpha_new = inner + T.reshape(T.narrow(em, 1, t, 1), (B, K))
-        active = step_mask[:, t : t + 1]
-        if active.all():
-            alpha = alpha_new
-        else:
-            keep = T.constant(active)
-            alpha = keep * alpha_new + T.constant(1.0 - active) * alpha
+        alpha = inner + T.reshape(T.narrow(em, 1, t, 1), (B, K))
+        alphas.append(alpha)
+    alpha = T.take_rows(T.concat(alphas, axis=0), (lengths - 1) * B + np.arange(B))
     log_z = T.logsumexp_lastdim(alpha + head.end.value)
     return log_z - score
 

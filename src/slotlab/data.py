@@ -15,10 +15,12 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
+from .tensor import SlotlabError
+
 _PUNCT = set(string.punctuation)
 
 
-class DataError(ValueError):
+class DataError(SlotlabError, ValueError):
     """Malformed or inconsistent dataset content."""
 
 

@@ -23,7 +23,7 @@ from .charlstm import CharLstmEncoder, CharVocab
 from .crf import CrfHead, TagSet, crf_nll_batch, spans_from_bio, viterbi_decode
 from .data import SlotSpan, Utterance, bio_from_spans
 from .params import ParameterStore
-from .tensor import ConfigError, ContractError, Tensor
+from .tensor import ConfigError, ContractError, SlotlabError, Tensor
 
 CHECKPOINT_FORMAT_VERSION = 2
 VARIANTS = ATTENTION_VARIANTS + ("none",)
@@ -125,23 +125,19 @@ class SlotModel:
 
     def features_batch(self, utts: Sequence[Utterance], training: bool = False) -> tuple[Tensor, np.ndarray]:
         """Padded fused features [B, Tmax, d_model] plus true lengths."""
+        if not utts:
+            raise ContractError("features_batch: empty batch")
         lengths = np.array([len(u.tokens) for u in utts])
         if lengths.min() < 1:
             raise ContractError("cannot encode an utterance with no tokens")
         all_words = [ids for u in utts for ids in self.word_ids(u)]
         flat = self.encoder.encode_utterance(all_words, self.config.dropout, training)
-        t_max = int(lengths.max())
-        d = self.config.d_model
-        rows = []
-        offset = 0
-        for n in lengths:
-            piece = T.narrow(flat, 0, offset, int(n))
-            if n < t_max:
-                pad = T.constant(np.zeros((t_max - int(n), d), dtype=flat.data.dtype))
-                piece = T.concat([piece, pad], axis=0)
-            rows.append(T.reshape(piece, (1, t_max, d)))
-            offset += int(n)
-        E3 = T.concat(rows, axis=0) if len(rows) > 1 else rows[0]
+        # slot (b, t) reads word t of utterance b; padded slots read an appended zero row
+        steps = np.arange(int(lengths.max()))
+        starts = np.cumsum(lengths) - lengths
+        index = np.where(steps < lengths[:, None], starts[:, None] + steps, len(all_words))
+        zero = T.constant(np.zeros((1, self.config.d_model), dtype=flat.data.dtype))
+        E3 = T.take_rows(T.concat([flat, zero], axis=0), index)
         if self.attention is None:
             return E3, lengths
         A3, _ = self.attention.attend_batch(E3, lengths, training)
@@ -180,47 +176,38 @@ class SlotModel:
 
 
 # ---------------------------------------------------------------------------
-# parameter accounting (pure arithmetic, mirrors SlotModel construction)
+# parameter accounting, read off a model built from the config
+
+_COMPONENT_PREFIXES = {
+    "char_embed": "encoder.char_embed",
+    "char_lstm": "encoder.lstm.",
+    "word_proj": "encoder.word_proj.",
+    "attention": "attention.",
+    "gate": "gate.",
+    "crf": "crf.",
+}
 
 
 def count_parameters(config: ModelConfig, char_vocab_size: int, num_tags: int) -> dict[str, int]:
     """Stored-trainable counts per component plus 'total'.
 
-    With use_block_dense, the large kernels (both LSTM kernels, the attention
-    query/key/value/output projections, and the gate) store 1/num_blocks of
-    their full weights; the word projection and the CRF emission stay full.
+    Builds the model over placeholder characters and tags of the given sizes
+    and sums its parameters by name. With use_block_dense, the large kernels
+    (both LSTM kernels, the attention query/key/value/output projections, and
+    the gate) store 1/num_blocks of their full weights; the word projection
+    and the CRF emission stay full.
     """
-    k = config.num_blocks if config.use_block_dense else 1
-
-    def kernel(in_dim: int, out_dim: int, blocked: bool) -> int:
-        if not blocked or k == 1:
-            return in_dim * out_dim
-        if in_dim % k or out_dim % k:
-            raise ConfigError(f"kernel ({in_dim}, {out_dim}) not divisible by num_blocks={k}")
-        return in_dim * out_dim // k
-
-    e, h, d = config.char_embed_dim, config.lstm_units, config.d_model
-    width = config.num_heads * config.head_size
+    if char_vocab_size < 2:
+        raise ConfigError(f"char_vocab_size must count PAD and UNK, got {char_vocab_size}")
+    if num_tags < 1:
+        raise ConfigError(f"num_tags must be at least 1, got {num_tags}")
+    vocab = CharVocab([str(i) for i in range(char_vocab_size - 2)])
+    tagset = TagSet(["O"] + [f"B-{i}" for i in range(num_tags - 1)])
+    store = SlotModel(config, vocab, tagset).store
     counts = {
-        "char_embed": char_vocab_size * e,
-        "char_lstm": kernel(e, 4 * h, True) + kernel(h, 4 * h, True) + 4 * h,
-        "word_proj": h * d + d,
+        key: sum(p.count for p in store if p.name.startswith(prefix)) for key, prefix in _COMPONENT_PREFIXES.items()
     }
-    if config.variant == "none":
-        counts["attention"] = 0
-        counts["gate"] = 0
-    else:
-        attn = kernel(d, width, True) * 2 + kernel(width, d, True)
-        if config.variant == "abstract_rel":
-            attn += config.num_heads * config.head_size
-        else:
-            attn += kernel(d, width, True)
-        if config.variant in ("abstract_rel", "self_rel"):
-            attn += (2 * config.max_relative_distance + 1) * config.head_size
-        counts["attention"] = attn
-        counts["gate"] = kernel(2 * d, d, True) + d
-    counts["crf"] = d * num_tags + num_tags + num_tags * num_tags + 2 * num_tags
-    counts["total"] = sum(counts.values())
+    counts["total"] = store.total_count()
     return counts
 
 
@@ -286,20 +273,27 @@ class Checkpoint:
     @classmethod
     def load(cls, directory) -> "Checkpoint":
         directory = Path(directory)
-        with open(directory / "manifest.json", encoding="utf-8") as fh:
-            manifest = json.load(fh)
-        if manifest.get("format_version") != CHECKPOINT_FORMAT_VERSION:
-            raise ConfigError(f"unsupported checkpoint format_version {manifest.get('format_version')!r}")
-        config = ModelConfig.from_dict(manifest["config"])
-        blob = (directory / manifest.get("blob_file", "params.bin")).read_bytes()
-        dtype = np.dtype("<f4" if config.dtype == "f32" else "<f8")
-        arrays = {}
-        for entry in manifest["params"]:
-            name, shape, start = entry["name"], tuple(entry["shape"]), entry["offset"]
-            n = int(np.prod(shape)) if shape else 1
-            if start + dtype.itemsize * n > len(blob):
-                raise ConfigError(f"checkpoint blob truncated at parameter {name!r}")
-            arr = np.frombuffer(blob, dtype=dtype, count=n, offset=start).reshape(shape)
-            arrays[name] = arr.astype(np.float32 if config.dtype == "f32" else np.float64)
-        return cls(config, CharVocab(manifest["char_vocab"]), TagSet(manifest["tagset"]), arrays)
+        path = directory / "manifest.json"
+        try:
+            with open(path, encoding="utf-8") as fh:
+                manifest = json.load(fh)
+            if manifest.get("format_version") != CHECKPOINT_FORMAT_VERSION:
+                raise ConfigError(f"unsupported checkpoint format_version {manifest.get('format_version')!r}")
+            config = ModelConfig.from_dict(manifest["config"])
+            blob = (directory / manifest.get("blob_file", "params.bin")).read_bytes()
+            dtype = np.dtype("<f4" if config.dtype == "f32" else "<f8")
+            arrays = {}
+            for entry in manifest["params"]:
+                name, shape, start = entry["name"], tuple(entry["shape"]), entry["offset"]
+                n = int(np.prod(shape)) if shape else 1
+                if start + dtype.itemsize * n > len(blob):
+                    raise ConfigError(f"checkpoint blob truncated at parameter {name!r}")
+                arr = np.frombuffer(blob, dtype=dtype, count=n, offset=start).reshape(shape)
+                arrays[name] = arr.astype(np.float32 if config.dtype == "f32" else np.float64)
+            return cls(config, CharVocab(manifest["char_vocab"]), TagSet(manifest["tagset"]), arrays)
+        except SlotlabError:
+            raise
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            # not JSON, a missing key, or a value of the wrong type
+            raise ConfigError(f"malformed checkpoint manifest {path}: {exc!r}") from exc
 

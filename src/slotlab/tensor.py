@@ -21,23 +21,27 @@ from typing import Callable, Sequence
 import numpy as np
 
 
-class DimensionError(ValueError):
+class SlotlabError(Exception):
+    """Base of every named slotlab error; each subclass also keeps its builtin base."""
+
+
+class DimensionError(SlotlabError, ValueError):
     """Operand shapes do not satisfy an op's contract."""
 
 
-class ContractError(ValueError):
+class ContractError(SlotlabError, ValueError):
     """A value-level precondition was violated."""
 
 
-class MaskingError(ValueError):
+class MaskingError(SlotlabError, ValueError):
     """A softmax row was fully masked without all_masked_ok."""
 
 
-class ConfigError(ValueError):
+class ConfigError(SlotlabError, ValueError):
     """Invalid layer or run configuration, raised at construction time."""
 
 
-class NumericError(RuntimeError):
+class NumericError(SlotlabError, RuntimeError):
     """NaN/Inf encountered where the contract requires finite values."""
 
 

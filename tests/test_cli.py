@@ -131,7 +131,8 @@ def test_ablate_cli(tmp_path, capsys):
     assert "crf_only" in out
 
 
-def test_predict_on_truncated_checkpoint_exits_1_without_traceback(tmp_path):
+def _predict_subprocess(tmp_path, damage):
+    """Save a tiny checkpoint, apply `damage` to its directory, run `slotlab predict` on it."""
     import os
     import subprocess
     import sys
@@ -143,15 +144,29 @@ def test_predict_on_truncated_checkpoint_exits_1_without_traceback(tmp_path):
     cfg = ModelConfig(char_embed_dim=8, lstm_units=8, d_model=16, num_heads=2, head_size=8, max_relative_distance=2)
     model = SlotModel(cfg, CharVocab(list("abc")), TagSet.from_slot_types(["x"]))
     Checkpoint.from_model(model).save(tmp_path / "ck")
-    blob = tmp_path / "ck" / "params.bin"
-    blob.write_bytes(blob.read_bytes()[:-8])
+    damage(tmp_path / "ck")
     src = Path(__file__).resolve().parent.parent / "src"
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "slotlab.cli", "predict", "--ckpt", str(tmp_path / "ck"), "--text", "abc"],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": str(src)},
     )
+
+
+def test_predict_on_truncated_checkpoint_exits_1_without_traceback(tmp_path):
+    def truncate(ck):
+        blob = ck / "params.bin"
+        blob.write_bytes(blob.read_bytes()[:-8])
+
+    proc = _predict_subprocess(tmp_path, truncate)
     assert proc.returncode == 1
     assert "error:" in proc.stderr and "truncated" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_predict_on_manifest_that_is_not_json_exits_1_without_traceback(tmp_path):
+    proc = _predict_subprocess(tmp_path, lambda ck: (ck / "manifest.json").write_text("not json {"))
+    assert proc.returncode == 1
+    assert "error:" in proc.stderr and "manifest" in proc.stderr
     assert "Traceback" not in proc.stderr

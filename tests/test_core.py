@@ -294,6 +294,23 @@ def test_named_rng_is_stable_and_split():
     assert np.array_equal(a, again)
 
 
+def test_every_named_error_is_a_slotlab_error_and_keeps_its_builtin_base():
+    from slotlab import SlotlabError
+    from slotlab.cli import ERRORS
+    from slotlab.data import DataError
+
+    for cls, builtin in (
+        (DataError, ValueError),
+        (T.ConfigError, ValueError),
+        (ContractError, ValueError),
+        (DimensionError, ValueError),
+        (MaskingError, ValueError),
+        (T.NumericError, RuntimeError),
+    ):
+        assert issubclass(cls, SlotlabError) and issubclass(cls, builtin), cls
+    assert ERRORS == (SlotlabError, OSError)
+
+
 def test_grad_check_reports_nan_parameter():
     store = ParameterStore(seed=0)
     store.create("bad", np.ones(2))

@@ -161,6 +161,22 @@ def test_crf_gradient_flows_into_features():
     assert grad_check(f, store) < 1e-5
 
 
+def test_crf_gradients_over_ragged_batch():
+    """Steps past a sequence's end get no gradient: the forward recursion reads alpha at each last step."""
+    store = ParameterStore(seed=10)
+    rng = np.random.default_rng(10)
+    store.create("features", rng.standard_normal((3, 4, 3)))
+    head = CrfHead(store, 3, 3)
+    head.transitions.data[...] = rng.standard_normal((3, 3)) * 0.7
+    gold = np.array([[2, 0, 0, 0], [1, 2, 0, 1], [0, 2, 0, 0]])
+    lengths = np.array([1, 4, 2])
+
+    def f(s):
+        return T.reduce_sum(crf_nll_batch(s["features"].value, gold, lengths, head))
+
+    assert grad_check(f, store) < 1e-5
+
+
 def test_invalid_gold_index_raises():
     store, head = make_head(num_tags=3)
     H = Tensor(np.zeros((2, 3)))

@@ -98,6 +98,12 @@ def test_count_rejects_indivisible_blocking():
         count_parameters(cfg, VOCAB.size, TAGSET.size)
 
 
+@pytest.mark.parametrize("char_vocab_size, num_tags", [(1, 5), (12, 0)])
+def test_count_rejects_sizes_below_the_reserved_entries(char_vocab_size, num_tags):
+    with pytest.raises(ConfigError):
+        count_parameters(tiny_config(), char_vocab_size, num_tags)
+
+
 def test_block_dense_model_shrinks_at_default_config():
     full, blocked, factor = parameter_reduction(ModelConfig(), 47, 159)
     assert factor >= 3.5
@@ -204,6 +210,12 @@ def test_batched_features_match_single():
         assert np.max(np.abs(H3.data[b, : len(u.tokens)] - alone.data[0])) < 1e-12
 
 
+def test_features_batch_rejects_empty_batch():
+    model = SlotModel(tiny_config(), VOCAB, TAGSET)
+    with pytest.raises(ContractError, match="features_batch: empty batch"):
+        model.features_batch([])
+
+
 def test_predict_batch_decodes_the_graph_built_emissions():
     """predict_batch runs its forward without a graph; the spans equal decoding the recorded forward."""
     from slotlab.crf import spans_from_bio, viterbi_decode
@@ -233,6 +245,18 @@ def test_full_model_gradient_check():
 
     # wider step than the per-layer checks: the deep graph leaves coordinates
     # with ~1e-8 gradients where 1e-5 steps are dominated by cancellation
+    assert grad_check(f, model.store, eps=3e-4) < 1e-4
+
+
+def test_full_model_gradient_check_on_ragged_batch():
+    """Padded words, padded utterances and CRF steps past a sequence's end get no gradient."""
+    cfg = tiny_config()
+    model = SlotModel(cfg, VOCAB, TAGSET)
+    utts = [utt("abc de fgh", (0, 0, "x")), utt("j", (0, 0, "y")), utt("bcd ef", (1, 1, "x"))]
+
+    def f(store):
+        return model.loss(utts, training=False)
+
     assert grad_check(f, model.store, eps=3e-4) < 1e-4
 
 
@@ -319,6 +343,36 @@ def test_checkpoint_rejects_missing_parameter(tmp_path):
     path.write_text(json.dumps(manifest))
     with pytest.raises(ContractError, match="gate.bias"):
         Checkpoint.load(path.parent).build_model()
+
+
+def test_checkpoint_rejects_manifest_that_is_not_json(tmp_path):
+    path, _ = _saved_checkpoint(tmp_path)
+    path.write_text('{"format_version": 2, "params": [')
+    with pytest.raises(ConfigError, match="malformed checkpoint manifest") as err:
+        Checkpoint.load(path.parent)
+    assert str(path) in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [
+        lambda m: m.pop("params"),
+        lambda m: m.pop("config"),
+        lambda m: m["params"][0].pop("offset"),
+        lambda m: m.update(params=5),
+        lambda m: m["params"][0].update(offset="0"),
+    ],
+    ids=["no-params", "no-config", "no-offset", "params-not-a-list", "offset-not-an-int"],
+)
+def test_checkpoint_rejects_manifest_with_missing_or_mistyped_key(tmp_path, damage):
+    import json
+
+    path, manifest = _saved_checkpoint(tmp_path)
+    damage(manifest)
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(ConfigError, match="malformed checkpoint manifest") as err:
+        Checkpoint.load(path.parent)
+    assert str(path) in str(err.value)
 
 
 def test_checkpoint_rejects_unknown_parameter(tmp_path):

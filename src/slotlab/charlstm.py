@@ -2,14 +2,17 @@
 
 Each word is encoded independently: its characters run left-to-right through
 a single LSTM starting from a zero state, and the final hidden state is
-projected to the model width. No state crosses word boundaries. Batched
-encoding pads words to a common length and runs every row for every step;
-each word's state is then gathered at its own last character, so padding
-steps never reach the result and the per-word results are reproduced exactly.
+projected to the model width. No state crosses word boundaries, so a batch
+encodes each distinct char-id sequence once. The distinct words are sorted
+longest first and their characters laid out time-major, so step t runs only
+the words longer than t. The embedding gather and the input kernel are one
+product over all real characters, the recurrence is one `T.lstm_packed` op,
+and one final gather puts the projected rows back in the caller's word order.
 """
 
 from __future__ import annotations
 
+from itertools import zip_longest
 from typing import Sequence
 
 import numpy as np
@@ -90,38 +93,21 @@ class CharLstmEncoder:
         self.b = store.create(prefix + ".lstm.bias", bias)
         self.proj = Dense(store, prefix + ".word_proj", lstm_units, d_model, activation="tanh")
 
-    def _step(self, x_t: Tensor, h: Tensor, c: Tensor) -> tuple[Tensor, Tensor]:
-        H = self.lstm_units
-        gates = self.input_map(x_t) + self.recurrent_map(h) + self.b.value
-        i = T.sigmoid(T.narrow(gates, -1, 0, H))
-        f = T.sigmoid(T.narrow(gates, -1, H, H))
-        g = T.tanh(T.narrow(gates, -1, 2 * H, H))
-        o = T.sigmoid(T.narrow(gates, -1, 3 * H, H))
-        c_new = f * c + i * g
-        h_new = o * T.tanh(c_new)
-        return h_new, c_new
-
     def encode_words(self, char_ids: Sequence[Sequence[int]]) -> Tensor:
         """Encode a batch of words (lists of char ids) to [n_words, d_model]."""
         if not char_ids:
             raise ContractError("encode_words: empty batch")
-        lengths = [len(w) for w in char_ids]
-        if min(lengths) == 0:
+        # keyed on ids, not strings: UNK merges different strings into one word
+        keys = [tuple(w) for w in char_ids]
+        words = sorted(dict.fromkeys(keys), key=len, reverse=True)  # longest first, ties in first-seen order
+        if not words[-1]:
             raise ContractError("encode_words: empty word in batch")
-        n, max_len = len(char_ids), max(lengths)
-        ids = np.zeros((n, max_len), dtype=np.int64)  # PAD
-        for r, w in enumerate(char_ids):
-            ids[r, : len(w)] = w
-
-        h = T.constant(np.zeros((n, self.lstm_units), dtype=self.embed.data.dtype))
-        c = h
-        hs = []
-        for t in range(max_len):
-            h, c = self._step(T.take_rows(self.embed.value, ids[:, t]), h, c)
-            hs.append(h)
-        # row t * n + r of the stacked steps is word r after step t
-        last = (np.asarray(lengths) - 1) * n + np.arange(n)
-        return self.proj(T.take_rows(T.concat(hs, axis=0), last))
+        # time-major: step t holds the characters of the words longer than t
+        steps = [[c for c in step if c is not None] for step in zip_longest(*words)]
+        x = self.input_map(T.take_rows(self.embed.value, np.concatenate(steps)))
+        h = T.lstm_packed(x, self.recurrent_map.kernel.value, self.b.value, [len(s) for s in steps])
+        row = {w: r for r, w in enumerate(words)}
+        return T.take_rows(self.proj(h), [row[k] for k in keys])
 
     def encode_utterance(
         self,

@@ -289,6 +289,8 @@ class Checkpoint:
                 if start + dtype.itemsize * n > len(blob):
                     raise ConfigError(f"checkpoint blob truncated at parameter {name!r}")
                 arr = np.frombuffer(blob, dtype=dtype, count=n, offset=start).reshape(shape)
+                if not np.isfinite(arr).all():
+                    raise ConfigError(f"checkpoint parameter {name!r} has non-finite values")
                 arrays[name] = arr.astype(np.float32 if config.dtype == "f32" else np.float64)
             return cls(config, CharVocab(manifest["char_vocab"]), TagSet(manifest["tagset"]), arrays)
         except SlotlabError:

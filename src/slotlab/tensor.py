@@ -258,11 +258,15 @@ def neg(x: Tensor) -> Tensor:
     return _result(-x.data, (x,), bwd)
 
 
+def _sigmoid(d: np.ndarray) -> np.ndarray:
+    """Logistic function, stable in both tails: exp of a non-positive argument only, taken once."""
+    e = np.exp(-np.abs(d))
+    den = 1.0 + e
+    return np.where(d >= 0, 1.0 / den, e / den).astype(d.dtype, copy=False)
+
+
 def sigmoid(x: Tensor) -> Tensor:
-    # Stable in both tails: exp of a non-positive argument only.
-    d = x.data
-    out = np.where(d >= 0, 1.0 / (1.0 + np.exp(-np.abs(d))), np.exp(-np.abs(d)) / (1.0 + np.exp(-np.abs(d))))
-    out = out.astype(d.dtype, copy=False)
+    out = _sigmoid(x.data)
 
     def bwd(g, sink):
         sink(x, g * out * (1.0 - out))
@@ -283,30 +287,43 @@ def tanh(x: Tensor) -> Tensor:
 # contractions
 
 
+def _block_mm(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """x[..., N, k*m] times the block-diagonal matrix whose blocks are w[k, m, n], as [..., N, k*n].
+
+    Feature chunk i of x meets block i in one batched np.matmul over the
+    [..., k, N, m] layout, so k = 1 runs the same BLAS call as x @ w[0].
+    """
+    k, m, n = w.shape
+    lead = x.shape[:-1]
+    xk = x.reshape(lead + (k, m)).swapaxes(-3, -2)
+    return np.matmul(xk, w).swapaxes(-3, -2).reshape(lead + (k * n,))
+
+
+def _block_kernel_grad(x: np.ndarray, g: np.ndarray, k: int) -> np.ndarray:
+    """Gradient of the [k, m, n] blocks of `_block_mm(x, w)` given its output gradient g: all rows at once."""
+    rows = x.reshape(-1, k, x.shape[-1] // k).transpose(1, 2, 0)
+    return np.matmul(rows, g.reshape(-1, k, g.shape[-1] // k).swapaxes(0, 1))
+
+
 def block_matmul(x: Tensor, w: Tensor) -> Tensor:
     """x[..., N, k*m] times the block-diagonal matrix whose blocks are w[k, m, n].
 
     Feature chunk i of x meets block i and the outputs are laid out
     contiguously again, giving [..., N, k*n]. Forward and input gradient are
-    one batched np.matmul over the [..., k, N, m] layout, so k = 1 runs the
-    same BLAS calls as x @ w[0]; the kernel gradient contracts all rows at once.
+    one `_block_mm` each; the kernel gradient contracts all rows at once.
     """
     if w.data.ndim != 3:
         raise DimensionError(f"block_matmul: kernel must be [k, m, n], got shape {w.shape}")
     k, m, n = w.data.shape
     if x.data.ndim < 2 or x.data.shape[-1] != k * m:
         raise DimensionError(f"block_matmul: inner dimensions disagree, {x.shape} x {w.shape}")
-    lead = x.data.shape[:-1]
-    xk = x.data.reshape(lead + (k, m)).swapaxes(-3, -2)
-    data = np.matmul(xk, w.data).swapaxes(-3, -2).reshape(lead + (k * n,))
+    data = _block_mm(x.data, w.data)
 
     def bwd(g, sink):
         if x.requires_grad:
-            gk = g.reshape(lead + (k, n)).swapaxes(-3, -2)
-            sink(x, np.matmul(gk, w.data.swapaxes(1, 2)).swapaxes(-3, -2).reshape(x.data.shape))
+            sink(x, _block_mm(g, w.data.swapaxes(1, 2)))
         if w.requires_grad:
-            rows = x.data.reshape(-1, k, m).transpose(1, 2, 0)
-            sink(w, np.matmul(rows, g.reshape(-1, k, n).swapaxes(0, 1)))
+            sink(w, _block_kernel_grad(x.data, g, k))
 
     return _result(data, (x, w), bwd)
 
@@ -330,6 +347,97 @@ def einsum2(spec: str, a: Tensor, b: Tensor) -> Tensor:
             sink(b, np.einsum(f"{a_s},{out_s}->{b_s}", a.data, g))
 
     return _result(data, (a, b), bwd)
+
+
+# ---------------------------------------------------------------------------
+# recurrence
+
+
+def lstm_packed(xg: Tensor, kernel: Tensor, bias: Tensor, batch_sizes: Sequence[int]) -> Tensor:
+    """A unidirectional LSTM over packed sequences as one node; returns each sequence's final h.
+
+    The sequences are sorted longest first and laid out time-major: step t
+    owns the next batch_sizes[t] rows of xg, one per sequence longer than t,
+    in sequence order. xg[r] is that character's input projection, kernel the
+    [k, H/k, 4H/k] recurrent blocks and bias [4H], gates in the order
+    i, f, g, o. State starts at zero, and the gate inputs
+        z_t = (xg_t + h_{t-1} @ blockdiag(kernel)) + bias
+    are summed in this order, the order separate `add` ops would use. Step t
+    runs only its active rows. Backward is a BPTT loop over the stored
+    activations; the kernel gradient is one contraction over all steps.
+    """
+    sizes = [int(s) for s in batch_sizes]
+    if not sizes or sizes[-1] < 1 or any(b > a for a, b in zip(sizes, sizes[1:])):
+        raise ContractError(f"lstm_packed: batch_sizes must be positive and non-increasing, got {sizes}")
+    if kernel.data.ndim != 3:
+        raise DimensionError(f"lstm_packed: kernel must be [k, m, n], got shape {kernel.shape}")
+    k, m, n = kernel.data.shape
+    H = k * m
+    if k * n != 4 * H or xg.data.shape != (sum(sizes), 4 * H) or bias.data.shape != (4 * H,):
+        raise DimensionError(
+            f"lstm_packed: need xg [{sum(sizes)}, 4H], kernel [k, H/k, 4H/k] and bias [4H]; "
+            f"got {xg.shape}, {kernel.shape}, {bias.shape}"
+        )
+    X, U, b = xg.data, kernel.data, bias.data
+    starts = np.cumsum([0] + sizes[:-1]).tolist()
+    # for each row of steps 1, 2, ...: the row of the same sequence one step earlier
+    prev = np.concatenate([np.arange(0)] + [np.arange(s, s + r) for s, r in zip(starts, sizes[1:])])
+    acts = np.empty_like(X)  # sigmoid(i), sigmoid(f), tanh(g), sigmoid(o)
+    cs = np.empty((len(X), H), dtype=X.dtype)
+    hs = np.empty_like(cs)
+    for t, (lo, rows) in enumerate(zip(starts, sizes)):
+        now = slice(lo, lo + rows)
+        if t == 0:
+            z = X[now] + b
+        else:
+            before = slice(starts[t - 1], starts[t - 1] + rows)
+            z = X[now] + _block_mm(hs[before], U)
+            z += b
+        a = acts[now]
+        a[...] = _sigmoid(z)
+        i, f, g, o = (a[:, j * H : (j + 1) * H] for j in range(4))
+        g[...] = np.tanh(z[:, 2 * H : 3 * H])
+        c = cs[now]
+        if t == 0:
+            np.multiply(i, g, out=c)
+        else:
+            np.multiply(f, cs[before], out=c)
+            c += i * g
+        np.multiply(o, np.tanh(c), out=hs[now])
+    # sequence j ends at step len_j - 1, where it is row j of that step
+    lengths = np.searchsorted(-np.asarray(sizes), -np.arange(sizes[0]), side="left")
+    last = np.asarray(starts)[lengths - 1] + np.arange(sizes[0])
+
+    def bwd(gh, sink):
+        dz = np.empty_like(X)
+        dh = np.array(gh, dtype=X.dtype)  # row j holds d h_{len_j - 1} until its own last step is done
+        dc = np.zeros_like(dh)
+        back = U.swapaxes(1, 2)
+        for t in reversed(range(len(sizes))):
+            lo, rows = starts[t], sizes[t]
+            now = slice(lo, lo + rows)
+            a, d, dht = acts[now], dz[now], dh[:rows]
+            i, f, g, o = (a[:, j * H : (j + 1) * H] for j in range(4))
+            tc = np.tanh(cs[now])
+            dct = dc[:rows] + dht * o * (1.0 - tc * tc)
+            d[:, :H] = dct * g * i * (1.0 - i)
+            if t:
+                d[:, H : 2 * H] = dct * cs[starts[t - 1] : starts[t - 1] + rows] * f * (1.0 - f)
+            else:
+                d[:, H : 2 * H] = 0.0
+            d[:, 2 * H : 3 * H] = dct * i * (1.0 - g * g)
+            d[:, 3 * H :] = dht * tc * o * (1.0 - o)
+            np.multiply(dct, f, out=dc[:rows])
+            if t:
+                dh[:rows] = _block_mm(d, back)
+        if xg.requires_grad:
+            sink(xg, dz)
+        if kernel.requires_grad:
+            sink(kernel, _block_kernel_grad(hs[prev], dz[sizes[0] :], k))
+        if bias.requires_grad:
+            sink(bias, dz.sum(axis=0))
+
+    return _result(hs[last], (xg, kernel, bias), bwd)
 
 
 # ---------------------------------------------------------------------------

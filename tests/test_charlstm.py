@@ -1,4 +1,5 @@
-"""Char vocab and char-LSTM encoder contracts, with a hand-rolled step oracle."""
+"""Char vocab and char-LSTM encoder contracts, with a hand-rolled step oracle
+and the unfused per-step composition of tensor ops as the fused op's reference."""
 
 import numpy as np
 import pytest
@@ -6,13 +7,13 @@ import pytest
 from slotlab import tensor as T
 from slotlab.charlstm import PAD_ID, UNK_ID, CharLstmEncoder, CharVocab
 from slotlab.params import ParameterStore, grad_check
-from slotlab.tensor import ContractError
+from slotlab.tensor import ContractError, DimensionError
 
 
-def make_encoder(seed=0, vocab=None, char_embed=5, units=4, d_model=6):
+def make_encoder(seed=0, vocab=None, char_embed=5, units=4, d_model=6, num_blocks=1):
     vocab = vocab or CharVocab.from_words(["abc", "xyz", "hello"])
     store = ParameterStore(seed=seed)
-    return store, vocab, CharLstmEncoder(store, vocab.size, char_embed, units, d_model)
+    return store, vocab, CharLstmEncoder(store, vocab.size, char_embed, units, d_model, num_blocks=num_blocks)
 
 
 def encode_one(enc, ids):
@@ -150,10 +151,9 @@ def test_lstm_gradients_over_sequences():
 
 def test_encoder_rejects_empty_word_batch():
     store, vocab, enc = make_encoder()
-    with pytest.raises(ContractError):
-        enc.encode_words([])
-    with pytest.raises(ContractError):
-        enc.encode_words([[]])
+    for char_ids in ([], [[]], [[2, 3], []], [[], [2]], [[2], [2], []]):
+        with pytest.raises(ContractError):
+            enc.encode_words(char_ids)
 
 
 def test_forget_gate_bias_initialized_open():
@@ -161,3 +161,87 @@ def test_forget_gate_bias_initialized_open():
     H = enc.lstm_units
     assert np.array_equal(enc.b.data[H : 2 * H], np.ones(H))
     assert np.array_equal(enc.b.data[:H], np.zeros(H))
+
+
+# ---------------------------------------------------------------------------
+# the fused, packed, deduplicated encoder against the unfused composition
+
+
+def unfused_encode(enc, char_ids):
+    """Every word, repeats included, over a padded grid: one LSTM step of separate ops per character."""
+    H = enc.lstm_units
+    n, max_len = len(char_ids), max(len(w) for w in char_ids)
+    ids = np.zeros((n, max_len), dtype=np.int64)
+    for r, w in enumerate(char_ids):
+        ids[r, : len(w)] = w
+    h = c = T.constant(np.zeros((n, H)))
+    hs = []
+    for t in range(max_len):
+        x = T.take_rows(enc.embed.value, ids[:, t])
+        gates = enc.input_map(x) + T.block_matmul(h, enc.recurrent_map.kernel.value) + enc.b.value
+        i = T.sigmoid(T.narrow(gates, -1, 0, H))
+        f = T.sigmoid(T.narrow(gates, -1, H, H))
+        g = T.tanh(T.narrow(gates, -1, 2 * H, H))
+        o = T.sigmoid(T.narrow(gates, -1, 3 * H, H))
+        c = f * c + i * g
+        h = o * T.tanh(c)
+        hs.append(h)
+    last = (np.array([len(w) for w in char_ids]) - 1) * n + np.arange(n)
+    return enc.proj(T.take_rows(T.concat(hs, axis=0), last))
+
+
+RAGGED = ["abcabc", "a", "hello", "xy", "a", "zyx", "hello", "ab", "abcabc", "x", "hel"]  # lengths 1..6, repeats
+
+
+def ragged_encoder(num_blocks, seed=3):
+    store, vocab, enc = make_encoder(seed=seed, char_embed=4, units=4, d_model=6, num_blocks=num_blocks)
+    return store, enc, [vocab.encode(w) for w in RAGGED]
+
+
+def weighted_sum(out):
+    weights = np.linspace(-1.0, 1.5, out.size).reshape(out.shape)
+    return T.reduce_sum(T.tanh(out) * T.constant(weights))
+
+
+@pytest.mark.parametrize("num_blocks", [1, 2])
+def test_fused_encoder_matches_unfused_composition(num_blocks):
+    store, enc, words = ragged_encoder(num_blocks)
+    results = []
+    for encode in (enc.encode_words, lambda w: unfused_encode(enc, w)):
+        store.zero_grads()
+        out = encode(words)
+        T.backward(weighted_sum(out))
+        results.append((out.data, {p.name: p.grad.copy() for p in store}))
+    (fused, fused_grads), (ref, ref_grads) = results
+    assert fused.shape == ref.shape == (len(RAGGED), 6)
+    assert np.max(np.abs(fused - ref)) < 1e-12
+    for name, g in ref_grads.items():
+        assert np.abs(g).max() > 0, name
+        assert np.max(np.abs(fused_grads[name] - g)) < 1e-12, name
+
+
+@pytest.mark.parametrize("num_blocks", [1, 2])
+def test_fused_encoder_gradients_on_ragged_batch(num_blocks):
+    store, enc, words = ragged_encoder(num_blocks)
+    assert grad_check(lambda s: weighted_sum(enc.encode_words(words)), store) < 1e-5
+
+
+def test_repeated_word_is_encoded_once_and_bit_equal_alone():
+    store, vocab, enc = make_encoder()
+    a, b = vocab.encode("hello"), vocab.encode("xyz")
+    rows = enc.encode_words([a, b, a]).data
+    alone = enc.encode_words([a]).data[0]
+    assert np.array_equal(rows[0], rows[2])
+    assert np.array_equal(rows[0], alone)
+
+
+def test_lstm_packed_rejects_bad_batch_sizes_and_shapes():
+    xg = T.constant(np.zeros((3, 8)))
+    kernel, bias = T.constant(np.zeros((1, 2, 8))), T.constant(np.zeros(8))
+    for sizes in ([1, 2], [], [3, 0]):
+        with pytest.raises(ContractError):
+            T.lstm_packed(xg, kernel, bias, sizes)
+    with pytest.raises(DimensionError):
+        T.lstm_packed(xg, kernel, bias, [2, 2])
+    with pytest.raises(DimensionError):
+        T.lstm_packed(xg, T.constant(np.zeros((2, 8))), bias, [2, 1])

@@ -1,6 +1,7 @@
 """Command-line behaviour: subcommands, exit codes, file outputs."""
 
 import json
+import struct
 from pathlib import Path
 
 from slotlab.cli import main
@@ -169,4 +170,17 @@ def test_predict_on_manifest_that_is_not_json_exits_1_without_traceback(tmp_path
     proc = _predict_subprocess(tmp_path, lambda ck: (ck / "manifest.json").write_text("not json {"))
     assert proc.returncode == 1
     assert "error:" in proc.stderr and "manifest" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_predict_on_checkpoint_with_nan_parameter_exits_1_without_traceback(tmp_path):
+    def poison(ck):
+        entry = next(p for p in json.loads((ck / "manifest.json").read_text())["params"] if p["name"] == "crf.transitions")
+        blob = bytearray((ck / "params.bin").read_bytes())
+        blob[entry["offset"] : entry["offset"] + 8] = struct.pack("<d", float("nan"))
+        (ck / "params.bin").write_bytes(bytes(blob))
+
+    proc = _predict_subprocess(tmp_path, poison)
+    assert proc.returncode == 1
+    assert "error:" in proc.stderr and "crf.transitions" in proc.stderr
     assert "Traceback" not in proc.stderr

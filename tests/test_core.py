@@ -131,6 +131,18 @@ def test_backward_shared_subexpression():
     assert np.allclose(p.grad, [12.0])
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_sigmoid_helper_is_bitwise_the_three_exp_expression(dtype):
+    d = np.concatenate([[-1e3, -50.0, -1.0, -1e-8, -0.0, 0.0, 1e-8, 1.0, 50.0, 1e3], np.linspace(-40, 40, 801)])
+    d = d.astype(dtype)
+    old = np.where(d >= 0, 1.0 / (1.0 + np.exp(-np.abs(d))), np.exp(-np.abs(d)) / (1.0 + np.exp(-np.abs(d))))
+    old = old.astype(d.dtype, copy=False)
+    new = T._sigmoid(d)
+    assert new.dtype == d.dtype
+    assert np.array_equal(new.view(np.uint8), old.view(np.uint8))
+    assert np.array_equal(T.sigmoid(T.constant(d)).data, new)
+
+
 def test_no_grad_records_no_graph_and_restores_on_exit():
     store = ParameterStore(seed=1)
     p = store.create("p", np.array([3.0, -1.0]))

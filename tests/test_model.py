@@ -385,6 +385,18 @@ def test_checkpoint_rejects_unknown_parameter(tmp_path):
         Checkpoint.load(path.parent).build_model()
 
 
+def test_checkpoint_rejects_non_finite_parameters(tmp_path):
+    model = SlotModel(tiny_config(), VOCAB, TAGSET)
+    model.crf.transitions.data[1, 2] = np.nan
+    Checkpoint.from_model(model).save(tmp_path / "nan")
+    with pytest.raises(ConfigError, match="'crf.transitions' has non-finite values"):
+        Checkpoint.load(tmp_path / "nan")
+    model.store["gate.bias"].data[0] = -np.inf  # stored before the CRF: the first non-finite parameter is named
+    Checkpoint.from_model(model).save(tmp_path / "inf")
+    with pytest.raises(ConfigError, match="'gate.bias' has non-finite values"):
+        Checkpoint.load(tmp_path / "inf")
+
+
 # ---------------------------------------------------------------------------
 # training loop
 
@@ -468,6 +480,20 @@ def test_nan_diagnostic_names_parameter():
     with pytest.raises(NumericError) as err:
         _check_finite(float("nan"), model)
     assert "encoder.char_embed" in str(err.value)
+
+
+def test_desk_loss_graph_stays_small():
+    """Nodes backward visits for one desk batch; an LSTM step of separate ops per character would add hundreds."""
+    train_set, _ = make_from_to_corpus(seed=7)
+    model = build_model(train_set, desk_config())
+    loss = model.loss(train_set[:32], training=True)
+    seen, stack = {id(loss)}, [loss]
+    while stack:
+        for p in stack.pop()._parents:
+            if p.requires_grad and id(p) not in seen:
+                seen.add(id(p))
+                stack.append(p)
+    assert len(seen) <= 147
 
 
 def test_training_log_record_shape():

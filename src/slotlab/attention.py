@@ -38,8 +38,9 @@ class AttentionConfig:
         if self.variant not in VARIANTS:
             raise ConfigError(f"unknown attention variant {self.variant!r}")
         for field in ("num_heads", "head_size", "d_model", "max_relative_distance"):
-            if getattr(self, field) < 1:
-                raise ConfigError(f"{field} must be positive")
+            value = getattr(self, field)
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                raise ConfigError(f"config field {field!r} must be a positive integer, got {value!r}")
 
     @property
     def masks_current(self) -> bool:

@@ -9,6 +9,7 @@ new x span).
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -37,6 +38,8 @@ class TagSet:
         self._index = {t: i for i, t in enumerate(tags)}
         if len(self._index) != len(tags):
             raise ContractError("duplicate tags")
+        # per index: does the tag begin a span, and its slot type (None for "O")
+        self._parts = [(t.startswith("B-"), t[2:] or None) for t in tags]
 
     @classmethod
     def from_slot_types(cls, slot_types: Sequence[str]) -> "TagSet":
@@ -127,25 +130,64 @@ def crf_nll_batch(H: Tensor, gold: np.ndarray, lengths: np.ndarray, head: CrfHea
     return log_z - score
 
 
+def viterbi_decode_batch(
+    em3: np.ndarray, lengths: Sequence[int], transitions: np.ndarray, start: np.ndarray, end: np.ndarray
+) -> tuple[list[list[int]], list[float]]:
+    """Max-scoring path and its score per sequence of padded emissions [B, Tmax, K].
+
+    Ties resolve to the lowest tag index at every step. Rows run longest
+    first, so step t touches only the sequences longer than t; a finished
+    row keeps the scores of its last step.
+    """
+    B, t_pad, num_tags = em3.shape
+    lens = [int(n) for n in lengths]
+    if len(lens) != B or not lens:
+        raise ContractError(f"viterbi_decode_batch: {len(lens)} lengths for {B} sequences")
+    if min(lens) < 1 or max(lens) > t_pad:
+        raise ContractError(f"viterbi_decode_batch: lengths must lie in [1, {t_pad}], got {lens}")
+    order = sorted(range(B), key=lens.__getitem__, reverse=True)  # stable: ties keep input order
+    n_steps = lens[order[0]]
+    ends = [0] * n_steps
+    for n in lens:
+        ends[n - 1] += 1
+    active = list(accumulate(reversed(ends)))[::-1]  # rows still running at each step
+    em = em3 if order == list(range(B)) else em3[order]
+    trans_t = np.ascontiguousarray(transitions.T)
+    # cand[r, j, i] = delta[r, i] + transitions[i, j]; flat[r, j] is the index of cand[r, j, 0]
+    flat = np.arange(0, B * num_tags * num_tags, num_tags).reshape(B, num_tags)
+    back = np.empty((n_steps, B, num_tags), dtype=np.intp)
+    finished = []  # scores of the rows that ended, shortest rows last
+    delta = start + em[:, 0]
+    for t in range(1, n_steps):
+        n = active[t]
+        if n < len(delta):
+            finished.append(delta[n:])
+            delta, flat = delta[:n], flat[:n]
+        cand = delta[:, None, :] + trans_t
+        best = cand.argmax(axis=2, out=back[t, :n])  # argmax returns the lowest index on ties
+        delta = cand.ravel()[best + flat] + em[:n, t]
+    final = (np.concatenate([delta] + finished[::-1]) if finished else delta) + end
+    last = final.argmax(axis=1).tolist()
+    final, back = final.tolist(), back.tolist()
+    paths: list = [None] * B
+    scores: list = [None] * B
+    for row, b in enumerate(order):
+        tag = last[row]
+        path = [tag]
+        for t in range(lens[b] - 1, 0, -1):
+            tag = back[t][row][tag]
+            path.append(tag)
+        path.reverse()
+        paths[b], scores[b] = path, final[row][last[row]]
+    return paths, scores
+
+
 def viterbi_decode(
     emissions: np.ndarray, transitions: np.ndarray, start: np.ndarray, end: np.ndarray
 ) -> tuple[list[int], float]:
-    """Max-scoring path; ties resolve to the lowest tag index at every step."""
-    n, num_tags = emissions.shape
-    delta = start + emissions[0]
-    back = np.zeros((n, num_tags), dtype=np.int64)
-    for t in range(1, n):
-        cand = delta[:, None] + transitions
-        best_from = cand.argmax(axis=0)  # argmax returns the lowest index on ties
-        back[t] = best_from
-        delta = cand[best_from, np.arange(num_tags)] + emissions[t]
-    delta = delta + end
-    last = int(delta.argmax())
-    path = [last]
-    for t in range(n - 1, 0, -1):
-        path.append(int(back[t, path[-1]]))
-    path.reverse()
-    return path, float(delta[last])
+    """Max-scoring path of one sequence [n, K]; ties resolve to the lowest tag index."""
+    paths, scores = viterbi_decode_batch(emissions[None], [len(emissions)], transitions, start, end)
+    return paths[0], scores[0]
 
 
 def spans_from_bio(tags: Sequence[int], tagset: TagSet) -> list[SlotSpan]:
@@ -153,16 +195,13 @@ def spans_from_bio(tags: Sequence[int], tagset: TagSet) -> list[SlotSpan]:
     spans: list[SlotSpan] = []
     cur_type: str | None = None
     cur_start = 0
+    parts = tagset._parts
     for t, tid in enumerate(tags):
-        tag = tagset.tag(tid)
-        if tag == "O":
+        begins, slot = parts[tid]
+        if begins or slot != cur_type:
             if cur_type is not None:
                 spans.append(SlotSpan(cur_start, t - 1, cur_type))
-                cur_type = None
-        elif tag.startswith("B-") or tag[2:] != cur_type:
-            if cur_type is not None:
-                spans.append(SlotSpan(cur_start, t - 1, cur_type))
-            cur_type, cur_start = tag[2:], t
+            cur_type, cur_start = slot, t
     if cur_type is not None:
         spans.append(SlotSpan(cur_start, len(tags) - 1, cur_type))
     return spans

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Sequence
@@ -20,13 +21,46 @@ import numpy as np
 from . import tensor as T
 from .attention import VARIANTS as ATTENTION_VARIANTS, AttentionConfig, ContextAttention, FusionGate
 from .charlstm import CharLstmEncoder, CharVocab
-from .crf import CrfHead, TagSet, crf_nll_batch, spans_from_bio, viterbi_decode
+from .crf import CrfHead, TagSet, crf_nll_batch, spans_from_bio, viterbi_decode_batch
 from .data import SlotSpan, Utterance, bio_from_spans
 from .params import ParameterStore
 from .tensor import ConfigError, ContractError, SlotlabError, Tensor
 
 CHECKPOINT_FORMAT_VERSION = 2
 VARIANTS = ATTENTION_VARIANTS + ("none",)
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+# field -> (test, what a valid value is); the attention sizes, d_model among
+# them, are checked by AttentionConfig
+_POSITIVE = (lambda v: _is_int(v) and v >= 1, "a positive integer")
+_FRACTION = (lambda v: _is_number(v) and 0.0 <= v < 1.0, "a number in [0, 1)")
+_NON_NEGATIVE = (lambda v: _is_number(v) and 0.0 <= v < math.inf, "a finite non-negative number")
+_FIELD_RULES = {
+    "char_embed_dim": _POSITIVE,
+    "lstm_units": _POSITIVE,
+    "num_blocks": _POSITIVE,
+    "dropout": _FRACTION,
+    "attention_dropout": _FRACTION,
+    "weight_decay": _NON_NEGATIVE,
+    "use_block_dense": (lambda v: isinstance(v, bool), "true or false"),
+    "mask_current": (lambda v: v is None or isinstance(v, bool), "true, false or null"),
+    "learning_rate": _NON_NEGATIVE,
+    "beta1": _FRACTION,
+    "beta2": _FRACTION,
+    "adam_eps": (lambda v: _is_number(v) and 0.0 < v < math.inf, "a finite positive number"),
+    "batch_size": _POSITIVE,
+    "max_epochs": _POSITIVE,
+    "patience": (lambda v: _is_int(v) and v >= 0, "a non-negative integer"),
+    "seed": (_is_int, "an integer"),
+}
 
 
 @dataclass
@@ -55,6 +89,11 @@ class ModelConfig:
     dtype: str = "f64"
 
     def __post_init__(self):
+        for name, (valid, expected) in _FIELD_RULES.items():
+            value = getattr(self, name)
+            if not valid(value):
+                raise ConfigError(f"config field {name!r} must be {expected}, got {value!r}")
+        AttentionConfig(self.num_heads, self.head_size, self.d_model, self.max_relative_distance)  # checks the sizes
         if self.variant not in VARIANTS:
             raise ConfigError(f"unknown variant {self.variant!r}; expected one of {VARIANTS}")
         if self.dtype not in ("f32", "f64"):
@@ -130,12 +169,13 @@ class SlotModel:
         lengths = np.array([len(u.tokens) for u in utts])
         if lengths.min() < 1:
             raise ContractError("cannot encode an utterance with no tokens")
-        all_words = [ids for u in utts for ids in self.word_ids(u)]
-        flat = self.encoder.encode_utterance(all_words, self.config.dropout, training)
+        words = [w for u in utts for w in u.words]
+        ids = {w: self.vocab.encode(w) for w in dict.fromkeys(words)}  # each distinct string encoded once
+        flat = self.encoder.encode_utterance([ids[w] for w in words], self.config.dropout, training)
         # slot (b, t) reads word t of utterance b; padded slots read an appended zero row
         steps = np.arange(int(lengths.max()))
         starts = np.cumsum(lengths) - lengths
-        index = np.where(steps < lengths[:, None], starts[:, None] + steps, len(all_words))
+        index = np.where(steps < lengths[:, None], starts[:, None] + steps, len(words))
         zero = T.constant(np.zeros((1, self.config.d_model), dtype=flat.data.dtype))
         E3 = T.take_rows(T.concat([flat, zero], axis=0), index)
         if self.attention is None:
@@ -166,13 +206,9 @@ class SlotModel:
         with T.no_grad():
             H3, lengths = self.features_batch(utts, training=False)
             em3 = self.crf.emission(H3).data
-        out = []
-        for b, n in enumerate(lengths):
-            tags, _ = viterbi_decode(
-                em3[b, : int(n)], self.crf.transitions.data, self.crf.start.data, self.crf.end.data
-            )
-            out.append(spans_from_bio(tags, self.tagset))
-        return out
+        crf = self.crf
+        paths, _ = viterbi_decode_batch(em3, lengths, crf.transitions.data, crf.start.data, crf.end.data)
+        return [spans_from_bio(tags, self.tagset) for tags in paths]
 
 
 # ---------------------------------------------------------------------------

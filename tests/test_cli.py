@@ -4,6 +4,8 @@ import json
 import struct
 from pathlib import Path
 
+import pytest
+
 from slotlab.cli import main
 from slotlab.data import load_jsonl, save_jsonl, utterance_from_words
 
@@ -183,4 +185,19 @@ def test_predict_on_checkpoint_with_nan_parameter_exits_1_without_traceback(tmp_
     proc = _predict_subprocess(tmp_path, poison)
     assert proc.returncode == 1
     assert "error:" in proc.stderr and "crf.transitions" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("field, value", [("batch_size", 0), ("lstm_units", 0), ("lstm_units", "48")])
+def test_train_with_bad_config_value_exits_1_without_traceback(tmp_path, field, value):
+    import os
+    import subprocess
+    import sys
+
+    src = Path(__file__).resolve().parent.parent / "src"
+    cmd = [sys.executable, "-m", "slotlab.cli", "train", "--config", str(write_config(tmp_path, **{field: value}))]
+    cmd += ["--train", str(FIXTURES / "booking.jsonl"), "--out", str(tmp_path / "ck")]
+    proc = subprocess.run(cmd, capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 1
+    assert "error:" in proc.stderr and field in proc.stderr
     assert "Traceback" not in proc.stderr

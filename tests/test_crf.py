@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from slotlab import tensor as T
-from slotlab.crf import CrfHead, TagSet, crf_nll_batch, spans_from_bio, viterbi_decode
+from slotlab.crf import CrfHead, TagSet, crf_nll_batch, spans_from_bio, viterbi_decode, viterbi_decode_batch
 from slotlab.data import SlotSpan
 from slotlab.params import ParameterStore, grad_check
 from slotlab.tensor import ContractError, Tensor
@@ -126,6 +126,56 @@ def test_viterbi_tie_breaks_to_lowest_index():
     em = np.zeros((3, 3))
     path, _ = viterbi_decode(em, np.zeros((3, 3)), np.zeros(3), np.zeros(3))
     assert path == [0, 0, 0]
+
+
+def viterbi_loop(emissions, transitions, start, end):
+    """Reference: the per-sequence loop the batched decoder replaced, kept here unchanged."""
+    n, num_tags = emissions.shape
+    delta = start + emissions[0]
+    back = np.zeros((n, num_tags), dtype=np.int64)
+    for t in range(1, n):
+        cand = delta[:, None] + transitions
+        best_from = cand.argmax(axis=0)  # argmax returns the lowest index on ties
+        back[t] = best_from
+        delta = cand[best_from, np.arange(num_tags)] + emissions[t]
+    delta = delta + end
+    last = int(delta.argmax())
+    path = [last]
+    for t in range(n - 1, 0, -1):
+        path.append(int(back[t, path[-1]]))
+    path.reverse()
+    return path, float(delta[last])
+
+
+@pytest.mark.parametrize("B", range(1, 6))
+@pytest.mark.parametrize("K", range(1, 6))
+def test_batched_viterbi_matches_the_loop_bitwise_under_ties(B, K):
+    """Small integer scores tie often; every path and score must equal the loop's, bit for bit."""
+    rng = np.random.default_rng(100 * B + K)
+    for dtype in (np.float64, np.float32):
+        for _ in range(8):
+            lengths = rng.integers(1, 7, size=B)
+            t_pad = int(lengths.max()) + int(rng.integers(0, 2))
+            em3 = rng.integers(-2, 3, size=(B, t_pad, K)).astype(dtype)
+            for b, n in enumerate(lengths):
+                em3[b, n:] = np.nan  # padding must never be read
+            trans = rng.integers(-2, 3, size=(K, K)).astype(dtype)
+            start, end = rng.integers(-1, 2, size=(2, K)).astype(dtype)
+            paths, scores = viterbi_decode_batch(em3, lengths, trans, start, end)
+            for b, n in enumerate(lengths):
+                want_path, want_score = viterbi_loop(em3[b, :n], trans, start, end)
+                assert paths[b] == want_path
+                assert np.float64(scores[b]).tobytes() == np.float64(want_score).tobytes()
+
+
+def test_viterbi_decode_batch_rejects_bad_lengths():
+    em3 = np.zeros((2, 3, 4))
+    trans, start, end = np.zeros((4, 4)), np.zeros(4), np.zeros(4)
+    for lengths in ([3], [3, 0], [3, 4], []):
+        with pytest.raises(ContractError):
+            viterbi_decode_batch(em3, lengths, trans, start, end)
+    with pytest.raises(ContractError):
+        viterbi_decode(np.zeros((0, 4)), trans, start, end)
 
 
 def test_normalization_sums_to_one():
@@ -249,6 +299,20 @@ def test_spans_repairs_dangling_inside():
     tags = [TS.index("I-time"), TS.index("I-time")]
     got = spans_from_bio(tags, TS)
     assert got == [SlotSpan(0, 1, "time")]
+    assert got == spans_oracle(tags, TS)
+
+
+def test_spans_repair_inside_tags_of_another_type():
+    """An I-x after O, after B-y or after I-y opens a new x span."""
+    tags = [TS.index(t) for t in ["B-time", "I-people", "I-people", "O", "I-time", "I-people", "B-people"]]
+    got = spans_from_bio(tags, TS)
+    assert got == [
+        SlotSpan(0, 0, "time"),
+        SlotSpan(1, 2, "people"),
+        SlotSpan(4, 4, "time"),
+        SlotSpan(5, 5, "people"),
+        SlotSpan(6, 6, "people"),
+    ]
     assert got == spans_oracle(tags, TS)
 
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from slotlab import tensor as T
 from slotlab.charlstm import CharVocab
 from slotlab.crf import TagSet
 from slotlab.data import DataError, SlotSpan, utterance_from_words
@@ -41,6 +42,45 @@ def utt(words, *spans):
 def features(model, u):
     """Fused features [T, d_model] of one utterance, run as a batch of one."""
     return model.features_batch([u])[0].data[0]
+
+
+# ---------------------------------------------------------------------------
+# configuration
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("batch_size", 0),
+        ("lstm_units", 0),
+        ("lstm_units", "48"),
+        ("d_model", 16.0),
+        ("d_model", 0),
+        ("max_relative_distance", 0),
+        ("num_heads", True),
+        ("max_epochs", -1),
+        ("patience", -1),
+        ("seed", 0.5),
+        ("dropout", 1.0),
+        ("attention_dropout", -0.1),
+        ("beta2", float("nan")),
+        ("learning_rate", -1e-3),
+        ("weight_decay", float("inf")),
+        ("adam_eps", 0.0),
+        ("use_block_dense", 1),
+        ("mask_current", "yes"),
+    ],
+)
+def test_config_rejects_a_bad_field_naming_it(field, value):
+    with pytest.raises(ConfigError, match=field):
+        ModelConfig(**{field: value})
+    with pytest.raises(ConfigError, match=field):
+        ModelConfig.from_dict({**desk_config().to_dict(), field: value})
+
+
+def test_config_accepts_boundary_values():
+    cfg = ModelConfig(learning_rate=0, weight_decay=0.0, dropout=0, patience=0, seed=-3, mask_current=False, beta1=0.0)
+    assert ModelConfig.from_dict(cfg.to_dict()) == cfg
 
 
 # ---------------------------------------------------------------------------
@@ -234,6 +274,22 @@ def test_predict_batch_decodes_the_graph_built_emissions():
     assert any(want)
     assert model.predict_batch(utts) == want
 
+
+def test_serving_does_not_depend_on_earlier_calls():
+    batch = [utt("abc de"), utt("fgh abc de i"), utt("a"), utt("de de bij")]
+
+    def served(model):
+        with T.no_grad():
+            H3, _ = model.features_batch(batch)
+        return H3.data, model.predict_batch(batch)
+
+    cold = served(SlotModel(tiny_config(), VOCAB, TAGSET))
+    model = SlotModel(tiny_config(), VOCAB, TAGSET)
+    model.predict_batch([utt("abc xyz de"), utt("hhh")])
+    model.predict(utt("de de bij"))
+    warm = served(model)
+    assert np.array_equal(warm[0], cold[0])
+    assert warm[1] == cold[1]
 
 def test_full_model_gradient_check():
     cfg = tiny_config()

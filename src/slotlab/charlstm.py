@@ -5,9 +5,10 @@ a single LSTM starting from a zero state, and the final hidden state is
 projected to the model width. No state crosses word boundaries, so a batch
 encodes each distinct char-id sequence once. The distinct words are sorted
 longest first and their characters laid out time-major, so step t runs only
-the words longer than t. The embedding gather and the input kernel are one
-product over all real characters, the recurrence is one `T.lstm_packed` op,
-and one final gather puts the projected rows back in the caller's word order.
+the words longer than t. The input kernel has no bias, so it projects the
+character table once (V rows, PAD and UNK included) and one gather picks each
+real character's row; the recurrence is one `T.lstm_packed` op, and one final
+gather puts the projected rows back in the caller's word order.
 """
 
 from __future__ import annotations
@@ -104,7 +105,8 @@ class CharLstmEncoder:
             raise ContractError("encode_words: empty word in batch")
         # time-major: step t holds the characters of the words longer than t
         steps = [[c for c in step if c is not None] for step in zip_longest(*words)]
-        x = self.input_map(T.take_rows(self.embed.value, np.concatenate(steps)))
+        # the input kernel is linear without bias, so project the V-row table once and gather its rows
+        x = T.take_rows(self.input_map(self.embed.value), np.concatenate(steps))
         h = T.lstm_packed(x, self.recurrent_map.kernel.value, self.b.value, [len(s) for s in steps])
         row = {w: r for r, w in enumerate(words)}
         return T.take_rows(self.proj(h), [row[k] for k in keys])

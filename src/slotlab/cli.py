@@ -110,8 +110,8 @@ def _cmd_predict(args) -> int:
 
 def _cmd_params(args) -> int:
     config = ModelConfig.from_json_file(args.config) if args.config else ModelConfig()
-    num_tags = args.num_tags or ATIS_SCALE["num_tags"]
-    vocab = args.char_vocab_size or ATIS_SCALE["char_vocab_size"]
+    num_tags = ATIS_SCALE["num_tags"] if args.num_tags is None else args.num_tags
+    vocab = ATIS_SCALE["char_vocab_size"] if args.char_vocab_size is None else args.char_vocab_size
     full, blocked, factor = parameter_reduction(config, vocab, num_tags)
     breakdown = count_parameters(config, vocab, num_tags)
     print(f"tagset size {num_tags}, char vocab {vocab}")

@@ -13,9 +13,11 @@ accumulate-until-zeroed contract.
 from __future__ import annotations
 
 import ctypes
+import math
 import os
 import sys
 from contextlib import contextmanager
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -259,10 +261,16 @@ def neg(x: Tensor) -> Tensor:
 
 
 def _sigmoid(d: np.ndarray) -> np.ndarray:
-    """Logistic function, stable in both tails: exp of a non-positive argument only, taken once."""
+    """Logistic function, stable in both tails: exp of a non-positive argument only, taken once.
+
+    The numerator is 1 where d >= 0 and exp(-|d|) < 1 elsewhere, so one
+    `np.maximum` against the boolean mask picks it without an `np.where`.
+    """
     e = np.exp(-np.abs(d))
     den = 1.0 + e
-    return np.where(d >= 0, 1.0 / den, e / den).astype(d.dtype, copy=False)
+    np.maximum(e, d >= 0, out=e)
+    e /= den
+    return e
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -328,23 +336,63 @@ def block_matmul(x: Tensor, w: Tensor) -> Tensor:
     return _result(data, (x, w), bwd)
 
 
+@lru_cache(maxsize=64)
+def _einsum_plan(a_s: str, b_s: str, out_s: str) -> tuple:
+    """How `_contract` lays out a two-operand einsum as one batched matmul.
+
+    Each index must be in at least two of the three terms, so it falls into
+    one group: batch (in a, b and out), free in a or in b (that operand and
+    out) or summed (a and b only). Batch and free indices keep their output
+    order, summed indices a's order.
+    """
+    spec, terms = f"{a_s},{b_s}->{out_s}", (set(a_s), set(b_s), set(out_s))
+    if any(len(set(s)) != len(s) for s in (a_s, b_s, out_s)):
+        raise DimensionError(f"einsum2: spec {spec!r} repeats an index within one term; a matmul takes no diagonal")
+    if any(sum(c in t for t in terms) < 2 for c in set.union(*terms)):
+        raise DimensionError(f"einsum2: spec {spec!r} has an index summed within one operand or in the output only")
+    batch = [c for c in out_s if c in a_s and c in b_s]
+    free_a = [c for c in out_s if c not in b_s]
+    free_b = [c for c in out_s if c not in a_s]
+    summed = [c for c in a_s if c not in out_s]
+    mm = batch + free_a + free_b
+    return (
+        tuple(a_s.index(c) for c in batch + free_a + summed),
+        tuple(b_s.index(c) for c in batch + summed + free_b),
+        (len(batch), len(free_a), len(summed)),
+        tuple(mm.index(c) for c in out_s),
+    )
+
+
+def _contract(a_s: str, b_s: str, out_s: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.einsum(f"{a_s},{b_s}->{out_s}", a, b) as transpose, reshape, one np.matmul, reshape, transpose."""
+    if a.ndim != len(a_s) or b.ndim != len(b_s):
+        raise DimensionError(f"einsum2: {a_s},{b_s} does not fit operand shapes {a.shape}, {b.shape}")
+    perm_a, perm_b, (nb, nf, ns), perm_out = _einsum_plan(a_s, b_s, out_s)
+    at, bt = a.transpose(perm_a), b.transpose(perm_b)
+    lead, free_a, summed, free_b = at.shape[:nb], at.shape[nb : nb + nf], at.shape[nb + nf :], bt.shape[nb + ns :]
+    if bt.shape[:nb] != lead or bt.shape[nb : nb + ns] != summed:
+        raise DimensionError(f"einsum2: {a_s},{b_s} sizes disagree, {a.shape} x {b.shape}")
+    batch, rows, inner, cols = math.prod(lead), math.prod(free_a), math.prod(summed), math.prod(free_b)
+    out = np.matmul(at.reshape(batch, rows, inner), bt.reshape(batch, inner, cols))
+    return out.reshape(lead + free_a + free_b).transpose(perm_out)
+
+
 def einsum2(spec: str, a: Tensor, b: Tensor) -> Tensor:
-    """Two-operand einsum whose gradient is again an einsum.
+    """Two-operand einsum run as one batched np.matmul; each gradient is again such a contraction.
 
     Every index of each operand must appear in the output or the other
-    operand, which holds for all contractions this model uses.
+    operand, and at most once per operand, which holds for all contractions
+    this model uses.
     """
     lhs, out_s = spec.replace(" ", "").split("->")
     a_s, b_s = lhs.split(",")
-    if not (set(a_s) <= set(out_s) | set(b_s) and set(b_s) <= set(out_s) | set(a_s)):
-        raise DimensionError(f"einsum2: spec {spec!r} has an index summed within one operand")
-    data = np.einsum(spec, a.data, b.data)
+    data = _contract(a_s, b_s, out_s, a.data, b.data)
 
     def bwd(g, sink):
         if a.requires_grad:
-            sink(a, np.einsum(f"{out_s},{b_s}->{a_s}", g, b.data))
+            sink(a, _contract(out_s, b_s, a_s, g, b.data))
         if b.requires_grad:
-            sink(b, np.einsum(f"{a_s},{out_s}->{b_s}", a.data, g))
+            sink(b, _contract(a_s, out_s, b_s, a.data, g))
 
     return _result(data, (a, b), bwd)
 
@@ -495,13 +543,22 @@ def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
 
 
 def take_rows(x: Tensor, indices) -> Tensor:
-    """x[indices] along axis 0; gradient scatters with duplicate accumulation."""
+    """x[indices] along axis 0; gradient scatters with duplicate accumulation.
+
+    The scatter is one 1-D `np.add.at` over flat element indices, numpy's
+    fast path, adding in the same order as the row-indexed call and so
+    bitwise equal to it. The buffer is a fresh C-ordered array, so its flat
+    view is the buffer itself even when x is a transposed view.
+    """
     idx = np.asarray(indices)
     data = x.data[idx]
 
     def bwd(g, sink):
-        buf = np.zeros_like(x.data)
-        np.add.at(buf, idx, g)
+        shape = x.data.shape
+        width = math.prod(shape[1:])
+        buf = np.zeros(shape, x.data.dtype)
+        flat = idx[..., None] * width + np.arange(width)  # a negative row wraps to its elements from the end
+        np.add.at(buf.reshape(-1), flat.reshape(-1), g.reshape(-1))
         sink(x, buf)
 
     return _result(data, (x,), bwd)

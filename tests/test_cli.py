@@ -134,6 +134,20 @@ def test_ablate_cli(tmp_path, capsys):
     assert "crf_only" in out
 
 
+@pytest.mark.parametrize("flag", ["--num-tags", "--char-vocab-size"])
+def test_params_with_zero_size_exits_1_without_traceback(flag):
+    import os
+    import subprocess
+    import sys
+
+    src = Path(__file__).resolve().parent.parent / "src"
+    cmd = [sys.executable, "-m", "slotlab.cli", "params", flag, "0"]
+    proc = subprocess.run(cmd, capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 1
+    assert "error:" in proc.stderr and "Traceback" not in proc.stderr
+    assert "tagset size" not in proc.stdout
+
+
 def _predict_subprocess(tmp_path, damage):
     """Save a tiny checkpoint, apply `damage` to its directory, run `slotlab predict` on it."""
     import os

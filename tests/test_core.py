@@ -276,6 +276,69 @@ def test_einsum2_rejects_internal_sum():
         T.einsum2("ij,jk->k", Tensor(np.ones((2, 3))), Tensor(np.ones((3, 4))))
 
 
+def test_einsum2_rejects_index_repeated_within_an_operand():
+    with pytest.raises(DimensionError, match="repeats an index"):
+        T.einsum2("ii,ij->j", Tensor(np.ones((3, 3))), Tensor(np.ones((3, 4))))
+
+
+# every contraction the attention variants run, with small distinct sizes (b=2, h=3, i=j=4, d=5, r=7)
+_MODEL_EINSUMS = [
+    ("bjhd,hd->bhj", (2, 4, 3, 5), (3, 5)),
+    ("rd,hd->hr", (7, 5), (3, 5)),
+    ("bihd,bjhd->bhij", (2, 4, 3, 5), (2, 4, 3, 5)),
+    ("bihd,ijd->bhij", (2, 4, 3, 5), (4, 4, 5)),
+    ("bhij,bjhd->bihd", (2, 3, 4, 4), (2, 4, 3, 5)),
+]
+
+
+@pytest.mark.parametrize("spec, a_shape, b_shape", _MODEL_EINSUMS)
+def test_einsum2_matches_np_einsum_forward_and_gradients(spec, a_shape, b_shape):
+    rng = np.random.default_rng(len(spec))
+    a = Tensor(rng.standard_normal(a_shape), requires_grad=True)
+    b = Tensor(rng.standard_normal(b_shape), requires_grad=True)
+    out = T.einsum2(spec, a, b)
+    assert np.allclose(out.data, np.einsum(spec, a.data, b.data), rtol=0, atol=1e-12)
+    g = rng.standard_normal(out.shape)
+    backward(T.reduce_sum(out * g))
+    lhs, out_s = spec.split("->")
+    a_s, b_s = lhs.split(",")
+    assert np.allclose(a.grad, np.einsum(f"{out_s},{b_s}->{a_s}", g, b.data), rtol=0, atol=1e-12)
+    assert np.allclose(b.grad, np.einsum(f"{a_s},{out_s}->{b_s}", a.data, g), rtol=0, atol=1e-12)
+
+    store = ParameterStore(seed=0)
+    store.create("a", a.data * 0.5)
+    store.create("b", b.data * 0.5)
+    weights = Tensor(g)
+    assert grad_check(lambda s: T.reduce_sum(T.einsum2(spec, s["a"].value, s["b"].value) * weights), store) < 1e-5
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize(
+    "case, leaf_shape, index",
+    [
+        ("transposed table", (3, 6), [5, 0, 5, 2, 5, 0, 2]),
+        ("1-D table", (7,), [6, 1, 1, 3, -1, 6]),
+        ("2-D index with repeats, rows 1 and 5 untouched", (6, 4), [[0, 2, 2], [4, -3, 0], [2, 0, 3]]),
+    ],
+)
+def test_take_rows_gradient_is_bitwise_np_add_at(dtype, case, leaf_shape, index):
+    """The scatter equals the row-indexed np.add.at bit for bit, even when the table is a transposed view."""
+    rng = np.random.default_rng(3)
+    leaf = Tensor(rng.standard_normal(leaf_shape).astype(dtype), requires_grad=True)
+    table = T.transpose(leaf, (1, 0)) if case == "transposed table" else leaf
+    idx = np.array(index)
+    shape = idx.shape + table.shape[1:]
+    weights = (rng.standard_normal(shape) * 10.0 ** rng.integers(-4, 5, shape)).astype(dtype)  # order of adds shows
+    backward(T.reduce_sum(T.take_rows(table, idx) * weights))
+
+    expected = np.zeros(table.shape, dtype)
+    np.add.at(expected, idx, weights)
+    if case == "transposed table":
+        expected = expected.T
+    assert leaf.grad.dtype == expected.dtype and leaf.grad.shape == expected.shape
+    assert leaf.grad.tobytes() == expected.tobytes()  # C order for both, whatever their layout
+
+
 def test_store_rejects_duplicate_names():
     store = ParameterStore(seed=0)
     store.create("p", np.ones(1))

@@ -78,9 +78,10 @@ class ContextAttention:
         self.cfg = cfg
         self.prefix = prefix
         width = cfg.num_heads * cfg.head_size
-        rng = store.rng(prefix + ".init")
+        init = prefix + ".init"  # the stream of the query, then of the relative embeddings
         if cfg.variant == "abstract_rel":
-            self.query = store.create(prefix + ".query", glorot_uniform(rng, (cfg.num_heads, cfg.head_size)))
+            q_shape = (cfg.num_heads, cfg.head_size)
+            self.query = store.create(prefix + ".query", q_shape, lambda: glorot_uniform(store.rng(init), q_shape))
         else:
             self.query_proj = Dense(
                 store, prefix + ".query_proj", cfg.d_model, width, use_bias=False, num_blocks=num_blocks
@@ -90,9 +91,9 @@ class ContextAttention:
         self.out_proj = Dense(store, prefix + ".out", width, cfg.d_model, use_bias=False, num_blocks=num_blocks)
         if cfg.variant in ("abstract_rel", "self_rel"):
             scale = 1.0 / np.sqrt(cfg.head_size)
+            r_shape = (2 * cfg.max_relative_distance + 1, cfg.head_size)
             self.rel_embed = store.create(
-                prefix + ".rel_embed",
-                rng.uniform(-scale, scale, size=(2 * cfg.max_relative_distance + 1, cfg.head_size)),
+                prefix + ".rel_embed", r_shape, lambda: store.rng(init).uniform(-scale, scale, size=r_shape)
             )
 
     def _mask(self, batch: int, length: int, lengths: np.ndarray, dtype) -> np.ndarray:
@@ -118,7 +119,8 @@ class ContextAttention:
 
         if cfg.variant == "abstract_rel":
             content = T.reshape(T.einsum2("bjhd,hd->bhj", K4, self.query.value), (B, h, 1, length))
-            rel_by_head = T.transpose(T.einsum2("rd,hd->hr", self.rel_embed.value, self.query.value), (1, 0))
+            # heads as rows and buckets as columns: a product at least four columns wide runs on BLAS unpadded
+            rel_by_head = T.einsum2("hd,rd->rh", self.query.value, self.rel_embed.value)
             gathered = T.reshape(
                 T.take_rows(rel_by_head, _bucket_matrix(length, cfg.max_relative_distance).ravel()),
                 (length, length, h),
@@ -137,7 +139,8 @@ class ContextAttention:
         scores = scores * (1.0 / np.sqrt(d))
         scores = scores + T.constant(self._mask(B, length, lengths, E.data.dtype))
         probs = T.softmax_lastdim(scores, all_masked_ok=True)
-        used = dropout(probs, cfg.attention_dropout, training, self.store.rng(self.prefix + ".dropout"))
+        rng = self.store.rng(self.prefix + ".dropout") if training else None
+        used = dropout(probs, cfg.attention_dropout, training, rng)
         ctx = T.reshape(T.einsum2("bhij,bjhd->bihd", used, V4), (B, length, h * d))
         return self.out_proj(ctx), probs
 

@@ -77,21 +77,30 @@ class CharLstmEncoder:
     ):
         self.store = store
         self.lstm_units = lstm_units
-        rng = store.rng(prefix + ".init")
-        self.embed = store.create(prefix + ".char_embed", glorot_uniform(rng, (vocab_size, char_embed_dim)))
+        init = prefix + ".init"  # the stream of the embedding, then of the orthogonal recurrent blocks
+        shape = (vocab_size, char_embed_dim)
+        self.embed = store.create(prefix + ".char_embed", shape, lambda: glorot_uniform(store.rng(init), shape))
         self.input_map = Dense(
             store, prefix + ".lstm.input", char_embed_dim, 4 * lstm_units, use_bias=False, num_blocks=num_blocks
         )
+
+        def orthogonal_gates() -> np.ndarray:
+            square = (lstm_units, lstm_units)
+            return np.concatenate([orthogonal(store.rng(init), square) for _ in range(4)], axis=1)[None]
+
         self.recurrent_map = Dense(
-            store, prefix + ".lstm.recurrent", lstm_units, 4 * lstm_units, use_bias=False, num_blocks=num_blocks
+            store,
+            prefix + ".lstm.recurrent",
+            lstm_units,
+            4 * lstm_units,
+            use_bias=False,
+            num_blocks=num_blocks,
+            kernel_init=orthogonal_gates if num_blocks == 1 else None,
         )
-        if num_blocks == 1:
-            self.recurrent_map.kernel.data[0] = np.concatenate(
-                [orthogonal(rng, (lstm_units, lstm_units)) for _ in range(4)], axis=1
-            )
-        bias = np.zeros(4 * lstm_units)
-        bias[lstm_units : 2 * lstm_units] = 1.0  # forget gate opens at init
-        self.b = store.create(prefix + ".lstm.bias", bias)
+        # gates i, f, g, o; the forget gate opens at init
+        self.b = store.create(
+            prefix + ".lstm.bias", (4 * lstm_units,), lambda: np.repeat([0.0, 1.0, 0.0, 0.0], lstm_units)
+        )
         self.proj = Dense(store, prefix + ".word_proj", lstm_units, d_model, activation="tanh")
 
     def encode_words(self, char_ids: Sequence[Sequence[int]]) -> Tensor:
@@ -119,4 +128,4 @@ class CharLstmEncoder:
     ) -> Tensor:
         """Word-level embeddings [T, d_model] with dropout applied in training."""
         out = self.encode_words(words)
-        return dropout(out, dropout_rate, training, self.store.rng("encoder.dropout"))
+        return dropout(out, dropout_rate, training, self.store.rng("encoder.dropout") if training else None)

@@ -45,14 +45,13 @@ def load_dataset(path) -> list[Utterance]:
     return load_jsonl(path)
 
 
-def _report_manifest(config: ModelConfig, dataset: str, count: int, fraction: str = "1") -> dict:
+def _report_manifest(config: ModelConfig, dataset: str, count: int) -> dict:
     return {
         "config": config.to_dict(),
         "config_hash": config.config_hash(),
         "seed": config.seed,
         "dataset": str(dataset),
         "examples": count,
-        "fraction": fraction,
     }
 
 

@@ -74,9 +74,11 @@ class CrfHead:
     def __init__(self, store: ParameterStore, d_model: int, num_tags: int, prefix: str = "crf"):
         self.num_tags = num_tags
         self.emission = Dense(store, prefix + ".emission", d_model, num_tags)
-        self.transitions = store.create(prefix + ".transitions", np.zeros((num_tags, num_tags)))
-        self.start = store.create(prefix + ".start", np.zeros(num_tags))
-        self.end = store.create(prefix + ".end", np.zeros(num_tags))
+        self.transitions = store.create(
+            prefix + ".transitions", (num_tags, num_tags), lambda: np.zeros((num_tags, num_tags))
+        )
+        self.start = store.create(prefix + ".start", (num_tags,), lambda: np.zeros(num_tags))
+        self.end = store.create(prefix + ".end", (num_tags,), lambda: np.zeros(num_tags))
 
 
 def _validate_gold(gold: np.ndarray, lengths: np.ndarray, num_tags: int) -> None:

@@ -10,6 +10,8 @@ expanded block-diagonal matrix.
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
 from . import tensor as T
@@ -26,8 +28,9 @@ ACTIVATIONS = {
 class Dense:
     """x @ expand(kernel) + bias followed by an optional activation.
 
-    Each block draws its own Glorot-uniform init, in block order, from the
-    stream named after the kernel.
+    Unless kernel_init gives the [k, m, n] blocks, each block draws its own
+    Glorot-uniform init, in block order, from the stream named after the
+    kernel.
     """
 
     def __init__(
@@ -39,6 +42,7 @@ class Dense:
         activation: str = "none",
         use_bias: bool = True,
         num_blocks: int = 1,
+        kernel_init: Callable[[], np.ndarray] | None = None,
     ):
         if activation not in ACTIVATIONS:
             raise ConfigError(f"unknown activation {activation!r}")
@@ -51,10 +55,13 @@ class Dense:
         self.num_blocks = num_blocks
         self.activation = activation
         m, n = in_dim // num_blocks, out_dim // num_blocks
-        rng = store.rng(name + ".kernel")
-        blocks = np.stack([glorot_uniform(rng, (m, n)) for _ in range(num_blocks)])
-        self.kernel = store.create(name + ".kernel", blocks)
-        self.bias = store.create(name + ".bias", np.zeros(out_dim)) if use_bias else None
+
+        def glorot_blocks() -> np.ndarray:
+            rng = store.rng(name + ".kernel")
+            return np.stack([glorot_uniform(rng, (m, n)) for _ in range(num_blocks)])
+
+        self.kernel = store.create(name + ".kernel", (num_blocks, m, n), kernel_init or glorot_blocks)
+        self.bias = store.create(name + ".bias", (out_dim,), lambda: np.zeros(out_dim)) if use_bias else None
 
     def __call__(self, x: Tensor) -> Tensor:
         out = T.block_matmul(x, self.kernel.value)

@@ -132,13 +132,20 @@ class ModelConfig:
 
 
 class SlotModel:
-    """The assembled network over a frozen vocabulary and tagset."""
+    """The assembled network over a frozen vocabulary and tagset.
 
-    def __init__(self, config: ModelConfig, vocab: CharVocab, tagset: TagSet):
+    Without `arrays` every parameter is drawn from its initializer; with them
+    (a checkpoint's) each parameter is a copy of the array of its name, and a
+    missing, misshapen or unknown array fails with a ContractError naming it.
+    """
+
+    def __init__(
+        self, config: ModelConfig, vocab: CharVocab, tagset: TagSet, arrays: dict[str, np.ndarray] | None = None
+    ):
         self.config = config
         self.vocab = vocab
         self.tagset = tagset
-        self.store = ParameterStore(seed=config.seed, dtype=config.dtype)
+        self.store = ParameterStore(seed=config.seed, dtype=config.dtype, arrays=arrays)
         blocks = config.num_blocks if config.use_block_dense else 1
         self.encoder = CharLstmEncoder(
             self.store,
@@ -155,6 +162,7 @@ class SlotModel:
             self.attention = ContextAttention(self.store, config.attention_config(), num_blocks=blocks)
             self.gate = FusionGate(self.store, config.d_model, num_blocks=blocks)
         self.crf = CrfHead(self.store, config.d_model, tagset.size)
+        self.store.check_loaded()
 
     # ------------------------------------------------------------------
     # forward paths
@@ -276,9 +284,7 @@ class Checkpoint:
         return cls(model.config, model.vocab, model.tagset, model.store.snapshot())
 
     def build_model(self) -> SlotModel:
-        model = SlotModel(self.config, self.vocab, self.tagset)
-        model.store.restore(self.arrays)
-        return model
+        return SlotModel(self.config, self.vocab, self.tagset, self.arrays)
 
     def save(self, directory) -> None:
         directory = Path(directory)

@@ -48,21 +48,45 @@ class ParameterStore:
     """Ordered name -> Parameter map plus the run's split-by-name RNG.
 
     Iteration order is insertion order, so two identically configured builds
-    produce identical parameter layouts and identical checkpoints.
+    produce identical parameter layouts and identical checkpoints. Given
+    `arrays` (a checkpoint's), every parameter is built from the array of its
+    name instead of from its initializer.
     """
 
-    def __init__(self, seed: int = 0, dtype: str = "f64"):
+    def __init__(self, seed: int = 0, dtype: str = "f64", arrays: dict[str, np.ndarray] | None = None):
         self.seed = seed
         self.dtype = dtype
         self._params: dict[str, Parameter] = {}
         self._rngs: dict[str, np.random.Generator] = {}
+        self._arrays = arrays
 
-    def create(self, name: str, array: np.ndarray) -> Parameter:
+    def create(self, name: str, shape: tuple[int, ...], init: Callable[[], np.ndarray]) -> Parameter:
+        """Declare a parameter: a copy of the loaded array of that name, else init()'s value.
+
+        A store built over loaded arrays never calls init, so it draws no
+        initial values and seeds no stream.
+        """
         if name in self._params:
             raise ContractError(f"duplicate parameter name {name!r}")
-        p = Parameter(name, np.ascontiguousarray(array, dtype=np_dtype(self.dtype)))
+        if self._arrays is None:
+            array = np.ascontiguousarray(init(), dtype=np_dtype(self.dtype))
+        elif name in self._arrays:
+            array = np.array(self._arrays[name], dtype=np_dtype(self.dtype))  # a copy: no two models share memory
+        else:
+            raise ContractError(f"missing parameter {name!r}: the loaded arrays have no entry of that name")
+        if array.shape != tuple(shape):
+            raise ContractError(f"parameter {name!r} has shape {array.shape}, expected {tuple(shape)}")
+        p = Parameter(name, array)
         self._params[name] = p
         return p
+
+    def check_loaded(self) -> None:
+        """Fail on loaded arrays that no parameter took, then drop them; call once every parameter is created."""
+        if self._arrays:
+            unknown = [name for name in self._arrays if name not in self._params]
+            if unknown:
+                raise ContractError(f"unknown parameters {unknown}: the model has no parameter of those names")
+            self._arrays = {}
 
     def rng(self, name: str) -> np.random.Generator:
         """Stateful generator split off the store seed by name, cached."""
@@ -96,15 +120,13 @@ class ParameterStore:
         return {p.name: p.data.copy() for p in self}
 
     def restore(self, arrays: dict[str, np.ndarray]) -> None:
-        missing = [name for name in self._params if name not in arrays]
-        unknown = [name for name in arrays if name not in self._params]
-        if missing or unknown:
-            raise ContractError(f"restore: missing parameters {missing}, unknown parameters {unknown}")
+        """Copy a `snapshot` of this store back into its parameters: training's rollback to its best epoch.
+
+        Loading a checkpoint does not come here: a store built over loaded
+        arrays checks them as it creates each parameter.
+        """
         for p in self:
-            src = arrays[p.name]
-            if src.shape != p.shape:
-                raise ContractError(f"restore: shape mismatch for {p.name}: {src.shape} vs {p.shape}")
-            p.data[...] = src
+            p.data[...] = arrays[p.name]
 
 
 # ---------------------------------------------------------------------------

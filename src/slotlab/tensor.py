@@ -295,22 +295,48 @@ def tanh(x: Tensor) -> Tensor:
 # contractions
 
 
+_MIN_COLS = 4
+
+
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.matmul(a, b) in a layout whose rows round alike at every row count.
+
+    numpy hands a one-row product to BLAS's gemv, which rounds differently
+    from the gemm that computes the same row inside a larger product, and
+    BLAS rounds the rows of a product narrower than four columns differently
+    with the row count (gemv for one column, OpenBLAS's narrow gemm kernels
+    for two or three). So a one-row a runs as two copies of its row and a
+    narrower b gets zero columns, both dropped from the result: a word's or
+    an utterance's numbers do not depend on the batch it is in.
+    """
+    rows, cols = a.shape[-2], b.shape[-1]
+    if rows > 1 and cols >= _MIN_COLS:
+        return np.matmul(a, b)
+    if rows == 1:
+        a = np.concatenate([a, a], axis=-2)
+    if cols < _MIN_COLS:
+        padded = np.zeros(b.shape[:-1] + (_MIN_COLS,), b.dtype)
+        padded[..., :cols] = b
+        b = padded
+    return np.matmul(a, b)[..., :rows, :cols]
+
+
 def _block_mm(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """x[..., N, k*m] times the block-diagonal matrix whose blocks are w[k, m, n], as [..., N, k*n].
 
-    Feature chunk i of x meets block i in one batched np.matmul over the
-    [..., k, N, m] layout, so k = 1 runs the same BLAS call as x @ w[0].
+    Feature chunk i of x meets block i in one batched `_matmul` over the
+    [..., k, N, m] layout.
     """
     k, m, n = w.shape
     lead = x.shape[:-1]
     xk = x.reshape(lead + (k, m)).swapaxes(-3, -2)
-    return np.matmul(xk, w).swapaxes(-3, -2).reshape(lead + (k * n,))
+    return _matmul(xk, w).swapaxes(-3, -2).reshape(lead + (k * n,))
 
 
 def _block_kernel_grad(x: np.ndarray, g: np.ndarray, k: int) -> np.ndarray:
     """Gradient of the [k, m, n] blocks of `_block_mm(x, w)` given its output gradient g: all rows at once."""
     rows = x.reshape(-1, k, x.shape[-1] // k).transpose(1, 2, 0)
-    return np.matmul(rows, g.reshape(-1, k, g.shape[-1] // k).swapaxes(0, 1))
+    return _matmul(rows, g.reshape(-1, k, g.shape[-1] // k).swapaxes(0, 1))
 
 
 def block_matmul(x: Tensor, w: Tensor) -> Tensor:
@@ -364,7 +390,7 @@ def _einsum_plan(a_s: str, b_s: str, out_s: str) -> tuple:
 
 
 def _contract(a_s: str, b_s: str, out_s: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.einsum(f"{a_s},{b_s}->{out_s}", a, b) as transpose, reshape, one np.matmul, reshape, transpose."""
+    """np.einsum(f"{a_s},{b_s}->{out_s}", a, b) as transpose, reshape, one `_matmul`, reshape, transpose."""
     if a.ndim != len(a_s) or b.ndim != len(b_s):
         raise DimensionError(f"einsum2: {a_s},{b_s} does not fit operand shapes {a.shape}, {b.shape}")
     perm_a, perm_b, (nb, nf, ns), perm_out = _einsum_plan(a_s, b_s, out_s)
@@ -373,7 +399,7 @@ def _contract(a_s: str, b_s: str, out_s: str, a: np.ndarray, b: np.ndarray) -> n
     if bt.shape[:nb] != lead or bt.shape[nb : nb + ns] != summed:
         raise DimensionError(f"einsum2: {a_s},{b_s} sizes disagree, {a.shape} x {b.shape}")
     batch, rows, inner, cols = math.prod(lead), math.prod(free_a), math.prod(summed), math.prod(free_b)
-    out = np.matmul(at.reshape(batch, rows, inner), bt.reshape(batch, inner, cols))
+    out = _matmul(at.reshape(batch, rows, inner), bt.reshape(batch, inner, cols))
     return out.reshape(lead + free_a + free_b).transpose(perm_out)
 
 
@@ -590,7 +616,8 @@ def softmax_lastdim(x: Tensor, all_masked_ok: bool = False) -> Tensor:
     """Row-stable softmax over the last axis.
 
     -inf entries are treated as masked. A fully masked row yields an all-zero
-    row when all_masked_ok is set and raises MaskingError otherwise.
+    row when all_masked_ok is set and raises MaskingError otherwise. A row's
+    result does not change when masked entries are appended to it.
     """
     if x.data.shape[-1] < 1:
         raise DimensionError("softmax_lastdim: empty last dimension")
@@ -601,7 +628,7 @@ def softmax_lastdim(x: Tensor, all_masked_ok: bool = False) -> Tensor:
         raise MaskingError("softmax_lastdim: fully masked row without all_masked_ok")
     shifted = np.where(finite, d - np.where(finite, m, 0.0), -np.inf)
     e = np.exp(shifted)
-    s = e.sum(axis=-1, keepdims=True)
+    s = np.add.accumulate(e, axis=-1)[..., -1:]  # added left to right, so appended masked entries change no bit
     p = np.divide(e, s, out=np.zeros_like(e), where=s > 0)
 
     def bwd(g, sink):

@@ -202,6 +202,19 @@ def test_predict_on_checkpoint_with_nan_parameter_exits_1_without_traceback(tmp_
     assert "Traceback" not in proc.stderr
 
 
+def test_predict_on_checkpoint_with_misshapen_parameter_exits_1_without_traceback(tmp_path):
+    def reshape(ck):
+        manifest = json.loads((ck / "manifest.json").read_text())
+        entry = next(p for p in manifest["params"] if p["name"] == "crf.start")
+        entry["shape"] = [1] + entry["shape"]
+        (ck / "manifest.json").write_text(json.dumps(manifest))
+
+    proc = _predict_subprocess(tmp_path, reshape)
+    assert proc.returncode == 1
+    assert "error:" in proc.stderr and "crf.start" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize("field, value", [("batch_size", 0), ("lstm_units", 0), ("lstm_units", "48")])
 def test_train_with_bad_config_value_exits_1_without_traceback(tmp_path, field, value):
     import os

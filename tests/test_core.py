@@ -91,23 +91,32 @@ def test_softmax_rows_sum_to_one_with_partial_mask():
     assert np.all(p[2, :3] == 0.0)
 
 
+def test_softmax_row_unchanged_by_appended_masked_entries():
+    """A short utterance's attention row alone and padded inside a longer batch: the same bits."""
+    x = np.random.default_rng(4).standard_normal((3, 6))
+    alone = T.softmax_lastdim(Tensor(x)).data
+    for extra in (1, 2, 5, 12):
+        padded = np.concatenate([x, np.full((3, extra), -np.inf)], axis=1)
+        assert np.array_equal(T.softmax_lastdim(Tensor(padded)).data[:, :6], alone), extra
+
+
 def test_backward_of_sum_is_ones():
     store = ParameterStore(seed=1)
-    p = store.create("p", np.arange(6.0).reshape(2, 3))
+    p = store.create("p", (2, 3), lambda: np.arange(6.0).reshape(2, 3))
     backward(T.reduce_sum(p.value))
     assert np.array_equal(p.grad, np.ones((2, 3)))
 
 
 def test_backward_of_half_square_is_value():
     store = ParameterStore(seed=1)
-    p = store.create("p", np.arange(6.0).reshape(2, 3))
+    p = store.create("p", (2, 3), lambda: np.arange(6.0).reshape(2, 3))
     backward(T.reduce_sum(p.value * p.value) * 0.5)
     assert np.allclose(p.grad, p.data, atol=1e-15)
 
 
 def test_backward_accumulates_without_zero():
     store = ParameterStore(seed=1)
-    p = store.create("p", np.ones(3))
+    p = store.create("p", (3,), lambda: np.ones(3))
     loss = T.reduce_sum(p.value)
     backward(loss)
     backward(loss)
@@ -118,14 +127,14 @@ def test_backward_accumulates_without_zero():
 
 def test_backward_rejects_non_scalar():
     store = ParameterStore(seed=1)
-    p = store.create("p", np.ones(3))
+    p = store.create("p", (3,), lambda: np.ones(3))
     with pytest.raises(ContractError):
         backward(p.value * 2.0)
 
 
 def test_backward_shared_subexpression():
     store = ParameterStore(seed=1)
-    p = store.create("p", np.array([3.0]))
+    p = store.create("p", (1,), lambda: np.array([3.0]))
     y = p.value * p.value  # dy/dp = 2p
     backward(T.reduce_sum(y + y))
     assert np.allclose(p.grad, [12.0])
@@ -145,7 +154,7 @@ def test_sigmoid_helper_is_bitwise_the_three_exp_expression(dtype):
 
 def test_no_grad_records_no_graph_and_restores_on_exit():
     store = ParameterStore(seed=1)
-    p = store.create("p", np.array([3.0, -1.0]))
+    p = store.create("p", (2,), lambda: np.array([3.0, -1.0]))
     with T.no_grad():
         y = T.tanh(p.value * p.value)
     assert not y.requires_grad and y._parents == () and y._backward is None
@@ -208,17 +217,17 @@ def _composite(store: ParameterStore):
 def test_composite_graph_matches_finite_differences(seed):
     store = ParameterStore(seed=seed)
     rng = store.rng("init")
-    store.create("a", rng.standard_normal((3, 4)) * 0.5)
-    store.create("b", rng.standard_normal((4, 4)) * 0.5)
-    store.create("c", rng.standard_normal(4) * 0.5)
+    store.create("a", (3, 4), lambda: rng.standard_normal((3, 4)) * 0.5)
+    store.create("b", (4, 4), lambda: rng.standard_normal((4, 4)) * 0.5)
+    store.create("c", (4,), lambda: rng.standard_normal(4) * 0.5)
     assert grad_check(_composite, store) < 1e-4
 
 
 def test_grad_check_linear_layer_tight():
     store = ParameterStore(seed=7)
     rng = store.rng("init")
-    store.create("w", rng.standard_normal((1, 5, 3)))
-    store.create("b", rng.standard_normal(3))
+    store.create("w", (1, 5, 3), lambda: rng.standard_normal((1, 5, 3)))
+    store.create("b", (3,), lambda: rng.standard_normal(3))
     x = Tensor(rng.standard_normal((4, 5)))
 
     def f(s):
@@ -252,7 +261,7 @@ def test_grad_check_linear_layer_tight():
 def test_each_op_gradient_matches_fd(op):
     for seed in range(3):
         store = ParameterStore(seed=seed)
-        store.create("x", np.random.default_rng(seed).standard_normal((2, 4)) + 0.1)
+        store.create("x", (2, 4), lambda: np.random.default_rng(seed).standard_normal((2, 4)) + 0.1)
 
         def f(s):
             return T.reduce_sum(op(s["x"].value) * 1.3)
@@ -262,7 +271,7 @@ def test_each_op_gradient_matches_fd(op):
 
 def test_broadcast_add_gradients():
     store = ParameterStore(seed=0)
-    store.create("v", np.arange(4.0))
+    store.create("v", (4,), lambda: np.arange(4.0))
     x = Tensor(np.random.default_rng(0).standard_normal((3, 4)))
 
     def f(s):
@@ -281,14 +290,38 @@ def test_einsum2_rejects_index_repeated_within_an_operand():
         T.einsum2("ii,ij->j", Tensor(np.ones((3, 3))), Tensor(np.ones((3, 4))))
 
 
-# every contraction the attention variants run, with small distinct sizes (b=2, h=3, i=j=4, d=5, r=7)
+# every contraction the attention variants run, with small distinct sizes (b=2, h=3, i=j=4, d=5, r=7), plus the
+# relative term's earlier layout rd,hd->hr, whose three columns take `_matmul`'s zero-padded path
 _MODEL_EINSUMS = [
     ("bjhd,hd->bhj", (2, 4, 3, 5), (3, 5)),
     ("rd,hd->hr", (7, 5), (3, 5)),
     ("bihd,bjhd->bhij", (2, 4, 3, 5), (2, 4, 3, 5)),
     ("bihd,ijd->bhij", (2, 4, 3, 5), (4, 4, 5)),
     ("bhij,bjhd->bihd", (2, 3, 4, 4), (2, 4, 3, 5)),
+    ("hd,rd->rh", (3, 5), (7, 5)),
 ]
+
+
+@pytest.mark.parametrize("k_in, n_out", [(48, 192), (16, 64), (128, 512), (64, 64), (256, 5), (64, 3)])
+def test_block_matmul_rows_are_bitwise_equal_at_every_row_count(k_in, n_out):
+    """Rows 0..m-1 of an m-row product equal those of the 40-row product, m = 1 (BLAS's gemv) included."""
+    rng = np.random.default_rng(k_in + n_out)
+    x = rng.standard_normal((40, k_in))
+    w = Tensor(rng.standard_normal((1, k_in, n_out)))
+    full = T.block_matmul(Tensor(x), w).data
+    for m in range(1, 40):
+        assert np.array_equal(T.block_matmul(Tensor(x[:m]), w).data, full[:m]), m
+
+
+def test_einsum2_one_utterance_is_bitwise_its_row_of_the_batch():
+    """The shared query's content scores are a matrix times a vector; B = 1 must not change the bits."""
+    rng = np.random.default_rng(5)
+    keys, query = rng.standard_normal((32, 9, 2, 32)), Tensor(rng.standard_normal((2, 32)))
+    full = T.einsum2("bjhd,hd->bhj", Tensor(keys), query).data
+    for b in range(32):
+        for length in (1, 4, 9):
+            one = T.einsum2("bjhd,hd->bhj", Tensor(keys[b : b + 1, :length]), query).data
+            assert np.array_equal(one[0], full[b, :, :length]), (b, length)
 
 
 @pytest.mark.parametrize("spec, a_shape, b_shape", _MODEL_EINSUMS)
@@ -306,8 +339,8 @@ def test_einsum2_matches_np_einsum_forward_and_gradients(spec, a_shape, b_shape)
     assert np.allclose(b.grad, np.einsum(f"{a_s},{out_s}->{b_s}", a.data, g), rtol=0, atol=1e-12)
 
     store = ParameterStore(seed=0)
-    store.create("a", a.data * 0.5)
-    store.create("b", b.data * 0.5)
+    store.create("a", a_shape, lambda: a.data * 0.5)
+    store.create("b", b_shape, lambda: b.data * 0.5)
     weights = Tensor(g)
     assert grad_check(lambda s: T.reduce_sum(T.einsum2(spec, s["a"].value, s["b"].value) * weights), store) < 1e-5
 
@@ -341,16 +374,16 @@ def test_take_rows_gradient_is_bitwise_np_add_at(dtype, case, leaf_shape, index)
 
 def test_store_rejects_duplicate_names():
     store = ParameterStore(seed=0)
-    store.create("p", np.ones(1))
+    store.create("p", (1,), lambda: np.ones(1))
     with pytest.raises(ContractError):
-        store.create("p", np.ones(1))
+        store.create("p", (1,), lambda: np.ones(1))
 
 
 def test_store_count_and_order_reproducible():
     def build():
         store = ParameterStore(seed=42)
-        store.create("first", store.rng("first").standard_normal((3, 5)))
-        store.create("second", store.rng("second").standard_normal(7))
+        store.create("first", (3, 5), lambda: store.rng("first").standard_normal((3, 5)))
+        store.create("second", (7,), lambda: store.rng("second").standard_normal(7))
         return store
 
     s1, s2 = build(), build()
@@ -388,7 +421,7 @@ def test_every_named_error_is_a_slotlab_error_and_keeps_its_builtin_base():
 
 def test_grad_check_reports_nan_parameter():
     store = ParameterStore(seed=0)
-    store.create("bad", np.ones(2))
+    store.create("bad", (2,), lambda: np.ones(2))
 
     def f(s):
         return T.logsumexp_lastdim(s["bad"].value - np.inf)  # log(0) -> -inf, grad 0/0 -> nan

@@ -202,7 +202,7 @@ def test_crf_gradients_including_transitions():
 
 def test_crf_gradient_flows_into_features():
     store = ParameterStore(seed=8)
-    feat = store.create("features", np.random.default_rng(8).standard_normal((3, 3)))
+    feat = store.create("features", (3, 3), lambda: np.random.default_rng(8).standard_normal((3, 3)))
     head = CrfHead(store, 3, 3)
 
     def f(s):
@@ -215,7 +215,7 @@ def test_crf_gradients_over_ragged_batch():
     """Steps past a sequence's end get no gradient: the forward recursion reads alpha at each last step."""
     store = ParameterStore(seed=10)
     rng = np.random.default_rng(10)
-    store.create("features", rng.standard_normal((3, 4, 3)))
+    store.create("features", (3, 4, 3), lambda: rng.standard_normal((3, 4, 3)))
     head = CrfHead(store, 3, 3)
     head.transitions.data[...] = rng.standard_normal((3, 3)) * 0.7
     gold = np.array([[2, 0, 0, 0], [1, 2, 0, 1], [0, 2, 0, 0]])

@@ -134,8 +134,8 @@ def test_block_handles_leading_batch_dims():
 def test_block_matmul_on_3d_inputs_matches_expanded_kernel(k):
     store = ParameterStore(seed=k)
     rng = store.rng("init")
-    store.create("x", rng.standard_normal((2, 3, 4)))
-    store.create("w", rng.standard_normal((k, 4 // k, 8 // k)))
+    store.create("x", (2, 3, 4), lambda: rng.standard_normal((2, 3, 4)))
+    store.create("w", (k, 4 // k, 8 // k), lambda: rng.standard_normal((k, 4 // k, 8 // k)))
     got = T.block_matmul(store["x"].value, store["w"].value).data
     expected = store["x"].data @ expand_blocks(store["w"].data)
     assert got.shape == (2, 3, 8)

@@ -250,6 +250,43 @@ def test_batched_features_match_single():
         assert np.max(np.abs(H3.data[b, : len(u.tokens)] - alone.data[0])) < 1e-12
 
 
+def _blas() -> str:
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return f"{blas['name']} {blas.get('version', '?')}"
+
+
+@pytest.fixture(scope="module")
+def desk_served():
+    """A desk model after two epochs, served from its checkpoint, and the unseen-city test split."""
+    train_set, test_set = make_from_to_corpus(seed=7)
+    checkpoint, _ = train(train_set, None, desk_config(max_epochs=2))
+    return checkpoint.build_model(), test_set
+
+
+def test_word_rows_are_bitwise_equal_alone_and_in_a_batch(desk_served):
+    model, test_set = desk_served
+    print(f"BLAS: {_blas()}")
+    ids = [model.vocab.encode(w) for w in dict.fromkeys(w for u in test_set for w in u.words)]
+    with T.no_grad():
+        together = model.encoder.encode_words(ids).data
+        differ = [w for w, row in zip(ids, together) if not np.array_equal(model.encoder.encode_words([w]).data[0], row)]
+    assert not differ, f"{len(differ)} of {len(ids)} words get another encoder row alone, on BLAS {_blas()}"
+
+
+def test_utterance_features_are_bitwise_equal_alone_and_in_a_batch(desk_served):
+    model, test_set = desk_served
+    print(f"BLAS: {_blas()}")
+    differ = 0
+    with T.no_grad():
+        for lo in range(0, len(test_set), 32):
+            batch = test_set[lo : lo + 32]
+            H3, lengths = model.features_batch(batch)
+            for b, u in enumerate(batch):
+                alone, _ = model.features_batch([u])
+                differ += not np.array_equal(alone.data[0], H3.data[b, : lengths[b]])
+    assert differ == 0, f"{differ} of {len(test_set)} utterances get other features alone, on BLAS {_blas()}"
+
+
 def test_features_batch_rejects_empty_batch():
     model = SlotModel(tiny_config(), VOCAB, TAGSET)
     with pytest.raises(ContractError, match="features_batch: empty batch"):
@@ -439,6 +476,50 @@ def test_checkpoint_rejects_unknown_parameter(tmp_path):
     path.write_text(json.dumps(manifest))
     with pytest.raises(ContractError, match="gate.extra"):
         Checkpoint.load(path.parent).build_model()
+
+
+def test_checkpoint_rejects_parameter_of_wrong_shape(tmp_path):
+    import json
+
+    path, manifest = _saved_checkpoint(tmp_path)
+    entry = next(p for p in manifest["params"] if p["name"] == "crf.start")
+    assert entry["shape"] == [TAGSET.size]
+    entry["shape"] = [1, TAGSET.size]  # as many values as before, so the blob still reads
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(ContractError, match=r"'crf.start' has shape \(1, 5\), expected \(5,\)"):
+        Checkpoint.load(path.parent).build_model()
+
+
+def test_models_built_from_one_checkpoint_share_no_memory(tmp_path):
+    path, _ = _saved_checkpoint(tmp_path)
+    ck = Checkpoint.load(path.parent)
+    saved = {name: arr.copy() for name, arr in ck.arrays.items()}
+    first, second = ck.build_model(), ck.build_model()
+    first.store["crf.transitions"].data[...] += 1.0
+    first.store["encoder.lstm.recurrent.kernel"].data[0, 0, 0] = 7.0
+    for p in second.store:
+        assert np.array_equal(p.data, saved[p.name]), p.name
+    for name, arr in ck.arrays.items():
+        assert np.array_equal(arr, saved[name]), name
+
+
+def test_serving_a_checkpoint_draws_no_random_numbers(tmp_path, monkeypatch):
+    import slotlab.params
+
+    cfg = tiny_config(dropout=0.5, attention_dropout=0.5)
+    Checkpoint.from_model(SlotModel(cfg, VOCAB, TAGSET)).save(tmp_path / "ck")
+    batch = [utt("abc de fgh", (0, 0, "x")), utt("ij a", (1, 1, "y"))]
+
+    def no_stream(seed, name):
+        raise AssertionError(f"seeded the random stream {name!r}")
+
+    with monkeypatch.context() as m:
+        m.setattr(slotlab.params, "_named_seed", no_stream)
+        model = Checkpoint.load(tmp_path / "ck").build_model()
+        one = model.predict(batch[0])
+        assert model.predict_batch(batch)[0] == one
+        eval_loss = float(model.loss(batch, training=False).data)
+    assert float(model.loss(batch, training=True).data) != eval_loss  # training still drops units
 
 
 def test_checkpoint_rejects_non_finite_parameters(tmp_path):

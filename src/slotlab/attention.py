@@ -11,6 +11,7 @@ gate blends the attention output with the word embedding afterwards.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -114,19 +115,31 @@ class ContextAttention:
         h, d = cfg.num_heads, cfg.head_size
         if cfg.variant == "self_abs":
             E = E + T.constant(sinusoid_table(length, cfg.d_model).astype(E.data.dtype))
-        K4 = T.reshape(self.key_proj(E), (B, length, h, d))
         V4 = T.reshape(self.value_proj(E), (B, length, h, d))
 
         if cfg.variant == "abstract_rel":
-            content = T.reshape(T.einsum2("bjhd,hd->bhj", K4, self.query.value), (B, h, 1, length))
-            # heads as rows and buckets as columns: a product at least four columns wide runs on BLAS unpadded
-            rel_by_head = T.einsum2("hd,rd->rh", self.query.value, self.rel_embed.value)
-            gathered = T.reshape(
-                T.take_rows(rel_by_head, _bucket_matrix(length, cfg.max_relative_distance).ravel()),
-                (length, length, h),
+            # content[b, h, j] = sum_d K[b, j, h, d] q[h, d] reads the keys only through q. A unit of
+            # u = gcd(n, d) key columns lies in one [m, n] kernel block and one head, so each unit
+            # contracts with q into one kernel column first and the [B, T, h*d] keys are never formed.
+            k, m, n = self.key_proj.kernel.shape
+            u = math.gcd(n, d)
+            kernel_q = T.einsum2(
+                "imcu,icu->imc",
+                T.reshape(self.key_proj.kernel.value, (k, m, n // u, u)),
+                T.reshape(self.query.value, (k, n // u, u)),
             )
-            scores = content + T.transpose(gathered, (2, 0, 1))
+            units = T.reshape(T.block_matmul(E, kernel_q), (B, length, h, d // u))
+            if u < d:
+                units = T.reduce_sum(units, axis=3, keepdims=True)
+            content = T.transpose(units, (0, 2, 3, 1))  # [B, h, 1, T]
+            # heads as rows and buckets as columns: a product at least four columns wide runs on BLAS unpadded;
+            # gathered from the flat table, the [h, T, T] term is contiguous, and so are the scores it lays out
+            rel_by_head = T.einsum2("hd,rd->hr", self.query.value, self.rel_embed.value)
+            buckets = 2 * cfg.max_relative_distance + 1
+            index = np.arange(h)[:, None, None] * buckets + _bucket_matrix(length, cfg.max_relative_distance)
+            scores = content + T.take_rows(T.reshape(rel_by_head, (h * buckets,)), index)
         else:
+            K4 = T.reshape(self.key_proj(E), (B, length, h, d))
             Q4 = T.reshape(self.query_proj(E), (B, length, h, d))
             scores = T.einsum2("bihd,bjhd->bhij", Q4, K4)
             if cfg.variant == "self_rel":

@@ -1,10 +1,10 @@
 """Linear-chain CRF head: emissions, forward-algorithm NLL, Viterbi, spans.
 
 Scores decompose as start[y0] + sum_t emission[t, yt] + sum_t
-transition[y_{t-1}, yt] + end[y_last]; the partition function is computed in
-log space. No transitions are structurally forbidden; BIO inconsistencies in
-decoded paths are repaired when spans are extracted (a dangling I-x opens a
-new x span).
+transition[y_{t-1}, yt] + end[y_last]; the partition function is one op,
+`tensor.crf_log_partition`, computed in log space. No transitions are
+structurally forbidden; BIO inconsistencies in decoded paths are repaired
+when spans are extracted (a dangling I-x opens a new x span).
 """
 
 from __future__ import annotations
@@ -81,11 +81,12 @@ class CrfHead:
         self.end = store.create(prefix + ".end", (num_tags,), lambda: np.zeros(num_tags))
 
 
-def _validate_gold(gold: np.ndarray, lengths: np.ndarray, num_tags: int) -> None:
-    for b, n in enumerate(lengths):
-        row = gold[b, :n]
-        if row.min() < 0 or row.max() >= num_tags:
-            raise ContractError(f"gold tag index out of range in sequence {b}: {row.tolist()}")
+def _validate_gold(gold: np.ndarray, num_tags: int) -> None:
+    """Every entry of the [B, Tmax] gold array, padding included, must be a tag index."""
+    bad = ((gold < 0) | (gold >= num_tags)).any(axis=1)
+    if bad.any():
+        b = int(bad.argmax())
+        raise ContractError(f"gold tag index out of range in sequence {b}: {gold[b].tolist()}")
 
 
 def crf_nll_batch(H: Tensor, gold: np.ndarray, lengths: np.ndarray, head: CrfHead) -> Tensor:
@@ -100,7 +101,7 @@ def crf_nll_batch(H: Tensor, gold: np.ndarray, lengths: np.ndarray, head: CrfHea
         raise ContractError(f"gold shape {gold.shape} does not match features {(B, Tmax)}")
     if lengths.min() < 1:
         raise ContractError("crf_nll_batch: every sequence needs at least one step")
-    _validate_gold(gold, lengths, K)
+    _validate_gold(gold, K)
     dtype = H.data.dtype
 
     em = head.emission(H)  # [B, Tmax, K]
@@ -118,17 +119,7 @@ def crf_nll_batch(H: Tensor, gold: np.ndarray, lengths: np.ndarray, head: CrfHea
         picked_tr = T.reshape(T.take_rows(T.reshape(head.transitions.value, (K * K,)), tr_idx.ravel()), (B, Tmax - 1))
         score = score + T.reduce_sum(picked_tr * T.constant(tr_mask), axis=1)
 
-    # partition function by the forward algorithm in log space; every row runs
-    # all Tmax steps and each sequence's alpha is gathered at its last step
-    alpha = T.reshape(T.narrow(em, 1, 0, 1), (B, K)) + head.start.value
-    alphas = [alpha]
-    for t in range(1, Tmax):
-        prev = T.reshape(alpha, (B, K, 1))
-        inner = T.logsumexp_lastdim(T.transpose(prev + head.transitions.value, (0, 2, 1)))
-        alpha = inner + T.reshape(T.narrow(em, 1, t, 1), (B, K))
-        alphas.append(alpha)
-    alpha = T.take_rows(T.concat(alphas, axis=0), (lengths - 1) * B + np.arange(B))
-    log_z = T.logsumexp_lastdim(alpha + head.end.value)
+    log_z = T.crf_log_partition(em, lengths, head.transitions.value, head.start.value, head.end.value)
     return log_z - score
 
 

@@ -16,20 +16,24 @@ def _named_seed(seed: int, name: str) -> np.random.Generator:
 
 
 class Parameter:
-    """A named tensor with a persistent gradient accumulator."""
+    """A named tensor with a persistent gradient accumulator, allocated when first zeroed or written.
+
+    Until then `grad` is None, so a model that only serves holds no gradient memory.
+    """
 
     __slots__ = ("name", "value")
 
     def __init__(self, name: str, array: np.ndarray):
         self.name = name
-        self.value = Tensor(array, requires_grad=True)
+        self.value = Tensor(array)
+        self.value.requires_grad = True
 
     @property
     def data(self) -> np.ndarray:
         return self.value.data
 
     @property
-    def grad(self) -> np.ndarray:
+    def grad(self) -> np.ndarray | None:
         return self.value.grad
 
     @property
@@ -113,8 +117,12 @@ class ParameterStore:
         return sum(p.count for p in self)
 
     def zero_grads(self) -> None:
+        """Zero every gradient buffer, allocating the ones not yet made."""
         for p in self:
-            p.value.zero_grad()
+            if p.value.grad is None:
+                p.value.grad = np.zeros_like(p.data)
+            else:
+                p.value.grad[...] = 0.0
 
     def snapshot(self) -> dict[str, np.ndarray]:
         return {p.name: p.data.copy() for p in self}

@@ -91,10 +91,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def zero_grad(self) -> None:
-        if self.grad is not None:
-            self.grad[...] = 0.0
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, dtype={self.dtype}, requires_grad={self.requires_grad})"
 
@@ -325,11 +321,18 @@ def _block_mm(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """x[..., N, k*m] times the block-diagonal matrix whose blocks are w[k, m, n], as [..., N, k*n].
 
     Feature chunk i of x meets block i in one batched `_matmul` over the
-    [..., k, N, m] layout.
+    [..., k, N, m] layout. For k > 1, on the shapes `_matmul` passes to
+    np.matmul unchanged, the [..., k, N, n] products are written straight
+    into a swapped view of the result: BLAS only writes them with another
+    row stride, so the bits are those of the product copied into layout.
     """
     k, m, n = w.shape
     lead = x.shape[:-1]
     xk = x.reshape(lead + (k, m)).swapaxes(-3, -2)
+    if k > 1 and x.shape[-2] > 1 and n >= _MIN_COLS:
+        out = np.empty(lead + (k * n,), np.result_type(x, w))
+        np.matmul(xk, w, out=out.reshape(lead + (k, n)).swapaxes(-3, -2))
+        return out
     return _matmul(xk, w).swapaxes(-3, -2).reshape(lead + (k * n,))
 
 
@@ -514,6 +517,84 @@ def lstm_packed(xg: Tensor, kernel: Tensor, bias: Tensor, batch_sizes: Sequence[
     return _result(hs[last], (xg, kernel, bias), bwd)
 
 
+def _logsumexp(x: np.ndarray, axis: int) -> np.ndarray:
+    m = x.max(axis=axis)
+    return m + np.log(np.exp(x - np.expand_dims(m, axis)).sum(axis=axis))
+
+
+def crf_log_partition(em3: Tensor, lengths, transitions: Tensor, start: Tensor, end: Tensor) -> Tensor:
+    """log Z of a linear-chain CRF for each sequence of padded emissions em3 [B, Tmax, K], as [B].
+
+    A path y of sequence b scores start[y_0] + sum_t em3[b, t, y_t] +
+    sum_t transitions[y_{t-1}, y_t] + end[y_last], over its first
+    lengths[b] steps; steps past a length are never read. The forward
+    algorithm runs in log space over rows sorted longest first, so step t
+    touches only the sequences longer than t. The gradient of log Z is the
+    expected feature count: backward runs beta and takes the unary marginals
+    (emissions, start, end) and the pairwise marginals, summed for the
+    transitions in one product over every running (step, sequence) row.
+    """
+    if em3.data.ndim != 3:
+        raise DimensionError(f"crf_log_partition: emissions must be [B, Tmax, K], got shape {em3.shape}")
+    B, t_pad, K = em3.data.shape
+    if transitions.data.shape != (K, K) or start.data.shape != (K,) or end.data.shape != (K,):
+        raise DimensionError(
+            f"crf_log_partition: need transitions [{K}, {K}], start and end [{K}]; "
+            f"got {transitions.shape}, {start.shape}, {end.shape}"
+        )
+    lens = np.asarray(lengths)
+    if lens.shape != (B,) or B == 0 or lens.min() < 1 or lens.max() > t_pad:
+        raise ContractError(f"crf_log_partition: need {B} lengths in [1, {t_pad}], got {lens.tolist()}")
+    order = np.argsort(-lens, kind="stable")  # ties keep input order
+    sizes = (lens[:, None] > np.arange(lens.max())).sum(axis=0).tolist()  # running rows per step
+    starts = np.cumsum([0] + sizes[:-1]).tolist()
+    # packed row p: step step_of[p] of sorted row row_of[p], time-major as in `lstm_packed`;
+    # cells[p] is its (sequence, step) in em3
+    row_of = np.concatenate([np.arange(s) for s in sizes])
+    step_of = np.repeat(np.arange(len(sizes)), sizes)
+    cells = (order[row_of], step_of)
+    em = em3.data[cells]
+    trans, trans_t = transitions.data, np.ascontiguousarray(transitions.data.T)
+    alpha = np.empty_like(em)
+    alpha[:B] = em[:B] + start.data
+    for t in range(1, len(sizes)):
+        lo, rows, before = starts[t], sizes[t], starts[t - 1]
+        alpha[lo : lo + rows] = _logsumexp(alpha[before : before + rows, None, :] + trans_t, axis=2)
+        alpha[lo : lo + rows] += em[lo : lo + rows]
+    last = np.asarray(starts)[lens[order] - 1] + np.arange(B)  # sorted row r ends at packed row last[r]
+    log_z = _logsumexp(alpha[last] + end.data, axis=1)
+    out = np.empty_like(log_z)
+    out[order] = log_z
+
+    def bwd(g, sink):
+        beta = np.empty_like(alpha)
+        beta[last] = end.data
+        for t in reversed(range(len(sizes) - 1)):
+            nxt, rows = starts[t + 1], sizes[t + 1]
+            ahead = em[nxt : nxt + rows] + beta[nxt : nxt + rows]
+            beta[starts[t] : starts[t] + rows] = _logsumexp(ahead[:, None, :] + trans, axis=2)
+        g_sorted = g[order]
+        weight = g_sorted[row_of]
+        z = log_z[row_of]
+        unary = np.exp(alpha + beta - z[:, None])
+        if em3.requires_grad:
+            d = np.zeros_like(em3.data)
+            d[cells] = unary * weight[:, None]
+            sink(em3, d)
+        if start.requires_grad:
+            sink(start, g_sorted @ unary[:B])
+        if end.requires_grad:
+            sink(end, g_sorted @ unary[last])
+        if transitions.requires_grad:
+            # packed rows of steps 1, 2, ... and, for each, its row one step earlier
+            prev = np.concatenate([np.arange(s, s + r) for s, r in zip(starts, sizes[1:])] + [np.arange(0)])
+            ahead = em[B:] + beta[B:] - z[B:, None]
+            pair = np.exp(alpha[prev][:, :, None] + trans + ahead[:, None, :])
+            sink(transitions, (weight[B:] @ pair.reshape(-1, K * K)).reshape(K, K))
+
+    return _result(out, (em3, transitions, start, end), bwd)
+
+
 # ---------------------------------------------------------------------------
 # shape ops
 
@@ -635,20 +716,6 @@ def softmax_lastdim(x: Tensor, all_masked_ok: bool = False) -> Tensor:
         sink(x, p * (g - (p * g).sum(axis=-1, keepdims=True)))
 
     return _result(p, (x,), bwd)
-
-
-def logsumexp_lastdim(x: Tensor) -> Tensor:
-    d = x.data
-    m = d.max(axis=-1, keepdims=True)
-    safe_m = np.where(np.isfinite(m), m, 0.0)
-    s = np.exp(d - safe_m).sum(axis=-1, keepdims=True)
-    out = (safe_m + np.log(s)).squeeze(-1)
-
-    def bwd(g, sink):
-        p = np.exp(d - safe_m) / s
-        sink(x, p * np.expand_dims(g, -1))
-
-    return _result(out, (x,), bwd)
 
 
 # ---------------------------------------------------------------------------

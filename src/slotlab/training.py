@@ -49,12 +49,13 @@ class AdamW:
         bias1 = 1.0 - b1**self.t
         bias2 = 1.0 - b2**self.t
         for p in self.store:
-            g = p.grad
+            g = p.grad  # None: no gradient was ever written, which counts as zero
             m, v = self._m[p.name], self._v[p.name]
             m *= b1
-            m += (1 - b1) * g
             v *= b2
-            v += (1 - b2) * (g * g)
+            if g is not None:
+                m += (1 - b1) * g
+                v += (1 - b2) * (g * g)
             update = (m / bias1) / (np.sqrt(v / bias2) + self.eps)
             if self.weight_decay and decays(p.name):
                 update = update + self.weight_decay * p.data
@@ -67,7 +68,7 @@ def _check_finite(loss_value: float, model: SlotModel) -> None:
     for p in model.store:
         if not np.isfinite(p.data).all():
             raise NumericError(f"non-finite loss; parameter {p.name!r} contains non-finite values")
-        if not np.isfinite(p.grad).all():
+        if p.grad is not None and not np.isfinite(p.grad).all():
             raise NumericError(f"non-finite loss; gradient of {p.name!r} is non-finite")
     raise NumericError("non-finite loss with finite parameters; check the input batch")
 

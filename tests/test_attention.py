@@ -10,11 +10,13 @@ from slotlab.attention import (
     AttentionConfig,
     ContextAttention,
     FusionGate,
+    _bucket_matrix,
     relative_index,
     sinusoid_table,
 )
 from slotlab.params import ParameterStore, grad_check
-from slotlab.tensor import DimensionError, Tensor
+from slotlab.synthetic import desk_config
+from slotlab.tensor import DimensionError, Tensor, backward
 
 
 def make_attention(variant="abstract_rel", heads=1, head_size=4, d_model=6, R=3, seed=0, mask_current=None):
@@ -164,6 +166,84 @@ def test_attention_gradients():
             return T.reduce_sum(T.tanh(A) * np.arange(24.0).reshape(4, 6))
 
         assert grad_check(f, store) < 1e-5, variant
+
+
+def attend_with_key_projection(attn, E, lengths):
+    """Reference: abstract_rel attention through the [B, T, h*d] key projection the collapsed keys replaced.
+
+    The shared query's content scores are the projected keys times q, as the
+    model computed them before; dropout off.
+    """
+    cfg = attn.cfg
+    B, length, _ = E.shape
+    h, d = cfg.num_heads, cfg.head_size
+    K4 = T.reshape(attn.key_proj(E), (B, length, h, d))
+    V4 = T.reshape(attn.value_proj(E), (B, length, h, d))
+    content = T.reshape(T.einsum2("bjhd,hd->bhj", K4, attn.query.value), (B, h, 1, length))
+    rel_by_head = T.einsum2("hd,rd->rh", attn.query.value, attn.rel_embed.value)
+    gathered = T.reshape(
+        T.take_rows(rel_by_head, _bucket_matrix(length, cfg.max_relative_distance).ravel()), (length, length, h)
+    )
+    scores = (content + T.transpose(gathered, (2, 0, 1))) * (1.0 / np.sqrt(d))
+    scores = scores + T.constant(attn._mask(B, length, lengths, E.data.dtype))
+    probs = T.softmax_lastdim(scores, all_masked_ok=True)
+    ctx = T.reshape(T.einsum2("bhij,bjhd->bihd", probs, V4), (B, length, h * d))
+    return attn.out_proj(ctx), probs
+
+
+# (heads, head_size d, d_model, blocks k): the kernel blocks are n = h*d/k columns wide
+_COLLAPSED_KEY_CASES = {
+    "desk_config": None,
+    "head spans blocks (d > n)": (2, 8, 8, 4),
+    "block spans heads (n > d)": (4, 2, 6, 2),
+    "units narrower than both (n=4, d=6)": (2, 6, 9, 3),
+}
+
+
+def _collapsed_key_model(case):
+    sizes = _COLLAPSED_KEY_CASES[case]
+    store = ParameterStore(seed=21)
+    if sizes is None:
+        cfg, blocks = desk_config().attention_config(), 1
+    else:
+        h, d, d_model, blocks = sizes
+        cfg = AttentionConfig(num_heads=h, head_size=d, d_model=d_model, max_relative_distance=2)
+    attn = ContextAttention(store, cfg, num_blocks=blocks)
+    rng = np.random.default_rng(21)
+    lengths = np.array([4, 1, 3])
+    store.create("E", (3, 4, cfg.d_model), lambda: rng.standard_normal((3, 4, cfg.d_model)))
+    weights = [Tensor(rng.standard_normal((3, 4, cfg.d_model))), Tensor(rng.standard_normal((3, cfg.num_heads, 4, 4)))]
+    return store, attn, lengths, weights
+
+
+def _weighted(A, probs, weights):
+    return T.reduce_sum(A * weights[0]) + T.reduce_sum(probs * weights[1])
+
+
+@pytest.mark.parametrize("case", list(_COLLAPSED_KEY_CASES))
+def test_collapsed_keys_match_the_key_projection(case):
+    """Outputs, probabilities and every gradient (the key kernel's and the query's included) to 1e-12."""
+    store, attn, lengths, weights = _collapsed_key_model(case)
+    runs = []
+    for A, probs in (
+        attn.attend_batch(store["E"].value, lengths),
+        attend_with_key_projection(attn, store["E"].value, lengths),
+    ):
+        store.zero_grads()
+        backward(_weighted(A, probs, weights))
+        runs.append((A.data, probs.data, {p.name: p.grad.copy() for p in store}))
+    (A, probs, grads), (A_ref, probs_ref, grads_ref) = runs
+    assert np.max(np.abs(A - A_ref)) < 1e-12
+    assert np.max(np.abs(probs - probs_ref)) < 1e-12
+    for name, g in grads.items():
+        assert np.max(np.abs(g - grads_ref[name])) < 1e-12, name
+    assert np.any(grads["attention.key.kernel"] != 0.0) and np.any(grads["attention.query"] != 0.0)
+
+
+@pytest.mark.parametrize("case", list(_COLLAPSED_KEY_CASES))
+def test_collapsed_keys_gradients_match_finite_differences(case):
+    store, attn, lengths, weights = _collapsed_key_model(case)
+    assert grad_check(lambda s: _weighted(*attn.attend_batch(s["E"].value, lengths), weights), store) < 1e-5
 
 
 def test_attention_dropout_applied_to_values_only_in_training():

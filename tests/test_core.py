@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_ops import logsumexp_lastdim
 
 from slotlab import tensor as T
 from slotlab.params import ParameterStore, grad_check
@@ -210,7 +211,7 @@ def _composite(store: ParameterStore):
     h = T.tanh(T.block_matmul(a, T.reshape(b, (1, 4, 4))) + store["c"].value)
     s = T.softmax_lastdim(h * 1.7)
     z = T.einsum2("ij,jk->ik", s, b)
-    return T.reduce_mean(T.sigmoid(z)) + T.logsumexp_lastdim(T.reshape(h, (-1,)))
+    return T.reduce_mean(T.sigmoid(z)) + logsumexp_lastdim(T.reshape(h, (-1,)))
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -243,7 +244,7 @@ def test_grad_check_linear_layer_tight():
         lambda x: T.einsum2("ij,kj->ik", x, Tensor(np.arange(12.0).reshape(3, 4) * 0.1)),
         lambda x: T.sigmoid(x),
         lambda x: T.tanh(x),
-        lambda x: T.logsumexp_lastdim(x),
+        lambda x: logsumexp_lastdim(x),
         lambda x: T.softmax_lastdim(x) * np.arange(8.0).reshape(2, 4),
         lambda x: T.reduce_sum(x, axis=0),
         lambda x: T.reduce_mean(x, axis=1),
@@ -291,7 +292,9 @@ def test_einsum2_rejects_index_repeated_within_an_operand():
 
 
 # every contraction the attention variants run, with small distinct sizes (b=2, h=3, i=j=4, d=5, r=7), plus the
-# relative term's earlier layout rd,hd->hr, whose three columns take `_matmul`'s zero-padded path
+# relative term's earlier layouts rd,hd->hr, whose three columns take `_matmul`'s zero-padded path, and hd,rd->rh,
+# and the shared query's earlier content scores bjhd,hd->bhj; the key-projection reference in test_attention runs
+# the last two
 _MODEL_EINSUMS = [
     ("bjhd,hd->bhj", (2, 4, 3, 5), (3, 5)),
     ("rd,hd->hr", (7, 5), (3, 5)),
@@ -299,6 +302,8 @@ _MODEL_EINSUMS = [
     ("bihd,ijd->bhij", (2, 4, 3, 5), (4, 4, 5)),
     ("bhij,bjhd->bihd", (2, 3, 4, 4), (2, 4, 3, 5)),
     ("hd,rd->rh", (3, 5), (7, 5)),
+    ("imcu,icu->imc", (3, 6, 2, 4), (3, 2, 4)),
+    ("hd,rd->hr", (3, 5), (7, 5)),
 ]
 
 
@@ -311,6 +316,30 @@ def test_block_matmul_rows_are_bitwise_equal_at_every_row_count(k_in, n_out):
     full = T.block_matmul(Tensor(x), w).data
     for m in range(1, 40):
         assert np.array_equal(T.block_matmul(Tensor(x[:m]), w).data, full[:m]), m
+
+
+def _block_mm_copied(x, w):
+    """Reference: the [..., k, N, n] block products computed whole, then swapped and copied into layout."""
+    k, m, n = w.shape
+    lead = x.shape[:-1]
+    return T._matmul(x.reshape(lead + (k, m)).swapaxes(-3, -2), w).swapaxes(-3, -2).reshape(lead + (k * n,))
+
+
+@pytest.mark.parametrize("k", [2, 4, 8])
+def test_block_products_written_in_place_are_bitwise_the_copied_layout(k):
+    """2-D and 3-D inputs, the transposed kernel view the input gradient uses, one-row inputs and n < 4."""
+    rng = np.random.default_rng(k)
+    for m, n in ((8, 16), (3, 5), (16, 4), (4, 3), (5, 1)):
+        for dtype in (np.float64, np.float32):
+            w = rng.standard_normal((k, m, n)).astype(dtype)
+            for lead in ((1,), (2,), (37,), (3, 1), (4, 9)):
+                for x, kernel in (
+                    (rng.standard_normal(lead + (k * m,)).astype(dtype), w),
+                    (rng.standard_normal(lead + (k * n,)).astype(dtype), w.swapaxes(1, 2)),
+                ):
+                    got, want = T._block_mm(x, kernel), _block_mm_copied(x, kernel)
+                    assert got.dtype == want.dtype and got.shape == want.shape
+                    assert got.tobytes() == want.tobytes(), (m, n, lead, dtype)
 
 
 def test_einsum2_one_utterance_is_bitwise_its_row_of_the_batch():
@@ -424,7 +453,7 @@ def test_grad_check_reports_nan_parameter():
     store.create("bad", (2,), lambda: np.ones(2))
 
     def f(s):
-        return T.logsumexp_lastdim(s["bad"].value - np.inf)  # log(0) -> -inf, grad 0/0 -> nan
+        return logsumexp_lastdim(s["bad"].value - np.inf)  # log(0) -> -inf, grad 0/0 -> nan
 
     with np.errstate(divide="ignore", invalid="ignore"):
         with pytest.raises(Exception) as err:

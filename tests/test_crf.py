@@ -4,12 +4,13 @@ import itertools
 
 import numpy as np
 import pytest
+from reference_ops import logsumexp_lastdim
 
 from slotlab import tensor as T
 from slotlab.crf import CrfHead, TagSet, crf_nll_batch, spans_from_bio, viterbi_decode, viterbi_decode_batch
 from slotlab.data import SlotSpan
 from slotlab.params import ParameterStore, grad_check
-from slotlab.tensor import ContractError, Tensor
+from slotlab.tensor import ContractError, DimensionError, Tensor, backward
 
 
 def make_head(d_model=3, num_tags=4, seed=0):
@@ -234,6 +235,10 @@ def test_invalid_gold_index_raises():
         crf_nll(H, [0, 3], head)
     with pytest.raises(ContractError):
         crf_nll(H, [0], head)
+    # padding past a length must hold valid indices too; the error names the sequence
+    gold, lengths = np.array([[0, 1, 2], [1, 7, 0]]), np.array([3, 1])
+    with pytest.raises(ContractError, match="sequence 1"):
+        crf_nll_batch(Tensor(np.zeros((2, 3, 3))), gold, lengths, head)
 
 
 def test_batched_nll_equals_single():
@@ -251,6 +256,93 @@ def test_batched_nll_equals_single():
     for b, (h, g) in enumerate(zip(seqs, golds)):
         single = float(crf_nll(Tensor(h), g, head).data)
         assert abs(losses[b] - single) < 1e-12
+
+
+def log_partition_loop(em, lengths, transitions, start, end):
+    """Reference: the forward algorithm as composed ops, the loop `T.crf_log_partition` replaced, kept here unchanged.
+
+    Every row runs all Tmax steps and each sequence's alpha is gathered at its last step.
+    """
+    B, Tmax, K = em.shape
+    alpha = T.reshape(T.narrow(em, 1, 0, 1), (B, K)) + start
+    alphas = [alpha]
+    for t in range(1, Tmax):
+        prev = T.reshape(alpha, (B, K, 1))
+        inner = logsumexp_lastdim(T.transpose(prev + transitions, (0, 2, 1)))
+        alpha = inner + T.reshape(T.narrow(em, 1, t, 1), (B, K))
+        alphas.append(alpha)
+    alpha = T.take_rows(T.concat(alphas, axis=0), (lengths - 1) * B + np.arange(B))
+    return logsumexp_lastdim(alpha + end)
+
+
+def _partition_case(rng, K):
+    """A ragged batch: B in 1-5, lengths in 1-6, sometimes a padded step past the longest."""
+    B = int(rng.integers(1, 6))
+    lengths = rng.integers(1, 7, size=B)
+    t_pad = int(lengths.max()) + int(rng.integers(0, 2))
+    em = rng.standard_normal((B, t_pad, K)) * 2.0
+    trans = rng.standard_normal((K, K))
+    start, end = rng.standard_normal((2, K))
+    return lengths, em, trans, start, end
+
+
+def _partition_and_grads(fn, lengths, arrays, weights):
+    leaves = [Tensor(a, requires_grad=True) for a in arrays]
+    em, trans, start, end = leaves
+    out = fn(em, lengths, trans, start, end)
+    backward(T.reduce_sum(out * weights))
+    return out.data, [leaf.grad for leaf in leaves]
+
+
+@pytest.mark.parametrize("K", range(1, 6))
+def test_log_partition_op_matches_the_composed_loop(K):
+    """Forward and every gradient to 1e-12; NaN in the padded steps reaches neither."""
+    rng = np.random.default_rng(K)
+    for _ in range(12):
+        lengths, *arrays = _partition_case(rng, K)
+        weights = rng.standard_normal(len(lengths))
+        got, got_grads = _partition_and_grads(T.crf_log_partition, lengths, arrays, weights)
+        want, want_grads = _partition_and_grads(log_partition_loop, lengths, arrays, weights)
+        assert np.max(np.abs(got - want)) < 1e-12
+        for g, w in zip(got_grads, want_grads):
+            assert np.max(np.abs(g - w)) < 1e-12
+
+        padded = arrays[0].copy()
+        for b, n in enumerate(lengths):
+            padded[b, n:] = np.nan
+        nan_out, nan_grads = _partition_and_grads(T.crf_log_partition, lengths, [padded] + arrays[1:], weights)
+        assert np.array_equal(nan_out, got)
+        for g, w in zip(nan_grads, got_grads):
+            assert np.array_equal(g, w)  # no NaN anywhere; zero at every padded step
+
+
+@pytest.mark.parametrize("K", range(1, 6))
+def test_log_partition_op_gradients_match_finite_differences(K):
+    rng = np.random.default_rng(10 + K)
+    lengths, em, trans, start, end = _partition_case(rng, K)
+    for b, n in enumerate(lengths):
+        em[b, n:] = np.nan  # never read: its finite-difference and analytic gradients are both 0
+    store = ParameterStore(seed=K)
+    for name, a in zip(("em", "trans", "start", "end"), (em, trans, start, end)):
+        store.create(name, a.shape, lambda a=a: a)
+    weights = Tensor(rng.standard_normal(len(lengths)))
+
+    def f(s):
+        out = T.crf_log_partition(s["em"].value, lengths, s["trans"].value, s["start"].value, s["end"].value)
+        return T.reduce_sum(out * weights)
+
+    assert grad_check(f, store) < 1e-5
+
+
+def test_log_partition_op_rejects_bad_shapes_and_lengths():
+    em, trans, vec = Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((4, 4))), Tensor(np.zeros(4))
+    for lengths in ([3], [3, 0], [3, 4], []):
+        with pytest.raises(ContractError):
+            T.crf_log_partition(em, np.array(lengths, dtype=int), trans, vec, vec)
+    with pytest.raises(DimensionError):
+        T.crf_log_partition(em, np.array([3, 1]), Tensor(np.zeros((3, 4))), vec, vec)
+    with pytest.raises(DimensionError):
+        T.crf_log_partition(Tensor(np.zeros((2, 4))), np.array([3, 1]), trans, vec, vec)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from slotlab.model import Checkpoint, ModelConfig, SlotModel, count_parameters, 
 from slotlab.params import grad_check
 from slotlab.synthetic import desk_config, make_from_to_corpus
 from slotlab.tensor import ConfigError, ContractError, NumericError
-from slotlab.training import build_model, train, _check_finite
+from slotlab.training import AdamW, build_model, train, _check_finite
 
 VOCAB = CharVocab([chr(97 + i) for i in range(10)])  # size 12
 TAGSET = TagSet.from_slot_types(["x", "y"])  # size 5
@@ -522,6 +522,27 @@ def test_serving_a_checkpoint_draws_no_random_numbers(tmp_path, monkeypatch):
     assert float(model.loss(batch, training=True).data) != eval_loss  # training still drops units
 
 
+def test_a_served_model_holds_no_gradient_buffers():
+    model = SlotModel(tiny_config(), VOCAB, TAGSET)
+    served = Checkpoint.from_model(model).build_model()
+    served.predict_batch([utt("abc de"), utt("fgh abc de i"), utt("a")])
+    assert sum(0 if p.grad is None else p.grad.nbytes for p in served.store) == 0
+    served.store.zero_grads()  # training's first step allocates them
+    assert all(p.grad.shape == p.shape and not p.grad.any() for p in served.store)
+
+
+def test_adamw_counts_a_gradient_never_written_as_zero():
+    corpus = _small_corpus(n=4)
+    cfg = train_config(weight_decay=0.01)
+    fresh, zeroed = build_model(corpus, cfg), build_model(corpus, cfg)
+    zeroed.store.zero_grads()
+    for model in (fresh, zeroed):
+        AdamW(model.store, cfg).step()
+    assert all(p.grad is None for p in fresh.store)
+    for p in fresh.store:
+        assert np.array_equal(p.data, zeroed.store[p.name].data), p.name
+
+
 def test_checkpoint_rejects_non_finite_parameters(tmp_path):
     model = SlotModel(tiny_config(), VOCAB, TAGSET)
     model.crf.transitions.data[1, 2] = np.nan
@@ -620,7 +641,8 @@ def test_nan_diagnostic_names_parameter():
 
 
 def test_desk_loss_graph_stays_small():
-    """Nodes backward visits for one desk batch; an LSTM step of separate ops per character would add hundreds."""
+    """Nodes backward visits for one desk batch; an LSTM step of separate ops per character would add hundreds,
+    and a CRF forward algorithm of separate ops per step would add dozens."""
     train_set, _ = make_from_to_corpus(seed=7)
     model = build_model(train_set, desk_config())
     loss = model.loss(train_set[:32], training=True)
@@ -630,7 +652,7 @@ def test_desk_loss_graph_stays_small():
             if p.requires_grad and id(p) not in seen:
                 seen.add(id(p))
                 stack.append(p)
-    assert len(seen) <= 147
+    assert len(seen) <= 78
 
 
 def test_training_log_record_shape():

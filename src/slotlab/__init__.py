@@ -7,7 +7,7 @@ the weights, and a training/evaluation harness for few-shot fractions,
 ablations, and unseen-entity substitution.
 """
 
-from .attention import AttentionConfig, ContextAttention, FusionGate, relative_index
+from .attention import AttentionConfig, ContextAttention, FusionGate
 from .charlstm import CharLstmEncoder, CharVocab
 from .crf import CrfHead, TagSet, crf_nll_batch, spans_from_bio, viterbi_decode
 from .data import (
@@ -63,7 +63,6 @@ __all__ = [
     "load_conll",
     "load_jsonl",
     "parameter_reduction",
-    "relative_index",
     "save_conll",
     "save_jsonl",
     "softmax_lastdim",

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import tensor as T
 from .layers import Dense, dropout
-from .params import ParameterStore, glorot_uniform
+from .params import ParameterStore, glorot_uniform, planned
 from .tensor import ConfigError, DimensionError, Tensor
 
 VARIANTS = ("abstract_rel", "self_rel", "self_abs")
@@ -50,15 +50,19 @@ class AttentionConfig:
         return self.mask_current
 
 
-def relative_index(i: int, j: int, max_distance: int) -> int:
-    """Bucket of the signed offset j - i, clipped to [-R, R], shifted to [0, 2R]."""
-    return int(np.clip(j - i, -max_distance, max_distance)) + max_distance
+# the cached arrays below are read-only: a caller's write would corrupt every later call
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 @lru_cache(maxsize=256)
 def _bucket_matrix(length: int, max_distance: int) -> np.ndarray:
+    """[length, length] bucket of the offset j - i: clipped to [-R, R], shifted to [0, 2R]."""
     offs = np.arange(length)
-    return np.clip(offs[None, :] - offs[:, None], -max_distance, max_distance) + max_distance
+    return _read_only(np.clip(offs[None, :] - offs[:, None], -max_distance, max_distance) + max_distance)
 
 
 @lru_cache(maxsize=64)
@@ -67,8 +71,13 @@ def sinusoid_table(length: int, dim: int) -> np.ndarray:
     pos = np.arange(length)[:, None].astype(np.float64)
     idx = np.arange(dim)[None, :]
     angle = pos / np.power(10000.0, (2 * (idx // 2)) / dim)
-    table = np.where(idx % 2 == 0, np.sin(angle), np.cos(angle))
-    return table
+    return _read_only(np.where(idx % 2 == 0, np.sin(angle), np.cos(angle)))
+
+
+@lru_cache(maxsize=64)
+def _current_mask(length: int, dtype: np.dtype) -> np.ndarray:
+    """Additive [length, length] mask: -inf on the diagonal, 0 elsewhere."""
+    return _read_only(np.where(np.eye(length, dtype=bool), -np.inf, 0.0).astype(dtype))
 
 
 class ContextAttention:
@@ -96,16 +105,23 @@ class ContextAttention:
             self.rel_embed = store.create(
                 prefix + ".rel_embed", r_shape, lambda: store.rng(init).uniform(-scale, scale, size=r_shape)
             )
+        # a served model computes the shared query's two parameter-only products once (`params.planned`)
+        self.plan_inputs = (self.key_proj.kernel, self.query, self.rel_embed) if cfg.variant == "abstract_rel" else ()
+        self._plan: dict[str, Tensor] = {}
 
-    def _mask(self, batch: int, length: int, lengths: np.ndarray, dtype) -> np.ndarray:
-        """Additive mask [batch, 1, length, length]: -inf on padded keys and,
-        when configured, on the current position."""
+    def _mask(self, batch: int, length: int, lengths: np.ndarray, dtype) -> np.ndarray | None:
+        """Additive mask: -inf on padded keys and, when configured, on the current position.
+
+        [batch, 1, length, length] when a slot is padded. Otherwise the cached
+        [length, length] current-position mask, or None when nothing is masked.
+        """
+        if lengths.min() == length:
+            return _current_mask(length, np.dtype(dtype)) if self.cfg.masks_current else None
         cols = np.arange(length)
         pad = cols[None, None, None, :] >= lengths[:, None, None, None]
         m = np.where(pad, -np.inf, 0.0).astype(dtype)
         if self.cfg.masks_current:
-            diag = np.where(np.eye(length, dtype=bool), -np.inf, 0.0).astype(dtype)
-            m = m + diag
+            m = m + _current_mask(length, np.dtype(dtype))
         return m
 
     def attend_batch(self, E: Tensor, lengths: np.ndarray, training: bool = False) -> tuple[Tensor, Tensor]:
@@ -123,10 +139,15 @@ class ContextAttention:
             # contracts with q into one kernel column first and the [B, T, h*d] keys are never formed.
             k, m, n = self.key_proj.kernel.shape
             u = math.gcd(n, d)
-            kernel_q = T.einsum2(
-                "imcu,icu->imc",
-                T.reshape(self.key_proj.kernel.value, (k, m, n // u, u)),
-                T.reshape(self.query.value, (k, n // u, u)),
+            kernel_q = planned(
+                self._plan,
+                "kernel_q",
+                (self.key_proj.kernel, self.query),
+                lambda: T.einsum2(
+                    "imcu,icu->imc",
+                    T.reshape(self.key_proj.kernel.value, (k, m, n // u, u)),
+                    T.reshape(self.query.value, (k, n // u, u)),
+                ),
             )
             units = T.reshape(T.block_matmul(E, kernel_q), (B, length, h, d // u))
             if u < d:
@@ -134,10 +155,15 @@ class ContextAttention:
             content = T.transpose(units, (0, 2, 3, 1))  # [B, h, 1, T]
             # heads as rows and buckets as columns: a product at least four columns wide runs on BLAS unpadded;
             # gathered from the flat table, the [h, T, T] term is contiguous, and so are the scores it lays out
-            rel_by_head = T.einsum2("hd,rd->hr", self.query.value, self.rel_embed.value)
             buckets = 2 * cfg.max_relative_distance + 1
+            rel_by_head = planned(
+                self._plan,
+                "rel_by_head",
+                (self.query, self.rel_embed),
+                lambda: T.reshape(T.einsum2("hd,rd->hr", self.query.value, self.rel_embed.value), (h * buckets,)),
+            )
             index = np.arange(h)[:, None, None] * buckets + _bucket_matrix(length, cfg.max_relative_distance)
-            scores = content + T.take_rows(T.reshape(rel_by_head, (h * buckets,)), index)
+            scores = content + T.take_rows(rel_by_head, index)
         else:
             K4 = T.reshape(self.key_proj(E), (B, length, h, d))
             Q4 = T.reshape(self.query_proj(E), (B, length, h, d))
@@ -150,7 +176,9 @@ class ContextAttention:
                 scores = scores + T.einsum2("bihd,ijd->bhij", Q4, rel)
 
         scores = scores * (1.0 / np.sqrt(d))
-        scores = scores + T.constant(self._mask(B, length, lengths, E.data.dtype))
+        mask = self._mask(B, length, lengths, E.data.dtype)
+        if mask is not None:
+            scores = scores + T.constant(mask)
         probs = T.softmax_lastdim(scores, all_masked_ok=True)
         rng = self.store.rng(self.prefix + ".dropout") if training else None
         used = dropout(probs, cfg.attention_dropout, training, rng)

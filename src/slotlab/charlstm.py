@@ -8,7 +8,8 @@ longest first and their characters laid out time-major, so step t runs only
 the words longer than t. The input kernel has no bias, so it projects the
 character table once (V rows, PAD and UNK included) and one gather picks each
 real character's row; the recurrence is one `T.lstm_packed` op, and one final
-gather puts the projected rows back in the caller's word order.
+gather puts the projected rows back in the caller's word order. A served model
+projects the table once (`params.planned`).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import tensor as T
 from .layers import Dense, dropout
-from .params import ParameterStore, glorot_uniform, orthogonal
+from .params import ParameterStore, glorot_uniform, orthogonal, planned
 from .tensor import ContractError, Tensor
 
 PAD_ID = 0
@@ -102,6 +103,8 @@ class CharLstmEncoder:
             prefix + ".lstm.bias", (4 * lstm_units,), lambda: np.repeat([0.0, 1.0, 0.0, 0.0], lstm_units)
         )
         self.proj = Dense(store, prefix + ".word_proj", lstm_units, d_model, activation="tanh")
+        self.plan_inputs = (self.embed, self.input_map.kernel)
+        self._plan: dict[str, Tensor] = {}
 
     def encode_words(self, char_ids: Sequence[Sequence[int]]) -> Tensor:
         """Encode a batch of words (lists of char ids) to [n_words, d_model]."""
@@ -115,7 +118,8 @@ class CharLstmEncoder:
         # time-major: step t holds the characters of the words longer than t
         steps = [[c for c in step if c is not None] for step in zip_longest(*words)]
         # the input kernel is linear without bias, so project the V-row table once and gather its rows
-        x = T.take_rows(self.input_map(self.embed.value), np.concatenate(steps))
+        table = planned(self._plan, "char_table", self.plan_inputs, lambda: self.input_map(self.embed.value))
+        x = T.take_rows(table, np.concatenate(steps))
         h = T.lstm_packed(x, self.recurrent_map.kernel.value, self.b.value, [len(s) for s in steps])
         row = {w: r for r, w in enumerate(words)}
         return T.take_rows(self.proj(h), [row[k] for k in keys])

@@ -137,6 +137,9 @@ class SlotModel:
     Without `arrays` every parameter is drawn from its initializer; with them
     (a checkpoint's) each parameter is a copy of the array of its name, and a
     missing, misshapen or unknown array fails with a ContractError naming it.
+    `plan_inputs` are the parameters of the parameter-only products (the
+    projected char table, and under abstract_rel the key kernel contracted
+    with the shared query and the query's relative scores).
     """
 
     def __init__(
@@ -163,6 +166,7 @@ class SlotModel:
             self.gate = FusionGate(self.store, config.d_model, num_blocks=blocks)
         self.crf = CrfHead(self.store, config.d_model, tagset.size)
         self.store.check_loaded()
+        self.plan_inputs = self.encoder.plan_inputs + (self.attention.plan_inputs if self.attention else ())
 
     # ------------------------------------------------------------------
     # forward paths
@@ -180,12 +184,15 @@ class SlotModel:
         words = [w for u in utts for w in u.words]
         ids = {w: self.vocab.encode(w) for w in dict.fromkeys(words)}  # each distinct string encoded once
         flat = self.encoder.encode_utterance([ids[w] for w in words], self.config.dropout, training)
-        # slot (b, t) reads word t of utterance b; padded slots read an appended zero row
-        steps = np.arange(int(lengths.max()))
-        starts = np.cumsum(lengths) - lengths
-        index = np.where(steps < lengths[:, None], starts[:, None] + steps, len(words))
-        zero = T.constant(np.zeros((1, self.config.d_model), dtype=flat.data.dtype))
-        E3 = T.take_rows(T.concat([flat, zero], axis=0), index)
+        t_max = int(lengths.max())
+        if lengths.min() == t_max:  # nothing to pad: utterance b is rows b*T .. b*T + T-1
+            E3 = T.reshape(flat, (len(utts), t_max, self.config.d_model))
+        else:  # slot (b, t) reads word t of utterance b; padded slots read an appended zero row
+            steps = np.arange(t_max)
+            starts = np.cumsum(lengths) - lengths
+            index = np.where(steps < lengths[:, None], starts[:, None] + steps, len(words))
+            zero = T.constant(np.zeros((1, self.config.d_model), dtype=flat.data.dtype))
+            E3 = T.take_rows(T.concat([flat, zero], axis=0), index)
         if self.attention is None:
             return E3, lengths
         A3, _ = self.attention.attend_batch(E3, lengths, training)
@@ -284,7 +291,11 @@ class Checkpoint:
         return cls(model.config, model.vocab, model.tagset, model.store.snapshot())
 
     def build_model(self) -> SlotModel:
-        return SlotModel(self.config, self.vocab, self.tagset, self.arrays)
+        """A model for serving: its `plan_inputs` are read-only, so under no_grad it computes their products once."""
+        model = SlotModel(self.config, self.vocab, self.tagset, self.arrays)
+        for p in model.plan_inputs:
+            p.data.flags.writeable = False
+        return model
 
     def save(self, directory) -> None:
         directory = Path(directory)

@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 import hashlib
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .tensor import ContractError, NumericError, Tensor, backward, np_dtype
+from .tensor import ContractError, NumericError, Tensor, backward, grad_enabled, np_dtype
 
 
 def _named_seed(seed: int, name: str) -> np.random.Generator:
@@ -127,14 +127,21 @@ class ParameterStore:
     def snapshot(self) -> dict[str, np.ndarray]:
         return {p.name: p.data.copy() for p in self}
 
-    def restore(self, arrays: dict[str, np.ndarray]) -> None:
-        """Copy a `snapshot` of this store back into its parameters: training's rollback to its best epoch.
 
-        Loading a checkpoint does not come here: a store built over loaded
-        arrays checks them as it creates each parameter.
-        """
-        for p in self:
-            p.data[...] = arrays[p.name]
+def planned(plan: dict[str, Tensor], name: str, inputs: Sequence[Parameter], compute: Callable[[], Tensor]) -> Tensor:
+    """compute(), kept in `plan` under `name` while grad is off and every one of `inputs` is read-only.
+
+    `Checkpoint.build_model()` makes the inputs of a served model's
+    parameter-only products read-only, so they cannot change in place and the
+    product computed once is bitwise the one every later call would compute.
+    With grad on, or with any input writable (a model in training), each call
+    computes it afresh.
+    """
+    if grad_enabled() or any(p.data.flags.writeable for p in inputs):
+        return compute()
+    if name not in plan:
+        plan[name] = compute()
+    return plan[name]
 
 
 # ---------------------------------------------------------------------------

@@ -141,5 +141,5 @@ def train(
             break
 
     if dev_list:
-        model.store.restore(best_arrays)
+        return Checkpoint(model.config, model.vocab, model.tagset, best_arrays), records
     return Checkpoint.from_model(model), records

@@ -1,4 +1,4 @@
-"""Autodiff ops that only the tests' reference compositions use, kept out of slotlab's op set."""
+"""Autodiff ops and scalar oracles that only the tests' reference compositions use, kept out of slotlab."""
 
 import numpy as np
 
@@ -19,3 +19,8 @@ def logsumexp_lastdim(x: Tensor) -> Tensor:
         sink(x, p * np.expand_dims(g, -1))
 
     return T._result(out, (x,), bwd)
+
+
+def relative_index(i: int, j: int, max_distance: int) -> int:
+    """Bucket of the signed offset j - i, clipped to [-R, R], shifted to [0, 2R]."""
+    return int(np.clip(j - i, -max_distance, max_distance)) + max_distance

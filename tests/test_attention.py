@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_ops import relative_index
 
 from slotlab import tensor as T
 from slotlab.attention import (
@@ -11,7 +12,7 @@ from slotlab.attention import (
     ContextAttention,
     FusionGate,
     _bucket_matrix,
-    relative_index,
+    _current_mask,
     sinusoid_table,
 )
 from slotlab.params import ParameterStore, grad_check
@@ -154,6 +155,13 @@ def test_asymmetric_relative_embeddings_distinguish_directions():
     swapped[[0, 2]] = swapped[[2, 0]]
     _, probs2 = attend(attn, Tensor(swapped))
     assert np.max(np.abs(probs1.data[0, 1] - probs2.data[0, 1])) > 1e-6
+
+
+def test_cached_tables_are_read_only():
+    for table in (_bucket_matrix(5, 2), sinusoid_table(5, 6), _current_mask(5, np.dtype(np.float64))):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 1
+    assert _current_mask(3, np.dtype(np.float32)).tolist() == [[-np.inf, 0, 0], [0, -np.inf, 0], [0, 0, -np.inf]]
 
 
 def test_attention_gradients():

@@ -531,6 +531,79 @@ def test_a_served_model_holds_no_gradient_buffers():
     assert all(p.grad.shape == p.shape and not p.grad.any() for p in served.store)
 
 
+# ---------------------------------------------------------------------------
+# serving from a frozen plan
+
+PLAN_INPUTS = [
+    "encoder.char_embed",
+    "encoder.lstm.input.kernel",
+    "attention.key.kernel",
+    "attention.query",
+    "attention.rel_embed",
+]
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [{}, {"use_block_dense": True}, {"variant": "self_rel"}, {"variant": "self_abs"}, {"variant": "none"}],
+    ids=["dense", "block_dense", "self_rel", "self_abs", "none"],
+)
+def test_a_served_model_serves_the_writable_models_bits_cold_and_warm(overrides):
+    writable = SlotModel(tiny_config(**overrides), VOCAB, TAGSET)
+    batches = [[utt("abc de"), utt("fgh abc de i"), utt("a")], [utt("de de bij")], [utt("ab cd"), utt("ef gh")]]
+
+    def served(model, batch):
+        with T.no_grad():
+            H3, _ = model.features_batch(batch)
+        return H3.data, model.predict_batch(batch)
+
+    want = [served(writable, b) for b in batches]
+    model = Checkpoint.from_model(writable).build_model()
+    for _ in ("cold", "warm"):
+        for batch, (H3, spans) in zip(batches, want):
+            got_H3, got_spans = served(model, batch)
+            assert np.array_equal(got_H3, H3) and got_spans == spans
+    assert model.encoder._plan and not writable.encoder._plan  # a writable model keeps the per-call path
+    if model.config.variant == "abstract_rel":
+        assert set(model.attention._plan) == {"kernel_q", "rel_by_head"}
+
+
+def test_a_write_into_a_plan_input_of_a_served_model_raises():
+    model = Checkpoint.from_model(SlotModel(tiny_config(), VOCAB, TAGSET)).build_model()
+    assert [p.name for p in model.plan_inputs] == PLAN_INPUTS
+    for name in PLAN_INPUTS:
+        with pytest.raises(ValueError, match="read-only"):
+            model.store[name].data[...] = 0.0
+
+
+def test_training_loss_on_a_served_model_still_reaches_the_plan_inputs():
+    writable = SlotModel(tiny_config(), VOCAB, TAGSET)
+    model = Checkpoint.from_model(writable).build_model()
+    batch = [utt("abc de", (0, 0, "x")), utt("fgh abc de i", (2, 3, "y"))]
+    model.predict_batch(batch)  # fills the plan
+    for m in (writable, model):
+        m.store.zero_grads()
+        T.backward(m.loss(batch, training=True))
+    for name in ("encoder.char_embed", "attention.query", "attention.key.kernel"):
+        assert model.store[name].grad.any(), name
+        assert np.array_equal(model.store[name].grad, writable.store[name].grad), name
+
+
+def test_an_unpadded_batch_gives_each_utterance_its_rows_alone_and_padded(desk_served):
+    model, test_set = desk_served
+    length = max({len(u.tokens) for u in test_set}, key=lambda n: sum(len(u.tokens) == n for u in test_set))
+    equal = [u for u in test_set if len(u.tokens) == length][:8]
+    longer = next(u for u in test_set if len(u.tokens) > length)
+    assert len(equal) > 1
+    with T.no_grad():
+        together, _ = model.features_batch(equal)
+        padded, _ = model.features_batch(equal + [longer])
+        for b, u in enumerate(equal):
+            alone, _ = model.features_batch([u])
+            assert np.array_equal(together.data[b], alone.data[0]), u.text
+            assert np.array_equal(together.data[b], padded.data[b, :length]), u.text
+
+
 def test_adamw_counts_a_gradient_never_written_as_zero():
     corpus = _small_corpus(n=4)
     cfg = train_config(weight_decay=0.01)

@@ -7,7 +7,7 @@ the weights, and a training/evaluation harness for few-shot fractions,
 ablations, and unseen-entity substitution.
 """
 
-from .attention import AttentionConfig, ContextAttention, FusionGate
+from .attention import ContextAttention, FusionGate
 from .charlstm import CharLstmEncoder, CharVocab
 from .crf import CrfHead, TagSet, crf_nll_batch, spans_from_bio, viterbi_decode
 from .data import (
@@ -18,7 +18,6 @@ from .data import (
     fraction_split,
     load_conll,
     load_jsonl,
-    save_conll,
     save_jsonl,
     substitute_entities,
     tokenize,
@@ -34,7 +33,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdamW",
-    "AttentionConfig",
     "Checkpoint",
     "CharLstmEncoder",
     "CharVocab",
@@ -63,7 +61,6 @@ __all__ = [
     "load_conll",
     "load_jsonl",
     "parameter_reduction",
-    "save_conll",
     "save_jsonl",
     "softmax_lastdim",
     "span_f1",

@@ -12,8 +12,8 @@ gate blends the attention output with the word embedding afterwards.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -22,32 +22,10 @@ from .layers import Dense, dropout
 from .params import ParameterStore, glorot_uniform, planned
 from .tensor import ConfigError, DimensionError, Tensor
 
+if TYPE_CHECKING:
+    from .model import ModelConfig
+
 VARIANTS = ("abstract_rel", "self_rel", "self_abs")
-
-
-@dataclass
-class AttentionConfig:
-    num_heads: int = 4
-    head_size: int = 128
-    d_model: int = 256
-    max_relative_distance: int = 8
-    attention_dropout: float = 0.1
-    variant: str = "abstract_rel"
-    mask_current: bool | None = None  # None: on for abstract_rel, off otherwise
-
-    def __post_init__(self):
-        if self.variant not in VARIANTS:
-            raise ConfigError(f"unknown attention variant {self.variant!r}")
-        for field in ("num_heads", "head_size", "d_model", "max_relative_distance"):
-            value = getattr(self, field)
-            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-                raise ConfigError(f"config field {field!r} must be a positive integer, got {value!r}")
-
-    @property
-    def masks_current(self) -> bool:
-        if self.mask_current is None:
-            return self.variant == "abstract_rel"
-        return self.mask_current
 
 
 # the cached arrays below are read-only: a caller's write would corrupt every later call
@@ -81,9 +59,11 @@ def _current_mask(length: int, dtype: np.dtype) -> np.ndarray:
 
 
 class ContextAttention:
-    """Attention over word embeddings [*, T, d_model]; see module docstring."""
+    """Attention over word embeddings [*, T, d_model], sized and switched by a ModelConfig; see module docstring."""
 
-    def __init__(self, store: ParameterStore, cfg: AttentionConfig, num_blocks: int = 1, prefix: str = "attention"):
+    def __init__(self, store: ParameterStore, cfg: ModelConfig, num_blocks: int = 1, prefix: str = "attention"):
+        if cfg.variant not in VARIANTS:
+            raise ConfigError(f"variant {cfg.variant!r} has no attention; expected one of {VARIANTS}")
         self.store = store
         self.cfg = cfg
         self.prefix = prefix
@@ -145,8 +125,8 @@ class ContextAttention:
                 (self.key_proj.kernel, self.query),
                 lambda: T.einsum2(
                     "imcu,icu->imc",
-                    T.reshape(self.key_proj.kernel.value, (k, m, n // u, u)),
-                    T.reshape(self.query.value, (k, n // u, u)),
+                    T.reshape(self.key_proj.kernel, (k, m, n // u, u)),
+                    T.reshape(self.query, (k, n // u, u)),
                 ),
             )
             units = T.reshape(T.block_matmul(E, kernel_q), (B, length, h, d // u))
@@ -160,7 +140,7 @@ class ContextAttention:
                 self._plan,
                 "rel_by_head",
                 (self.query, self.rel_embed),
-                lambda: T.reshape(T.einsum2("hd,rd->hr", self.query.value, self.rel_embed.value), (h * buckets,)),
+                lambda: T.reshape(T.einsum2("hd,rd->hr", self.query, self.rel_embed), (h * buckets,)),
             )
             index = np.arange(h)[:, None, None] * buckets + _bucket_matrix(length, cfg.max_relative_distance)
             scores = content + T.take_rows(rel_by_head, index)
@@ -170,7 +150,7 @@ class ContextAttention:
             scores = T.einsum2("bihd,bjhd->bhij", Q4, K4)
             if cfg.variant == "self_rel":
                 rel = T.reshape(
-                    T.take_rows(self.rel_embed.value, _bucket_matrix(length, cfg.max_relative_distance).ravel()),
+                    T.take_rows(self.rel_embed, _bucket_matrix(length, cfg.max_relative_distance).ravel()),
                     (length, length, d),
                 )
                 scores = scores + T.einsum2("bihd,ijd->bhij", Q4, rel)

@@ -118,9 +118,9 @@ class CharLstmEncoder:
         # time-major: step t holds the characters of the words longer than t
         steps = [[c for c in step if c is not None] for step in zip_longest(*words)]
         # the input kernel is linear without bias, so project the V-row table once and gather its rows
-        table = planned(self._plan, "char_table", self.plan_inputs, lambda: self.input_map(self.embed.value))
+        table = planned(self._plan, "char_table", self.plan_inputs, lambda: self.input_map(self.embed))
         x = T.take_rows(table, np.concatenate(steps))
-        h = T.lstm_packed(x, self.recurrent_map.kernel.value, self.b.value, [len(s) for s in steps])
+        h = T.lstm_packed(x, self.recurrent_map.kernel, self.b, [len(s) for s in steps])
         row = {w: r for r, w in enumerate(words)}
         return T.take_rows(self.proj(h), [row[k] for k in keys])
 

@@ -30,8 +30,8 @@ class TagSet:
             raise ContractError("tagset must start with 'O'")
         btags = {t[2:] for t in tags if t.startswith("B-")}
         for t in tags[1:]:
-            if not (t.startswith("B-") or t.startswith("I-")):
-                raise ContractError(f"invalid tag {t!r}")
+            if t[:2] not in ("B-", "I-") or len(t) == 2:
+                raise ContractError(f"invalid tag {t!r}: expected B-type or I-type")
             if t.startswith("I-") and t[2:] not in btags:
                 raise ContractError(f"tag {t!r} has no matching B- tag")
         self.tags = tags
@@ -111,15 +111,15 @@ def crf_nll_batch(H: Tensor, gold: np.ndarray, lengths: np.ndarray, head: CrfHea
     flat_rows = (np.arange(B)[:, None] * Tmax + np.arange(Tmax)[None, :]) * K + gold
     picked = T.reshape(T.take_rows(T.reshape(em, (B * Tmax * K,)), flat_rows.ravel()), (B, Tmax))
     score = T.reduce_sum(picked * T.constant(step_mask), axis=1)
-    score = score + T.take_rows(head.start.value, gold[:, 0])
-    score = score + T.take_rows(head.end.value, gold[np.arange(B), lengths - 1])
+    score = score + T.take_rows(head.start, gold[:, 0])
+    score = score + T.take_rows(head.end, gold[np.arange(B), lengths - 1])
     if Tmax > 1:
         tr_idx = gold[:, :-1] * K + gold[:, 1:]
         tr_mask = (np.arange(1, Tmax)[None, :] < lengths[:, None]).astype(dtype)
-        picked_tr = T.reshape(T.take_rows(T.reshape(head.transitions.value, (K * K,)), tr_idx.ravel()), (B, Tmax - 1))
+        picked_tr = T.reshape(T.take_rows(T.reshape(head.transitions, (K * K,)), tr_idx.ravel()), (B, Tmax - 1))
         score = score + T.reduce_sum(picked_tr * T.constant(tr_mask), axis=1)
 
-    log_z = T.crf_log_partition(em, lengths, head.transitions.value, head.start.value, head.end.value)
+    log_z = T.crf_log_partition(em, lengths, head.transitions, head.start, head.end)
     return log_z - score
 
 

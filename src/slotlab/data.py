@@ -84,6 +84,9 @@ def tokenize(text: str) -> list[Token]:
 
 
 def _check_spans(spans: Sequence[SlotSpan], n_tokens: int, where: str) -> list[SlotSpan]:
+    for sp in spans:
+        if not isinstance(sp.slot_type, str) or not sp.slot_type:
+            raise DataError(f"{where}: span slot type must be a non-empty string, got {sp.slot_type!r}")
     ordered = sorted(spans)
     for sp in ordered:
         if not (0 <= sp.start_token <= sp.end_token < n_tokens):
@@ -96,11 +99,15 @@ def _check_spans(spans: Sequence[SlotSpan], n_tokens: int, where: str) -> list[S
 
 def utterance_from_text(text: str, char_spans: Sequence[tuple[int, int, str]], lang: str = "", where: str = "utterance") -> Utterance:
     """Tokenize and convert half-open char spans to inclusive token spans."""
+    if not isinstance(text, str):
+        raise DataError(f"{where}: text must be a string, got {text!r}")
     tokens = tokenize(text)
     starts = {t.start: k for k, t in enumerate(tokens)}
     ends = {t.end: k for k, t in enumerate(tokens)}
     spans = []
     for s, e, slot in char_spans:
+        if type(s) is not int or type(e) is not int:
+            raise DataError(f"{where}: span offsets must be integers, got [{s!r}, {e!r})")
         if s not in starts or e not in ends or starts[s] > ends[e]:
             raise DataError(f"{where}: span [{s}, {e}) of type {slot!r} does not align with token boundaries")
         spans.append(SlotSpan(starts[s], ends[e], slot))
@@ -178,8 +185,8 @@ def load_conll(path) -> list[Utterance]:
     all_tags = {tag for block in blocks for _, tag in block}
     for bi, block in enumerate(blocks):
         for _, tag in block:
-            if tag != "O" and not (tag.startswith("B-") or tag.startswith("I-")):
-                raise DataError(f"{path} block {bi}: unknown tag prefix in {tag!r}")
+            if tag != "O" and not (tag[:2] in ("B-", "I-") and len(tag) > 2):
+                raise DataError(f"{path} block {bi}: tag {tag!r} is not O, B-type or I-type")
     types = sorted({t[2:] for t in all_tags if t != "O"})
     tagset = TagSet.from_slot_types(types)
 
@@ -190,20 +197,6 @@ def load_conll(path) -> list[Utterance]:
         spans = spans_from_bio(ids, tagset)
         out.append(utterance_from_words(words, spans, where=f"{path} block {bi}"))
     return out
-
-
-def save_conll(utterances: Iterable[Utterance], path) -> None:
-    from .crf import TagSet
-
-    utts = list(utterances)
-    types = sorted({sp.slot_type for u in utts for sp in u.spans})
-    tagset = TagSet.from_slot_types(types)
-    with open(path, "w", encoding="utf-8") as fh:
-        for u in utts:
-            tags = bio_from_spans(u, tagset)
-            for tok, tid in zip(u.tokens, tags):
-                fh.write(f"{tok.surface}\t{tagset.tag(tid)}\n")
-            fh.write("\n")
 
 
 # ---------------------------------------------------------------------------

@@ -64,14 +64,10 @@ class Dense:
         self.bias = store.create(name + ".bias", (out_dim,), lambda: np.zeros(out_dim)) if use_bias else None
 
     def __call__(self, x: Tensor) -> Tensor:
-        out = T.block_matmul(x, self.kernel.value)
+        out = T.block_matmul(x, self.kernel)
         if self.bias is not None:
-            out = out + self.bias.value
+            out = out + self.bias
         return ACTIVATIONS[self.activation](out)
-
-    @property
-    def param_count(self) -> int:
-        return self.kernel.count + (self.bias.count if self.bias is not None else 0)
 
 
 def dropout(x: Tensor, rate: float, training: bool, rng: np.random.Generator) -> Tensor:

@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from . import tensor as T
-from .attention import VARIANTS as ATTENTION_VARIANTS, AttentionConfig, ContextAttention, FusionGate
+from .attention import VARIANTS as ATTENTION_VARIANTS, ContextAttention, FusionGate
 from .charlstm import CharLstmEncoder, CharVocab
 from .crf import CrfHead, TagSet, crf_nll_batch, spans_from_bio, viterbi_decode_batch
 from .data import SlotSpan, Utterance, bio_from_spans
@@ -38,20 +38,24 @@ def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
-# field -> (test, what a valid value is); the attention sizes, d_model among
-# them, are checked by AttentionConfig
+# field -> (test, what a valid value is): the one place a config field is checked
 _POSITIVE = (lambda v: _is_int(v) and v >= 1, "a positive integer")
 _FRACTION = (lambda v: _is_number(v) and 0.0 <= v < 1.0, "a number in [0, 1)")
 _NON_NEGATIVE = (lambda v: _is_number(v) and 0.0 <= v < math.inf, "a finite non-negative number")
 _FIELD_RULES = {
     "char_embed_dim": _POSITIVE,
     "lstm_units": _POSITIVE,
+    "d_model": _POSITIVE,
+    "num_heads": _POSITIVE,
+    "head_size": _POSITIVE,
     "num_blocks": _POSITIVE,
     "dropout": _FRACTION,
     "attention_dropout": _FRACTION,
     "weight_decay": _NON_NEGATIVE,
+    "variant": (lambda v: v in VARIANTS, f"one of {VARIANTS}"),
     "use_block_dense": (lambda v: isinstance(v, bool), "true or false"),
     "mask_current": (lambda v: v is None or isinstance(v, bool), "true, false or null"),
+    "max_relative_distance": _POSITIVE,
     "learning_rate": _NON_NEGATIVE,
     "beta1": _FRACTION,
     "beta2": _FRACTION,
@@ -60,6 +64,7 @@ _FIELD_RULES = {
     "max_epochs": _POSITIVE,
     "patience": (lambda v: _is_int(v) and v >= 0, "a non-negative integer"),
     "seed": (_is_int, "an integer"),
+    "dtype": (lambda v: v in ("f32", "f64"), "'f32' or 'f64'"),
 }
 
 
@@ -93,17 +98,19 @@ class ModelConfig:
             value = getattr(self, name)
             if not valid(value):
                 raise ConfigError(f"config field {name!r} must be {expected}, got {value!r}")
-        AttentionConfig(self.num_heads, self.head_size, self.d_model, self.max_relative_distance)  # checks the sizes
-        if self.variant not in VARIANTS:
-            raise ConfigError(f"unknown variant {self.variant!r}; expected one of {VARIANTS}")
-        if self.dtype not in ("f32", "f64"):
-            raise ConfigError(f"dtype must be 'f32' or 'f64', got {self.dtype!r}")
+
+    @property
+    def masks_current(self) -> bool:
+        """Whether attention masks each token's own position: mask_current, else on for abstract_rel only."""
+        return self.variant == "abstract_rel" if self.mask_current is None else self.mask_current
 
     def to_dict(self) -> dict:
         return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ModelConfig":
+        if not isinstance(data, dict):
+            raise ConfigError(f"a config must be a JSON object of fields, got {type(data).__name__}")
         known = {f for f in cls.__dataclass_fields__}
         unknown = set(data) - known
         if unknown:
@@ -112,23 +119,15 @@ class ModelConfig:
 
     @classmethod
     def from_json_file(cls, path) -> "ModelConfig":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+        try:
+            with open(path, encoding="utf-8") as fh:
+                return cls.from_dict(json.load(fh))
+        except ValueError as exc:  # not UTF-8 JSON, or a ConfigError (a ValueError) of from_dict
+            raise ConfigError(f"config file {path}: {exc}") from exc
 
     def config_hash(self) -> str:
         blob = json.dumps(self.to_dict(), sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:12]
-
-    def attention_config(self) -> AttentionConfig:
-        return AttentionConfig(
-            num_heads=self.num_heads,
-            head_size=self.head_size,
-            d_model=self.d_model,
-            max_relative_distance=self.max_relative_distance,
-            attention_dropout=self.attention_dropout,
-            variant=self.variant,
-            mask_current=self.mask_current,
-        )
 
 
 class SlotModel:
@@ -162,7 +161,7 @@ class SlotModel:
             self.attention = None
             self.gate = None
         else:
-            self.attention = ContextAttention(self.store, config.attention_config(), num_blocks=blocks)
+            self.attention = ContextAttention(self.store, config, num_blocks=blocks)
             self.gate = FusionGate(self.store, config.d_model, num_blocks=blocks)
         self.crf = CrfHead(self.store, config.d_model, tagset.size)
         self.store.check_loaded()
@@ -256,7 +255,7 @@ def count_parameters(config: ModelConfig, char_vocab_size: int, num_tags: int) -
     tagset = TagSet(["O"] + [f"B-{i}" for i in range(num_tags - 1)])
     store = SlotModel(config, vocab, tagset).store
     counts = {
-        key: sum(p.count for p in store if p.name.startswith(prefix)) for key, prefix in _COMPONENT_PREFIXES.items()
+        key: sum(p.size for p in store if p.name.startswith(prefix)) for key, prefix in _COMPONENT_PREFIXES.items()
     }
     counts["total"] = store.total_count()
     return counts
@@ -338,6 +337,10 @@ class Checkpoint:
             arrays = {}
             for entry in manifest["params"]:
                 name, shape, start = entry["name"], tuple(entry["shape"]), entry["offset"]
+                if name in arrays:
+                    raise ConfigError(f"checkpoint parameter {name!r} is listed twice")
+                if not all(_is_int(s) and s >= 0 for s in shape):
+                    raise ConfigError(f"checkpoint parameter {name!r} has a bad shape {list(shape)}")
                 n = int(np.prod(shape)) if shape else 1
                 if start + dtype.itemsize * n > len(blob):
                     raise ConfigError(f"checkpoint blob truncated at parameter {name!r}")

@@ -15,34 +15,18 @@ def _named_seed(seed: int, name: str) -> np.random.Generator:
     return np.random.default_rng(int.from_bytes(digest[:8], "little"))
 
 
-class Parameter:
-    """A named tensor with a persistent gradient accumulator, allocated when first zeroed or written.
+class Parameter(Tensor):
+    """A named leaf tensor whose gradient buffer is allocated when first zeroed or written.
 
     Until then `grad` is None, so a model that only serves holds no gradient memory.
     """
 
-    __slots__ = ("name", "value")
+    __slots__ = ("name",)
 
     def __init__(self, name: str, array: np.ndarray):
+        super().__init__(array)
+        self.requires_grad = True
         self.name = name
-        self.value = Tensor(array)
-        self.value.requires_grad = True
-
-    @property
-    def data(self) -> np.ndarray:
-        return self.value.data
-
-    @property
-    def grad(self) -> np.ndarray | None:
-        return self.value.grad
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.value.shape
-
-    @property
-    def count(self) -> int:
-        return self.value.size
 
     def __repr__(self) -> str:
         return f"Parameter({self.name!r}, shape={self.shape})"
@@ -101,28 +85,19 @@ class ParameterStore:
     def __getitem__(self, name: str) -> Parameter:
         return self._params[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
-
     def __iter__(self) -> Iterator[Parameter]:
         return iter(self._params.values())
 
-    def __len__(self) -> int:
-        return len(self._params)
-
-    def names(self) -> list[str]:
-        return list(self._params)
-
     def total_count(self) -> int:
-        return sum(p.count for p in self)
+        return sum(p.size for p in self)
 
     def zero_grads(self) -> None:
         """Zero every gradient buffer, allocating the ones not yet made."""
         for p in self:
-            if p.value.grad is None:
-                p.value.grad = np.zeros_like(p.data)
+            if p.grad is None:
+                p.grad = np.zeros_like(p.data)
             else:
-                p.value.grad[...] = 0.0
+                p.grad[...] = 0.0
 
     def snapshot(self) -> dict[str, np.ndarray]:
         return {p.name: p.data.copy() for p in self}

@@ -1,8 +1,13 @@
-"""Autodiff ops and scalar oracles that only the tests' reference compositions use, kept out of slotlab."""
+"""Code only the tests use, kept out of slotlab: autodiff ops and scalar oracles for the
+reference compositions, and a CoNLL writer for the loader's round trips."""
+
+from typing import Iterable
 
 import numpy as np
 
 from slotlab import tensor as T
+from slotlab.crf import TagSet
+from slotlab.data import Utterance, bio_from_spans
 from slotlab.tensor import Tensor
 
 
@@ -24,3 +29,14 @@ def logsumexp_lastdim(x: Tensor) -> Tensor:
 def relative_index(i: int, j: int, max_distance: int) -> int:
     """Bucket of the signed offset j - i, clipped to [-R, R], shifted to [0, 2R]."""
     return int(np.clip(j - i, -max_distance, max_distance)) + max_distance
+
+
+def save_conll(utterances: Iterable[Utterance], path) -> None:
+    """token<TAB>tag blocks, one per utterance, in the tagset of the spans' types."""
+    utts = list(utterances)
+    tagset = TagSet.from_slot_types(sorted({sp.slot_type for u in utts for sp in u.spans}))
+    with open(path, "w", encoding="utf-8") as fh:
+        for u in utts:
+            for tok, tid in zip(u.tokens, bio_from_spans(u, tagset)):
+                fh.write(f"{tok.surface}\t{tagset.tag(tid)}\n")
+            fh.write("\n")

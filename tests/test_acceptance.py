@@ -20,7 +20,7 @@ import pytest
 
 from slotlab import tensor as T
 from slotlab.charlstm import CharLstmEncoder, CharVocab
-from slotlab.attention import AttentionConfig, ContextAttention, FusionGate
+from slotlab.attention import ContextAttention, FusionGate
 from slotlab.crf import CrfHead, TagSet, crf_nll_batch, viterbi_decode
 from slotlab.data import SlotSpan, fraction_split, load_jsonl, utterance_from_words
 from slotlab.evaluate import span_f1
@@ -129,7 +129,7 @@ def test_criterion_1_gradient_correctness():
         # per-layer: attention and gate
         store = ParameterStore(seed=4)
         attn = ContextAttention(
-            store, AttentionConfig(num_heads=2, head_size=4, d_model=6, max_relative_distance=2, attention_dropout=0.0)
+            store, ModelConfig(num_heads=2, head_size=4, d_model=6, max_relative_distance=2, attention_dropout=0.0)
         )
         gate = FusionGate(store, 6)
         E = Tensor(np.random.default_rng(4).standard_normal((1, 4, 6)))
@@ -177,7 +177,7 @@ def test_criterion_2_block_diagonal_equivalence():
             batch = int(rng.integers(1, 5))
             store = ParameterStore(seed=case)
             layer = Dense(store, "b", in_dim, out_dim, num_blocks=k)
-            assert layer.kernel.count == in_dim * out_dim // k
+            assert layer.kernel.size == in_dim * out_dim // k
 
             full = np.zeros((in_dim, out_dim))
             for i in range(k):

@@ -8,21 +8,21 @@ from reference_ops import relative_index
 
 from slotlab import tensor as T
 from slotlab.attention import (
-    AttentionConfig,
     ContextAttention,
     FusionGate,
     _bucket_matrix,
     _current_mask,
     sinusoid_table,
 )
+from slotlab.model import ModelConfig
 from slotlab.params import ParameterStore, grad_check
 from slotlab.synthetic import desk_config
-from slotlab.tensor import DimensionError, Tensor, backward
+from slotlab.tensor import ConfigError, DimensionError, Tensor, backward
 
 
 def make_attention(variant="abstract_rel", heads=1, head_size=4, d_model=6, R=3, seed=0, mask_current=None):
     store = ParameterStore(seed=seed)
-    cfg = AttentionConfig(
+    cfg = ModelConfig(
         num_heads=heads,
         head_size=head_size,
         d_model=d_model,
@@ -187,8 +187,8 @@ def attend_with_key_projection(attn, E, lengths):
     h, d = cfg.num_heads, cfg.head_size
     K4 = T.reshape(attn.key_proj(E), (B, length, h, d))
     V4 = T.reshape(attn.value_proj(E), (B, length, h, d))
-    content = T.reshape(T.einsum2("bjhd,hd->bhj", K4, attn.query.value), (B, h, 1, length))
-    rel_by_head = T.einsum2("hd,rd->rh", attn.query.value, attn.rel_embed.value)
+    content = T.reshape(T.einsum2("bjhd,hd->bhj", K4, attn.query), (B, h, 1, length))
+    rel_by_head = T.einsum2("hd,rd->rh", attn.query, attn.rel_embed)
     gathered = T.reshape(
         T.take_rows(rel_by_head, _bucket_matrix(length, cfg.max_relative_distance).ravel()), (length, length, h)
     )
@@ -212,10 +212,10 @@ def _collapsed_key_model(case):
     sizes = _COLLAPSED_KEY_CASES[case]
     store = ParameterStore(seed=21)
     if sizes is None:
-        cfg, blocks = desk_config().attention_config(), 1
+        cfg, blocks = desk_config(), 1
     else:
         h, d, d_model, blocks = sizes
-        cfg = AttentionConfig(num_heads=h, head_size=d, d_model=d_model, max_relative_distance=2)
+        cfg = ModelConfig(num_heads=h, head_size=d, d_model=d_model, max_relative_distance=2)
     attn = ContextAttention(store, cfg, num_blocks=blocks)
     rng = np.random.default_rng(21)
     lengths = np.array([4, 1, 3])
@@ -234,8 +234,8 @@ def test_collapsed_keys_match_the_key_projection(case):
     store, attn, lengths, weights = _collapsed_key_model(case)
     runs = []
     for A, probs in (
-        attn.attend_batch(store["E"].value, lengths),
-        attend_with_key_projection(attn, store["E"].value, lengths),
+        attn.attend_batch(store["E"], lengths),
+        attend_with_key_projection(attn, store["E"], lengths),
     ):
         store.zero_grads()
         backward(_weighted(A, probs, weights))
@@ -251,7 +251,12 @@ def test_collapsed_keys_match_the_key_projection(case):
 @pytest.mark.parametrize("case", list(_COLLAPSED_KEY_CASES))
 def test_collapsed_keys_gradients_match_finite_differences(case):
     store, attn, lengths, weights = _collapsed_key_model(case)
-    assert grad_check(lambda s: _weighted(*attn.attend_batch(s["E"].value, lengths), weights), store) < 1e-5
+    assert grad_check(lambda s: _weighted(*attn.attend_batch(s["E"], lengths), weights), store) < 1e-5
+
+
+def test_attention_rejects_the_variant_without_attention():
+    with pytest.raises(ConfigError, match="none"):
+        make_attention(variant="none")
 
 
 def test_attention_dropout_applied_to_values_only_in_training():

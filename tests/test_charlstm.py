@@ -177,8 +177,8 @@ def unfused_encode(enc, char_ids):
     h = c = T.constant(np.zeros((n, H)))
     hs = []
     for t in range(max_len):
-        x = T.take_rows(enc.embed.value, ids[:, t])
-        gates = enc.input_map(x) + T.block_matmul(h, enc.recurrent_map.kernel.value) + enc.b.value
+        x = T.take_rows(enc.embed, ids[:, t])
+        gates = enc.input_map(x) + T.block_matmul(h, enc.recurrent_map.kernel) + enc.b
         i = T.sigmoid(T.narrow(gates, -1, 0, H))
         f = T.sigmoid(T.narrow(gates, -1, H, H))
         g = T.tanh(T.narrow(gates, -1, 2 * H, H))

@@ -215,6 +215,47 @@ def test_predict_on_checkpoint_with_misshapen_parameter_exits_1_without_tracebac
     assert "Traceback" not in proc.stderr
 
 
+def _list_crf_end_twice(params):
+    start = next(p for p in params if p["name"] == "crf.start")
+    params.append({**start, "name": "crf.end"})  # crf.end again, at crf.start's offset
+
+
+def _give_crf_end_a_negative_shape(params):
+    next(p for p in params if p["name"] == "crf.end")["shape"] = [-1]  # count=-1 would read the rest of the blob
+
+
+@pytest.mark.parametrize("edit", [_list_crf_end_twice, _give_crf_end_a_negative_shape])
+def test_predict_on_malformed_parameter_index_exits_1_naming_it(tmp_path, edit):
+    def damage(ck):
+        manifest = json.loads((ck / "manifest.json").read_text())
+        edit(manifest["params"])
+        (ck / "manifest.json").write_text(json.dumps(manifest))
+
+    proc = _predict_subprocess(tmp_path, damage)
+    assert proc.returncode == 1
+    assert "error:" in proc.stderr and "crf.end" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("command", ["train", "params"])
+@pytest.mark.parametrize("content", ["{bad", "5"])
+def test_malformed_config_file_exits_1_naming_it_without_traceback(tmp_path, command, content):
+    import os
+    import subprocess
+    import sys
+
+    src = Path(__file__).resolve().parent.parent / "src"
+    path = tmp_path / "config.json"
+    path.write_text(content)
+    cmd = [sys.executable, "-m", "slotlab.cli", command, "--config", str(path)]
+    if command == "train":
+        cmd += ["--train", str(FIXTURES / "booking.jsonl"), "--out", str(tmp_path / "ck")]
+    proc = subprocess.run(cmd, capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 1
+    assert "error:" in proc.stderr and str(path) in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize("field, value", [("batch_size", 0), ("lstm_units", 0), ("lstm_units", "48")])
 def test_train_with_bad_config_value_exits_1_without_traceback(tmp_path, field, value):
     import os

@@ -104,21 +104,21 @@ def test_softmax_row_unchanged_by_appended_masked_entries():
 def test_backward_of_sum_is_ones():
     store = ParameterStore(seed=1)
     p = store.create("p", (2, 3), lambda: np.arange(6.0).reshape(2, 3))
-    backward(T.reduce_sum(p.value))
+    backward(T.reduce_sum(p))
     assert np.array_equal(p.grad, np.ones((2, 3)))
 
 
 def test_backward_of_half_square_is_value():
     store = ParameterStore(seed=1)
     p = store.create("p", (2, 3), lambda: np.arange(6.0).reshape(2, 3))
-    backward(T.reduce_sum(p.value * p.value) * 0.5)
+    backward(T.reduce_sum(p * p) * 0.5)
     assert np.allclose(p.grad, p.data, atol=1e-15)
 
 
 def test_backward_accumulates_without_zero():
     store = ParameterStore(seed=1)
     p = store.create("p", (3,), lambda: np.ones(3))
-    loss = T.reduce_sum(p.value)
+    loss = T.reduce_sum(p)
     backward(loss)
     backward(loss)
     assert np.array_equal(p.grad, 2 * np.ones(3))
@@ -130,13 +130,13 @@ def test_backward_rejects_non_scalar():
     store = ParameterStore(seed=1)
     p = store.create("p", (3,), lambda: np.ones(3))
     with pytest.raises(ContractError):
-        backward(p.value * 2.0)
+        backward(p * 2.0)
 
 
 def test_backward_shared_subexpression():
     store = ParameterStore(seed=1)
     p = store.create("p", (1,), lambda: np.array([3.0]))
-    y = p.value * p.value  # dy/dp = 2p
+    y = p * p  # dy/dp = 2p
     backward(T.reduce_sum(y + y))
     assert np.allclose(p.grad, [12.0])
 
@@ -157,12 +157,12 @@ def test_no_grad_records_no_graph_and_restores_on_exit():
     store = ParameterStore(seed=1)
     p = store.create("p", (2,), lambda: np.array([3.0, -1.0]))
     with T.no_grad():
-        y = T.tanh(p.value * p.value)
+        y = T.tanh(p * p)
     assert not y.requires_grad and y._parents == () and y._backward is None
     assert np.array_equal(y.data, np.tanh(p.data * p.data))
     with pytest.raises(RuntimeError), T.no_grad():
         raise RuntimeError("leave the block early")
-    z = T.reduce_sum(p.value * p.value)
+    z = T.reduce_sum(p * p)
     assert z.requires_grad
     backward(z)
     assert np.array_equal(p.grad, 2 * p.data)
@@ -207,8 +207,8 @@ def test_freed_arrays_are_reused_after_a_large_op():
 
 
 def _composite(store: ParameterStore):
-    a, b = store["a"].value, store["b"].value
-    h = T.tanh(T.block_matmul(a, T.reshape(b, (1, 4, 4))) + store["c"].value)
+    a, b = store["a"], store["b"]
+    h = T.tanh(T.block_matmul(a, T.reshape(b, (1, 4, 4))) + store["c"])
     s = T.softmax_lastdim(h * 1.7)
     z = T.einsum2("ij,jk->ik", s, b)
     return T.reduce_mean(T.sigmoid(z)) + logsumexp_lastdim(T.reshape(h, (-1,)))
@@ -232,7 +232,7 @@ def test_grad_check_linear_layer_tight():
     x = Tensor(rng.standard_normal((4, 5)))
 
     def f(s):
-        return T.reduce_sum(T.tanh(T.block_matmul(x, s["w"].value) + s["b"].value))
+        return T.reduce_sum(T.tanh(T.block_matmul(x, s["w"]) + s["b"]))
 
     assert grad_check(f, store) < 1e-6
 
@@ -265,7 +265,7 @@ def test_each_op_gradient_matches_fd(op):
         store.create("x", (2, 4), lambda: np.random.default_rng(seed).standard_normal((2, 4)) + 0.1)
 
         def f(s):
-            return T.reduce_sum(op(s["x"].value) * 1.3)
+            return T.reduce_sum(op(s["x"]) * 1.3)
 
         assert grad_check(f, store) < 1e-4
 
@@ -276,7 +276,7 @@ def test_broadcast_add_gradients():
     x = Tensor(np.random.default_rng(0).standard_normal((3, 4)))
 
     def f(s):
-        return T.reduce_sum(T.sigmoid(x + s["v"].value))
+        return T.reduce_sum(T.sigmoid(x + s["v"]))
 
     assert grad_check(f, store) < 1e-6
 
@@ -371,7 +371,7 @@ def test_einsum2_matches_np_einsum_forward_and_gradients(spec, a_shape, b_shape)
     store.create("a", a_shape, lambda: a.data * 0.5)
     store.create("b", b_shape, lambda: b.data * 0.5)
     weights = Tensor(g)
-    assert grad_check(lambda s: T.reduce_sum(T.einsum2(spec, s["a"].value, s["b"].value) * weights), store) < 1e-5
+    assert grad_check(lambda s: T.reduce_sum(T.einsum2(spec, s["a"], s["b"]) * weights), store) < 1e-5
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -417,7 +417,7 @@ def test_store_count_and_order_reproducible():
 
     s1, s2 = build(), build()
     assert s1.total_count() == s2.total_count() == 22
-    assert s1.names() == s2.names()
+    assert [p.name for p in s1] == [p.name for p in s2]
     for p1, p2 in zip(s1, s2):
         assert np.array_equal(p1.data, p2.data)
 
@@ -453,7 +453,7 @@ def test_grad_check_reports_nan_parameter():
     store.create("bad", (2,), lambda: np.ones(2))
 
     def f(s):
-        return logsumexp_lastdim(s["bad"].value - np.inf)  # log(0) -> -inf, grad 0/0 -> nan
+        return logsumexp_lastdim(s["bad"] - np.inf)  # log(0) -> -inf, grad 0/0 -> nan
 
     with np.errstate(divide="ignore", invalid="ignore"):
         with pytest.raises(Exception) as err:

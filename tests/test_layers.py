@@ -48,7 +48,8 @@ def test_dense_zero_kernel_returns_bias_rows():
 
 def test_dense_param_count_invariant():
     store = ParameterStore(seed=0)
-    assert _dense(store, 7, 5).param_count == 7 * 5 + 5
+    _dense(store, 7, 5)
+    assert store.total_count() == 7 * 5 + 5
 
 
 def test_dense_matches_loop_oracle():
@@ -95,11 +96,11 @@ def test_block_k2_hand_case_equals_expanded_kernel():
 def test_block_param_count_512():
     store = ParameterStore(seed=0)
     blk = _block(store, 512, 512, 8)
-    assert blk.param_count == 512 * 512 // 8 + 512 == 33280
+    assert store.total_count() == 512 * 512 // 8 + 512 == 33280
     full = 512 * 512 + 512
     assert full == 262656
-    assert blk.kernel.count * 8 == 512 * 512
-    assert abs(262144 / blk.kernel.count - 8.0) < 1e-12
+    assert blk.kernel.size * 8 == 512 * 512
+    assert abs(262144 / blk.kernel.size - 8.0) < 1e-12
     assert 262656 / 33280 == pytest.approx(7.89, abs=0.01)
 
 
@@ -136,14 +137,14 @@ def test_block_matmul_on_3d_inputs_matches_expanded_kernel(k):
     rng = store.rng("init")
     store.create("x", (2, 3, 4), lambda: rng.standard_normal((2, 3, 4)))
     store.create("w", (k, 4 // k, 8 // k), lambda: rng.standard_normal((k, 4 // k, 8 // k)))
-    got = T.block_matmul(store["x"].value, store["w"].value).data
+    got = T.block_matmul(store["x"], store["w"]).data
     expected = store["x"].data @ expand_blocks(store["w"].data)
     assert got.shape == (2, 3, 8)
     assert np.max(np.abs(got - expected)) <= 1e-12
     weights = Tensor(rng.standard_normal((2, 3, 8)))
 
     def f(s):
-        return T.reduce_sum(T.tanh(T.block_matmul(s["x"].value, s["w"].value)) * weights)
+        return T.reduce_sum(T.tanh(T.block_matmul(s["x"], s["w"])) * weights)
 
     assert grad_check(f, store) < 1e-6
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import tensor as T
 from .layers import Dense, dropout
-from .params import ParameterStore, glorot_uniform, planned
+from .params import ParameterStore, glorot_uniform
 from .tensor import ConfigError, DimensionError, Tensor
 
 if TYPE_CHECKING:
@@ -61,35 +61,31 @@ def _current_mask(length: int, dtype: np.dtype) -> np.ndarray:
 class ContextAttention:
     """Attention over word embeddings [*, T, d_model], sized and switched by a ModelConfig; see module docstring."""
 
-    def __init__(self, store: ParameterStore, cfg: ModelConfig, num_blocks: int = 1, prefix: str = "attention"):
+    def __init__(self, store: ParameterStore, cfg: ModelConfig, num_blocks: int = 1):
         if cfg.variant not in VARIANTS:
             raise ConfigError(f"variant {cfg.variant!r} has no attention; expected one of {VARIANTS}")
         self.store = store
         self.cfg = cfg
-        self.prefix = prefix
         width = cfg.num_heads * cfg.head_size
-        init = prefix + ".init"  # the stream of the query, then of the relative embeddings
+        init = "attention.init"  # the stream of the query, then of the relative embeddings
         if cfg.variant == "abstract_rel":
             q_shape = (cfg.num_heads, cfg.head_size)
-            self.query = store.create(prefix + ".query", q_shape, lambda: glorot_uniform(store.rng(init), q_shape))
+            self.query = store.create("attention.query", q_shape, lambda: glorot_uniform(store.rng(init), q_shape))
         else:
             self.query_proj = Dense(
-                store, prefix + ".query_proj", cfg.d_model, width, use_bias=False, num_blocks=num_blocks
+                store, "attention.query_proj", cfg.d_model, width, use_bias=False, num_blocks=num_blocks
             )
-        self.key_proj = Dense(store, prefix + ".key", cfg.d_model, width, use_bias=False, num_blocks=num_blocks)
-        self.value_proj = Dense(store, prefix + ".value", cfg.d_model, width, use_bias=False, num_blocks=num_blocks)
-        self.out_proj = Dense(store, prefix + ".out", width, cfg.d_model, use_bias=False, num_blocks=num_blocks)
+        self.key_proj = Dense(store, "attention.key", cfg.d_model, width, use_bias=False, num_blocks=num_blocks)
+        self.value_proj = Dense(store, "attention.value", cfg.d_model, width, use_bias=False, num_blocks=num_blocks)
+        self.out_proj = Dense(store, "attention.out", width, cfg.d_model, use_bias=False, num_blocks=num_blocks)
         if cfg.variant in ("abstract_rel", "self_rel"):
             scale = 1.0 / np.sqrt(cfg.head_size)
             r_shape = (2 * cfg.max_relative_distance + 1, cfg.head_size)
             self.rel_embed = store.create(
-                prefix + ".rel_embed", r_shape, lambda: store.rng(init).uniform(-scale, scale, size=r_shape)
+                "attention.rel_embed", r_shape, lambda: store.rng(init).uniform(-scale, scale, size=r_shape)
             )
-        # a served model computes the shared query's two parameter-only products once (`params.planned`)
-        self.plan_inputs = (self.key_proj.kernel, self.query, self.rel_embed) if cfg.variant == "abstract_rel" else ()
-        self._plan: dict[str, Tensor] = {}
 
-    def _mask(self, batch: int, length: int, lengths: np.ndarray, dtype) -> np.ndarray | None:
+    def _mask(self, length: int, lengths: np.ndarray, dtype) -> np.ndarray | None:
         """Additive mask: -inf on padded keys and, when configured, on the current position.
 
         [batch, 1, length, length] when a slot is padded. Otherwise the cached
@@ -119,10 +115,8 @@ class ContextAttention:
             # contracts with q into one kernel column first and the [B, T, h*d] keys are never formed.
             k, m, n = self.key_proj.kernel.shape
             u = math.gcd(n, d)
-            kernel_q = planned(
-                self._plan,
+            kernel_q = self.store.planned(
                 "kernel_q",
-                (self.key_proj.kernel, self.query),
                 lambda: T.einsum2(
                     "imcu,icu->imc",
                     T.reshape(self.key_proj.kernel, (k, m, n // u, u)),
@@ -136,10 +130,8 @@ class ContextAttention:
             # heads as rows and buckets as columns: a product at least four columns wide runs on BLAS unpadded;
             # gathered from the flat table, the [h, T, T] term is contiguous, and so are the scores it lays out
             buckets = 2 * cfg.max_relative_distance + 1
-            rel_by_head = planned(
-                self._plan,
+            rel_by_head = self.store.planned(
                 "rel_by_head",
-                (self.query, self.rel_embed),
                 lambda: T.reshape(T.einsum2("hd,rd->hr", self.query, self.rel_embed), (h * buckets,)),
             )
             index = np.arange(h)[:, None, None] * buckets + _bucket_matrix(length, cfg.max_relative_distance)
@@ -156,11 +148,11 @@ class ContextAttention:
                 scores = scores + T.einsum2("bihd,ijd->bhij", Q4, rel)
 
         scores = scores * (1.0 / np.sqrt(d))
-        mask = self._mask(B, length, lengths, E.data.dtype)
+        mask = self._mask(length, lengths, E.data.dtype)
         if mask is not None:
             scores = scores + T.constant(mask)
-        probs = T.softmax_lastdim(scores, all_masked_ok=True)
-        rng = self.store.rng(self.prefix + ".dropout") if training else None
+        probs = T.softmax_lastdim(scores)
+        rng = self.store.rng("attention.dropout") if training else None
         used = dropout(probs, cfg.attention_dropout, training, rng)
         ctx = T.reshape(T.einsum2("bhij,bjhd->bihd", used, V4), (B, length, h * d))
         return self.out_proj(ctx), probs
@@ -169,9 +161,9 @@ class ContextAttention:
 class FusionGate:
     """Sigmoid gate g = dense([A; E]); output g*E + (1-g)*A."""
 
-    def __init__(self, store: ParameterStore, d_model: int, num_blocks: int = 1, prefix: str = "gate"):
+    def __init__(self, store: ParameterStore, d_model: int, num_blocks: int = 1):
         self.d_model = d_model
-        self.layer = Dense(store, prefix, 2 * d_model, d_model, activation="sigmoid", num_blocks=num_blocks)
+        self.layer = Dense(store, "gate", 2 * d_model, d_model, activation="sigmoid", num_blocks=num_blocks)
 
     def fuse(self, A: Tensor, E: Tensor) -> Tensor:
         if A.shape != E.shape:

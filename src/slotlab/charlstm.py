@@ -9,7 +9,7 @@ the words longer than t. The input kernel has no bias, so it projects the
 character table once (V rows, PAD and UNK included) and one gather picks each
 real character's row; the recurrence is one `T.lstm_packed` op, and one final
 gather puts the projected rows back in the caller's word order. A served model
-projects the table once (`params.planned`).
+projects the table once (`ParameterStore.planned`).
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 
 from . import tensor as T
 from .layers import Dense, dropout
-from .params import ParameterStore, glorot_uniform, orthogonal, planned
+from .params import ParameterStore, glorot_uniform, orthogonal
 from .tensor import ContractError, Tensor
 
 PAD_ID = 0
@@ -74,15 +74,14 @@ class CharLstmEncoder:
         lstm_units: int,
         d_model: int,
         num_blocks: int = 1,
-        prefix: str = "encoder",
     ):
         self.store = store
         self.lstm_units = lstm_units
-        init = prefix + ".init"  # the stream of the embedding, then of the orthogonal recurrent blocks
+        init = "encoder.init"  # the stream of the embedding, then of the orthogonal recurrent blocks
         shape = (vocab_size, char_embed_dim)
-        self.embed = store.create(prefix + ".char_embed", shape, lambda: glorot_uniform(store.rng(init), shape))
+        self.embed = store.create("encoder.char_embed", shape, lambda: glorot_uniform(store.rng(init), shape))
         self.input_map = Dense(
-            store, prefix + ".lstm.input", char_embed_dim, 4 * lstm_units, use_bias=False, num_blocks=num_blocks
+            store, "encoder.lstm.input", char_embed_dim, 4 * lstm_units, use_bias=False, num_blocks=num_blocks
         )
 
         def orthogonal_gates() -> np.ndarray:
@@ -91,7 +90,7 @@ class CharLstmEncoder:
 
         self.recurrent_map = Dense(
             store,
-            prefix + ".lstm.recurrent",
+            "encoder.lstm.recurrent",
             lstm_units,
             4 * lstm_units,
             use_bias=False,
@@ -100,11 +99,9 @@ class CharLstmEncoder:
         )
         # gates i, f, g, o; the forget gate opens at init
         self.b = store.create(
-            prefix + ".lstm.bias", (4 * lstm_units,), lambda: np.repeat([0.0, 1.0, 0.0, 0.0], lstm_units)
+            "encoder.lstm.bias", (4 * lstm_units,), lambda: np.repeat([0.0, 1.0, 0.0, 0.0], lstm_units)
         )
-        self.proj = Dense(store, prefix + ".word_proj", lstm_units, d_model, activation="tanh")
-        self.plan_inputs = (self.embed, self.input_map.kernel)
-        self._plan: dict[str, Tensor] = {}
+        self.proj = Dense(store, "encoder.word_proj", lstm_units, d_model, activation="tanh")
 
     def encode_words(self, char_ids: Sequence[Sequence[int]]) -> Tensor:
         """Encode a batch of words (lists of char ids) to [n_words, d_model]."""
@@ -118,7 +115,7 @@ class CharLstmEncoder:
         # time-major: step t holds the characters of the words longer than t
         steps = [[c for c in step if c is not None] for step in zip_longest(*words)]
         # the input kernel is linear without bias, so project the V-row table once and gather its rows
-        table = planned(self._plan, "char_table", self.plan_inputs, lambda: self.input_map(self.embed))
+        table = self.store.planned("char_table", lambda: self.input_map(self.embed))
         x = T.take_rows(table, np.concatenate(steps))
         h = T.lstm_packed(x, self.recurrent_map.kernel, self.b, [len(s) for s in steps])
         row = {w: r for r, w in enumerate(words)}

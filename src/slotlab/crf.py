@@ -71,14 +71,12 @@ class TagSet:
 class CrfHead:
     """Emission projection plus transition/start/end scores."""
 
-    def __init__(self, store: ParameterStore, d_model: int, num_tags: int, prefix: str = "crf"):
+    def __init__(self, store: ParameterStore, d_model: int, num_tags: int):
         self.num_tags = num_tags
-        self.emission = Dense(store, prefix + ".emission", d_model, num_tags)
-        self.transitions = store.create(
-            prefix + ".transitions", (num_tags, num_tags), lambda: np.zeros((num_tags, num_tags))
-        )
-        self.start = store.create(prefix + ".start", (num_tags,), lambda: np.zeros(num_tags))
-        self.end = store.create(prefix + ".end", (num_tags,), lambda: np.zeros(num_tags))
+        self.emission = Dense(store, "crf.emission", d_model, num_tags)
+        self.transitions = store.create("crf.transitions", (num_tags, num_tags), lambda: np.zeros((num_tags, num_tags)))
+        self.start = store.create("crf.start", (num_tags,), lambda: np.zeros(num_tags))
+        self.end = store.create("crf.end", (num_tags,), lambda: np.zeros(num_tags))
 
 
 def _validate_gold(gold: np.ndarray, num_tags: int) -> None:

@@ -142,9 +142,12 @@ def load_jsonl(path) -> list[Utterance]:
                 obj = json.loads(line)
                 text = obj["text"]
                 raw = [(sp["start_char"], sp["end_char"], sp["slot"]) for sp in obj.get("spans", [])]
+                lang = obj.get("lang", "")
             except (json.JSONDecodeError, KeyError, TypeError) as exc:
                 raise DataError(f"{path} line {ln}: malformed record ({exc})") from exc
-            out.append(utterance_from_text(text, raw, obj.get("lang", ""), where=f"{path} line {ln}"))
+            if not isinstance(lang, str):
+                raise DataError(f"{path} line {ln}: lang must be a string, got {lang!r}")
+            out.append(utterance_from_text(text, raw, lang, where=f"{path} line {ln}"))
     return out
 
 

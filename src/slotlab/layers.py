@@ -50,8 +50,6 @@ class Dense:
             raise ConfigError(f"num_blocks must be positive, got {num_blocks}")
         if in_dim % num_blocks or out_dim % num_blocks:
             raise ConfigError(f"dense {name!r}: dims ({in_dim}, {out_dim}) not divisible by num_blocks={num_blocks}")
-        self.in_dim = in_dim
-        self.out_dim = out_dim
         self.num_blocks = num_blocks
         self.activation = activation
         m, n = in_dim // num_blocks, out_dim // num_blocks

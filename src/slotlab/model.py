@@ -136,9 +136,6 @@ class SlotModel:
     Without `arrays` every parameter is drawn from its initializer; with them
     (a checkpoint's) each parameter is a copy of the array of its name, and a
     missing, misshapen or unknown array fails with a ContractError naming it.
-    `plan_inputs` are the parameters of the parameter-only products (the
-    projected char table, and under abstract_rel the key kernel contracted
-    with the shared query and the query's relative scores).
     """
 
     def __init__(
@@ -165,7 +162,6 @@ class SlotModel:
             self.gate = FusionGate(self.store, config.d_model, num_blocks=blocks)
         self.crf = CrfHead(self.store, config.d_model, tagset.size)
         self.store.check_loaded()
-        self.plan_inputs = self.encoder.plan_inputs + (self.attention.plan_inputs if self.attention else ())
 
     # ------------------------------------------------------------------
     # forward paths
@@ -290,9 +286,9 @@ class Checkpoint:
         return cls(model.config, model.vocab, model.tagset, model.store.snapshot())
 
     def build_model(self) -> SlotModel:
-        """A model for serving: its `plan_inputs` are read-only, so under no_grad it computes their products once."""
+        """A model for serving: every parameter is read-only, so under no_grad its store plans the products once."""
         model = SlotModel(self.config, self.vocab, self.tagset, self.arrays)
-        for p in model.plan_inputs:
+        for p in model.store:
             p.data.flags.writeable = False
         return model
 
@@ -331,14 +327,26 @@ class Checkpoint:
                 manifest = json.load(fh)
             if manifest.get("format_version") != CHECKPOINT_FORMAT_VERSION:
                 raise ConfigError(f"unsupported checkpoint format_version {manifest.get('format_version')!r}")
+            for field, written in (("endianness", "little"), ("blob_file", "params.bin")):  # as save writes them
+                if manifest.get(field) != written:
+                    raise ConfigError(f"checkpoint field {field!r} must be {written!r}, got {manifest.get(field)!r}")
+            chars = manifest["char_vocab"]
+            one_char = isinstance(chars, list) and all(isinstance(c, str) and len(c) == 1 for c in chars)
+            if not one_char or len(set(chars)) != len(chars):
+                raise ConfigError(f"checkpoint field 'char_vocab' must list distinct single characters, got {chars!r}")
             config = ModelConfig.from_dict(manifest["config"])
-            blob = (directory / manifest.get("blob_file", "params.bin")).read_bytes()
+            blob = (directory / "params.bin").read_bytes()
             dtype = np.dtype("<f4" if config.dtype == "f32" else "<f8")
             arrays = {}
             for entry in manifest["params"]:
                 name, shape, start = entry["name"], tuple(entry["shape"]), entry["offset"]
                 if name in arrays:
                     raise ConfigError(f"checkpoint parameter {name!r} is listed twice")
+                if entry.get("dtype") != config.dtype:
+                    raise ConfigError(
+                        f"checkpoint field 'dtype' of parameter {name!r} must be the config's {config.dtype!r}, "
+                        f"got {entry.get('dtype')!r}"
+                    )
                 if not all(_is_int(s) and s >= 0 for s in shape):
                     raise ConfigError(f"checkpoint parameter {name!r} has a bad shape {list(shape)}")
                 n = int(np.prod(shape)) if shape else 1
@@ -348,7 +356,7 @@ class Checkpoint:
                 if not np.isfinite(arr).all():
                     raise ConfigError(f"checkpoint parameter {name!r} has non-finite values")
                 arrays[name] = arr.astype(np.float32 if config.dtype == "f32" else np.float64)
-            return cls(config, CharVocab(manifest["char_vocab"]), TagSet(manifest["tagset"]), arrays)
+            return cls(config, CharVocab(chars), TagSet(manifest["tagset"]), arrays)
         except SlotlabError:
             raise
         except (ValueError, KeyError, TypeError, AttributeError) as exc:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import hashlib
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -47,6 +47,7 @@ class ParameterStore:
         self._params: dict[str, Parameter] = {}
         self._rngs: dict[str, np.random.Generator] = {}
         self._arrays = arrays
+        self._plan: dict[str, Tensor] = {}
 
     def create(self, name: str, shape: tuple[int, ...], init: Callable[[], np.ndarray]) -> Parameter:
         """Declare a parameter: a copy of the loaded array of that name, else init()'s value.
@@ -102,21 +103,20 @@ class ParameterStore:
     def snapshot(self) -> dict[str, np.ndarray]:
         return {p.name: p.data.copy() for p in self}
 
+    def planned(self, name: str, compute: Callable[[], Tensor]) -> Tensor:
+        """compute(), kept in the store's plan under `name` while grad is off and no parameter is writable.
 
-def planned(plan: dict[str, Tensor], name: str, inputs: Sequence[Parameter], compute: Callable[[], Tensor]) -> Tensor:
-    """compute(), kept in `plan` under `name` while grad is off and every one of `inputs` is read-only.
-
-    `Checkpoint.build_model()` makes the inputs of a served model's
-    parameter-only products read-only, so they cannot change in place and the
-    product computed once is bitwise the one every later call would compute.
-    With grad on, or with any input writable (a model in training), each call
-    computes it afresh.
-    """
-    if grad_enabled() or any(p.data.flags.writeable for p in inputs):
-        return compute()
-    if name not in plan:
-        plan[name] = compute()
-    return plan[name]
+        `Checkpoint.build_model()` makes every parameter read-only, so the kept product is bitwise what each
+        later call would compute. Otherwise each call computes it afresh; a writable parameter drops the plan.
+        """
+        if grad_enabled():
+            return compute()
+        if any(p.data.flags.writeable for p in self._params.values()):
+            self._plan.clear()
+            return compute()
+        if name not in self._plan:
+            self._plan[name] = compute()
+        return self._plan[name]
 
 
 # ---------------------------------------------------------------------------

@@ -35,10 +35,6 @@ class ContractError(SlotlabError, ValueError):
     """A value-level precondition was violated."""
 
 
-class MaskingError(SlotlabError, ValueError):
-    """A softmax row was fully masked without all_masked_ok."""
-
-
 class ConfigError(SlotlabError, ValueError):
     """Invalid layer or run configuration, raised at construction time."""
 
@@ -695,20 +691,18 @@ def reduce_mean(x: Tensor, axis: int | None = None) -> Tensor:
     return reduce_sum(x, axis=axis) * (1.0 / n)
 
 
-def softmax_lastdim(x: Tensor, all_masked_ok: bool = False) -> Tensor:
+def softmax_lastdim(x: Tensor) -> Tensor:
     """Row-stable softmax over the last axis.
 
-    -inf entries are treated as masked. A fully masked row yields an all-zero
-    row when all_masked_ok is set and raises MaskingError otherwise. A row's
-    result does not change when masked entries are appended to it.
+    -inf entries are treated as masked, and a fully masked row yields an
+    all-zero row. A row's result does not change when masked entries are
+    appended to it.
     """
     if x.data.shape[-1] < 1:
         raise DimensionError("softmax_lastdim: empty last dimension")
     d = x.data
     m = d.max(axis=-1, keepdims=True)
     finite = np.isfinite(m)
-    if not all_masked_ok and not finite.all():
-        raise MaskingError("softmax_lastdim: fully masked row without all_masked_ok")
     shifted = np.where(finite, d - np.where(finite, m, 0.0), -np.inf)
     e = np.exp(shifted)
     s = np.add.accumulate(e, axis=-1)[..., -1:]  # added left to right, so appended masked entries change no bit

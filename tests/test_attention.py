@@ -193,8 +193,8 @@ def attend_with_key_projection(attn, E, lengths):
         T.take_rows(rel_by_head, _bucket_matrix(length, cfg.max_relative_distance).ravel()), (length, length, h)
     )
     scores = (content + T.transpose(gathered, (2, 0, 1))) * (1.0 / np.sqrt(d))
-    scores = scores + T.constant(attn._mask(B, length, lengths, E.data.dtype))
-    probs = T.softmax_lastdim(scores, all_masked_ok=True)
+    scores = scores + T.constant(attn._mask(length, lengths, E.data.dtype))
+    probs = T.softmax_lastdim(scores)
     ctx = T.reshape(T.einsum2("bhij,bjhd->bihd", probs, V4), (B, length, h * d))
     return attn.out_proj(ctx), probs
 

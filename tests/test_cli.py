@@ -215,6 +215,19 @@ def test_predict_on_checkpoint_with_misshapen_parameter_exits_1_without_tracebac
     assert "Traceback" not in proc.stderr
 
 
+def test_predict_on_checkpoint_with_a_blob_outside_its_directory_exits_1_naming_the_field(tmp_path):
+    def move_blob(ck):
+        (ck / "params.bin").rename(tmp_path / "x.bin")  # readable weights, one directory up
+        manifest = json.loads((ck / "manifest.json").read_text())
+        manifest["blob_file"] = "../x.bin"
+        (ck / "manifest.json").write_text(json.dumps(manifest))
+
+    proc = _predict_subprocess(tmp_path, move_blob)
+    assert proc.returncode == 1
+    assert "error:" in proc.stderr and "blob_file" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def _list_crf_end_twice(params):
     start = next(p for p in params if p["name"] == "crf.start")
     params.append({**start, "name": "crf.end"})  # crf.end again, at crf.start's offset

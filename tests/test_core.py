@@ -17,7 +17,6 @@ from slotlab.params import ParameterStore, grad_check
 from slotlab.tensor import (
     ContractError,
     DimensionError,
-    MaskingError,
     Tensor,
     backward,
 )
@@ -73,14 +72,9 @@ def test_softmax_single_masked_slot():
     assert out.data.tolist() == [0.0, 1.0]
 
 
-def test_softmax_all_masked_opt_in_returns_zeros():
-    out = T.softmax_lastdim(Tensor([-np.inf, -np.inf]), all_masked_ok=True)
+def test_softmax_all_masked_row_returns_zeros():
+    out = T.softmax_lastdim(Tensor([-np.inf, -np.inf]))
     assert out.data.tolist() == [0.0, 0.0]
-
-
-def test_softmax_all_masked_without_opt_in_raises():
-    with pytest.raises(MaskingError):
-        T.softmax_lastdim(Tensor([-np.inf, -np.inf]))
 
 
 def test_softmax_rows_sum_to_one_with_partial_mask():
@@ -441,7 +435,6 @@ def test_every_named_error_is_a_slotlab_error_and_keeps_its_builtin_base():
         (T.ConfigError, ValueError),
         (ContractError, ValueError),
         (DimensionError, ValueError),
-        (MaskingError, ValueError),
         (T.NumericError, RuntimeError),
     ):
         assert issubclass(cls, SlotlabError) and issubclass(cls, builtin), cls

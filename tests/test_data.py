@@ -86,6 +86,8 @@ def test_load_jsonl_malformed_line_number(tmp_path):
         '{"text":"a b","spans":[{"start_char":0,"end_char":1,"slot":5}]}',
         '{"text":"a b","spans":[{"start_char":0,"end_char":1,"slot":""}]}',
         '{"text":"a b","spans":[{"start_char":[0],"end_char":1,"slot":"x"}]}',
+        '{"text":"a b","lang":5}',
+        '{"text":"c","lang":["x"]}',
     ):
         p.write_text('{"text":"ok"}\n' + bad + "\n")
         with pytest.raises(DataError) as err:

@@ -468,6 +468,48 @@ def test_checkpoint_rejects_manifest_with_missing_or_mistyped_key(tmp_path, dama
     assert str(path) in str(err.value)
 
 
+def _blob_elsewhere(absolute):
+    def damage(manifest, ck):
+        other = ck.parent / "x.bin"
+        other.write_bytes((ck / "params.bin").read_bytes())  # readable weights, outside the checkpoint directory
+        manifest["blob_file"] = str(other) if absolute else "../x.bin"
+
+    return damage
+
+
+@pytest.mark.parametrize(
+    "damage, field",
+    [
+        (_blob_elsewhere(absolute=True), "blob_file"),
+        (_blob_elsewhere(absolute=False), "blob_file"),
+        (lambda m, ck: m.pop("blob_file"), "blob_file"),
+        (lambda m, ck: m.update(endianness="big"), "endianness"),
+        (lambda m, ck: m["params"][3].update(dtype="f32"), "dtype"),
+        (lambda m, ck: m["char_vocab"].__setitem__(0, 5), "char_vocab"),
+        (lambda m, ck: m["char_vocab"].__setitem__(0, "ab"), "char_vocab"),
+        (lambda m, ck: m["char_vocab"].__setitem__(0, m["char_vocab"][1]), "char_vocab"),
+    ],
+    ids=[
+        "blob-absolute",
+        "blob-parent",
+        "blob-missing",
+        "big-endian",
+        "dtype",
+        "vocab-int",
+        "vocab-two-chars",
+        "vocab-twice",
+    ],
+)
+def test_checkpoint_load_accepts_only_the_manifest_fields_save_writes(tmp_path, damage, field):
+    import json
+
+    path, manifest = _saved_checkpoint(tmp_path)
+    damage(manifest, path.parent)
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(ConfigError, match=f"'{field}'"):
+        Checkpoint.load(path.parent)
+
+
 def test_checkpoint_rejects_unknown_parameter(tmp_path):
     import json
 
@@ -493,14 +535,12 @@ def test_checkpoint_rejects_parameter_of_wrong_shape(tmp_path):
 def test_models_built_from_one_checkpoint_share_no_memory(tmp_path):
     path, _ = _saved_checkpoint(tmp_path)
     ck = Checkpoint.load(path.parent)
-    saved = {name: arr.copy() for name, arr in ck.arrays.items()}
     first, second = ck.build_model(), ck.build_model()
-    first.store["crf.transitions"].data[...] += 1.0
-    first.store["encoder.lstm.recurrent.kernel"].data[0, 0, 0] = 7.0
     for p in second.store:
-        assert np.array_equal(p.data, saved[p.name]), p.name
-    for name, arr in ck.arrays.items():
-        assert np.array_equal(arr, saved[name]), name
+        assert np.array_equal(p.data, ck.arrays[p.name]), p.name
+        assert not np.shares_memory(p.data, first.store[p.name].data), p.name
+    for p in (*first.store, *second.store):
+        assert not np.shares_memory(p.data, ck.arrays[p.name]), p.name
 
 
 def test_serving_a_checkpoint_draws_no_random_numbers(tmp_path, monkeypatch):
@@ -534,13 +574,12 @@ def test_a_served_model_holds_no_gradient_buffers():
 # ---------------------------------------------------------------------------
 # serving from a frozen plan
 
-PLAN_INPUTS = [
-    "encoder.char_embed",
-    "encoder.lstm.input.kernel",
-    "attention.key.kernel",
-    "attention.query",
-    "attention.rel_embed",
-]
+
+def _served(model, batch):
+    """Fused features and spans of a batch, as predict_batch serves them (under no_grad)."""
+    with T.no_grad():
+        H3, _ = model.features_batch(batch)
+    return H3.data, model.predict_batch(batch)
 
 
 @pytest.mark.parametrize(
@@ -551,29 +590,43 @@ PLAN_INPUTS = [
 def test_a_served_model_serves_the_writable_models_bits_cold_and_warm(overrides):
     writable = SlotModel(tiny_config(**overrides), VOCAB, TAGSET)
     batches = [[utt("abc de"), utt("fgh abc de i"), utt("a")], [utt("de de bij")], [utt("ab cd"), utt("ef gh")]]
-
-    def served(model, batch):
-        with T.no_grad():
-            H3, _ = model.features_batch(batch)
-        return H3.data, model.predict_batch(batch)
-
-    want = [served(writable, b) for b in batches]
+    want = [_served(writable, b) for b in batches]
     model = Checkpoint.from_model(writable).build_model()
     for _ in ("cold", "warm"):
         for batch, (H3, spans) in zip(batches, want):
-            got_H3, got_spans = served(model, batch)
+            got_H3, got_spans = _served(model, batch)
             assert np.array_equal(got_H3, H3) and got_spans == spans
-    assert model.encoder._plan and not writable.encoder._plan  # a writable model keeps the per-call path
+    assert not writable.store._plan  # a writable model keeps the per-call path
     if model.config.variant == "abstract_rel":
-        assert set(model.attention._plan) == {"kernel_q", "rel_by_head"}
+        assert set(model.store._plan) == {"char_table", "kernel_q", "rel_by_head"}
+    else:
+        assert set(model.store._plan) == {"char_table"}
 
 
 def test_a_write_into_a_plan_input_of_a_served_model_raises():
-    model = Checkpoint.from_model(SlotModel(tiny_config(), VOCAB, TAGSET)).build_model()
-    assert [p.name for p in model.plan_inputs] == PLAN_INPUTS
-    for name in PLAN_INPUTS:
-        with pytest.raises(ValueError, match="read-only"):
-            model.store[name].data[...] = 0.0
+    for variant in ("abstract_rel", "self_rel", "self_abs", "none"):
+        model = Checkpoint.from_model(SlotModel(tiny_config(variant=variant), VOCAB, TAGSET)).build_model()
+        for p in model.store:
+            with pytest.raises(ValueError, match="read-only"):
+                p.data[...] = 0.0
+
+
+def test_a_served_parameter_made_writable_again_switches_the_plan_off():
+    writable = SlotModel(tiny_config(), VOCAB, TAGSET)
+    model = Checkpoint.from_model(writable).build_model()
+    batch = [utt("abc de"), utt("fgh abc de i"), utt("a")]
+    before, _ = _served(model, batch)  # fills the plan
+    query = model.store["attention.query"]
+    query.data.flags.writeable = True
+    for m in (writable, model):
+        m.store["attention.query"].data[...] *= -2.0
+    H3, spans = _served(writable, batch)
+    assert not np.array_equal(H3, before)
+    got_H3, got_spans = _served(model, batch)
+    assert np.array_equal(got_H3, H3) and got_spans == spans
+    query.data.flags.writeable = False  # read-only again: the next plan starts from the changed query
+    got_H3, got_spans = _served(model, batch)
+    assert np.array_equal(got_H3, H3) and got_spans == spans
 
 
 def test_training_loss_on_a_served_model_still_reaches_the_plan_inputs():

@@ -9,7 +9,7 @@ ablations, and unseen-entity substitution.
 
 from .attention import ContextAttention, FusionGate
 from .charlstm import CharLstmEncoder, CharVocab
-from .crf import CrfHead, TagSet, crf_nll_batch, spans_from_bio, viterbi_decode
+from .crf import CrfHead, TagSet, spans_from_bio
 from .data import (
     DataError,
     SlotSpan,
@@ -23,10 +23,10 @@ from .data import (
     tokenize,
 )
 from .evaluate import EvalReport, span_f1
-from .layers import Dense, dropout
+from .layers import Dense
 from .model import Checkpoint, ModelConfig, SlotModel, count_parameters, parameter_reduction
 from .params import Parameter, ParameterStore, grad_check
-from .tensor import SlotlabError, Tensor, backward, softmax_lastdim
+from .tensor import SlotlabError, Tensor
 from .training import AdamW, train
 
 __version__ = "0.1.0"
@@ -51,22 +51,17 @@ __all__ = [
     "TagSet",
     "Tensor",
     "Utterance",
-    "backward",
     "bio_from_spans",
     "count_parameters",
-    "crf_nll_batch",
-    "dropout",
     "fraction_split",
     "grad_check",
     "load_conll",
     "load_jsonl",
     "parameter_reduction",
     "save_jsonl",
-    "softmax_lastdim",
     "span_f1",
     "spans_from_bio",
     "substitute_entities",
     "tokenize",
     "train",
-    "viterbi_decode",
 ]

@@ -23,10 +23,10 @@ from .attention import VARIANTS as ATTENTION_VARIANTS, ContextAttention, FusionG
 from .charlstm import CharLstmEncoder, CharVocab
 from .crf import CrfHead, TagSet, crf_nll_batch, spans_from_bio, viterbi_decode_batch
 from .data import SlotSpan, Utterance, bio_from_spans
-from .params import ParameterStore
+from .params import ParameterStore, split_by_shape
 from .tensor import ConfigError, ContractError, SlotlabError, Tensor
 
-CHECKPOINT_FORMAT_VERSION = 2
+CHECKPOINT_FORMAT_VERSION = 3
 VARIANTS = ATTENTION_VARIANTS + ("none",)
 
 
@@ -134,8 +134,9 @@ class SlotModel:
     """The assembled network over a frozen vocabulary and tagset.
 
     Without `arrays` every parameter is drawn from its initializer; with them
-    (a checkpoint's) each parameter is a copy of the array of its name, and a
-    missing, misshapen or unknown array fails with a ContractError naming it.
+    (a checkpoint's) the model serves: each parameter is a read-only copy of
+    the array of its name, and a missing, misshapen or unknown array fails
+    with a ContractError naming it.
     """
 
     def __init__(
@@ -271,6 +272,15 @@ def parameter_reduction(config: ModelConfig, char_vocab_size: int, num_tags: int
 # ---------------------------------------------------------------------------
 # checkpoints: a JSON manifest plus one little-endian binary blob
 
+_BLOB_DTYPES = {"f32": "<f4", "f64": "<f8"}
+
+
+def _check_keys(path: Path, where: str, entry: dict, keys: set[str]) -> None:
+    """Fail unless the JSON object `entry` has exactly `keys`, naming each missing and extra key."""
+    missing, extra = sorted(keys - entry.keys()), sorted(entry.keys() - keys)
+    if missing or extra:
+        raise ConfigError(f"malformed checkpoint manifest {path}: {where}: missing keys {missing}, extra keys {extra}")
+
 
 class Checkpoint:
     """Bit-exact persisted model: config, vocab, tagset, parameter arrays."""
@@ -286,80 +296,62 @@ class Checkpoint:
         return cls(model.config, model.vocab, model.tagset, model.store.snapshot())
 
     def build_model(self) -> SlotModel:
-        """A model for serving: every parameter is read-only, so under no_grad its store plans the products once."""
-        model = SlotModel(self.config, self.vocab, self.tagset, self.arrays)
-        for p in model.store:
-            p.data.flags.writeable = False
-        return model
+        """A model for serving: its parameters are read-only, so under no_grad its store plans the products once."""
+        return SlotModel(self.config, self.vocab, self.tagset, self.arrays)
 
     def save(self, directory) -> None:
+        """Write manifest.json and params.bin, the arrays concatenated in index order; offsets follow from shapes."""
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
-        dtype_code = "<f4" if self.config.dtype == "f32" else "<f8"
-        index = []
-        offset = 0
-        chunks = []
-        for name, arr in self.arrays.items():
-            raw = np.ascontiguousarray(arr).astype(dtype_code, copy=False).tobytes()
-            index.append({"name": name, "shape": list(arr.shape), "offset": offset, "dtype": self.config.dtype})
-            chunks.append(raw)
-            offset += len(raw)
         manifest = {
             "format_version": CHECKPOINT_FORMAT_VERSION,
-            "endianness": "little",
-            "blob_file": "params.bin",
             "config": self.config.to_dict(),
             "tagset": self.tagset.tags,
             "char_vocab": self.vocab.chars,
-            "params": index,
+            "params": [{"name": name, "shape": list(arr.shape)} for name, arr in self.arrays.items()],
         }
-        with open(directory / "manifest.json", "w", encoding="utf-8") as fh:
-            json.dump(manifest, fh, indent=1, ensure_ascii=False)
-        with open(directory / "params.bin", "wb") as fh:
-            fh.write(b"".join(chunks))
+        (directory / "manifest.json").write_text(json.dumps(manifest, indent=1, ensure_ascii=False), encoding="utf-8")
+        blob = b"".join(np.ascontiguousarray(a, dtype=_BLOB_DTYPES[self.config.dtype]) for a in self.arrays.values())
+        (directory / "params.bin").write_bytes(blob)
 
     @classmethod
     def load(cls, directory) -> "Checkpoint":
+        """Read a checkpoint; its arrays are read-only views of params.bin, which must be exactly the index long."""
         directory = Path(directory)
         path = directory / "manifest.json"
         try:
-            with open(path, encoding="utf-8") as fh:
-                manifest = json.load(fh)
+            manifest = json.loads(path.read_text(encoding="utf-8"))
             if manifest.get("format_version") != CHECKPOINT_FORMAT_VERSION:
                 raise ConfigError(f"unsupported checkpoint format_version {manifest.get('format_version')!r}")
-            for field, written in (("endianness", "little"), ("blob_file", "params.bin")):  # as save writes them
-                if manifest.get(field) != written:
-                    raise ConfigError(f"checkpoint field {field!r} must be {written!r}, got {manifest.get(field)!r}")
+            _check_keys(path, "the manifest", manifest, {"format_version", "config", "tagset", "char_vocab", "params"})
+            _check_keys(path, "'config'", manifest["config"], set(ModelConfig.__dataclass_fields__))
             chars = manifest["char_vocab"]
             one_char = isinstance(chars, list) and all(isinstance(c, str) and len(c) == 1 for c in chars)
             if not one_char or len(set(chars)) != len(chars):
                 raise ConfigError(f"checkpoint field 'char_vocab' must list distinct single characters, got {chars!r}")
             config = ModelConfig.from_dict(manifest["config"])
-            blob = (directory / "params.bin").read_bytes()
-            dtype = np.dtype("<f4" if config.dtype == "f32" else "<f8")
-            arrays = {}
+            shapes = {}
             for entry in manifest["params"]:
-                name, shape, start = entry["name"], tuple(entry["shape"]), entry["offset"]
-                if name in arrays:
+                _check_keys(path, "a 'params' entry", entry, {"name", "shape"})
+                name, shape = entry["name"], tuple(entry["shape"])
+                if name in shapes:
                     raise ConfigError(f"checkpoint parameter {name!r} is listed twice")
-                if entry.get("dtype") != config.dtype:
-                    raise ConfigError(
-                        f"checkpoint field 'dtype' of parameter {name!r} must be the config's {config.dtype!r}, "
-                        f"got {entry.get('dtype')!r}"
-                    )
                 if not all(_is_int(s) and s >= 0 for s in shape):
                     raise ConfigError(f"checkpoint parameter {name!r} has a bad shape {list(shape)}")
-                n = int(np.prod(shape)) if shape else 1
-                if start + dtype.itemsize * n > len(blob):
-                    raise ConfigError(f"checkpoint blob truncated at parameter {name!r}")
-                arr = np.frombuffer(blob, dtype=dtype, count=n, offset=start).reshape(shape)
+                shapes[name] = shape
+            dtype = np.dtype(_BLOB_DTYPES[config.dtype])
+            blob = (directory / "params.bin").read_bytes()
+            need = dtype.itemsize * sum(math.prod(shape) for shape in shapes.values())
+            if len(blob) != need:
+                fault = "is truncated" if len(blob) < need else "has trailing bytes"
+                raise ConfigError(f"checkpoint blob params.bin {fault}: {len(blob)} bytes, the index needs {need}")
+            arrays = split_by_shape(np.frombuffer(blob, dtype), shapes)
+            for name, arr in arrays.items():
                 if not np.isfinite(arr).all():
                     raise ConfigError(f"checkpoint parameter {name!r} has non-finite values")
-                arrays[name] = arr.astype(np.float32 if config.dtype == "f32" else np.float64)
             return cls(config, CharVocab(chars), TagSet(manifest["tagset"]), arrays)
         except SlotlabError:
             raise
         except (ValueError, KeyError, TypeError, AttributeError) as exc:
-            # not JSON, a missing key, or a value of the wrong type
+            # not JSON, or a value of the wrong type
             raise ConfigError(f"malformed checkpoint manifest {path}: {exc!r}") from exc
-

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import math
 from typing import Callable, Iterator
 
 import numpy as np
@@ -37,8 +38,9 @@ class ParameterStore:
 
     Iteration order is insertion order, so two identically configured builds
     produce identical parameter layouts and identical checkpoints. Given
-    `arrays` (a checkpoint's), every parameter is built from the array of its
-    name instead of from its initializer.
+    `arrays` (a checkpoint's), the store serves: it copies them once into one
+    `bytes` object, and each parameter is a view of its name's array there,
+    which numpy refuses to make writable.
     """
 
     def __init__(self, seed: int = 0, dtype: str = "f64", arrays: dict[str, np.ndarray] | None = None):
@@ -46,11 +48,11 @@ class ParameterStore:
         self.dtype = dtype
         self._params: dict[str, Parameter] = {}
         self._rngs: dict[str, np.random.Generator] = {}
-        self._arrays = arrays
-        self._plan: dict[str, Tensor] = {}
+        self._arrays = None if arrays is None else _read_only_copy(arrays, np_dtype(dtype))
+        self._plan: dict[str, Tensor] | None = None if arrays is None else {}
 
     def create(self, name: str, shape: tuple[int, ...], init: Callable[[], np.ndarray]) -> Parameter:
-        """Declare a parameter: a copy of the loaded array of that name, else init()'s value.
+        """Declare a parameter: the read-only loaded array of that name, else init()'s value.
 
         A store built over loaded arrays never calls init, so it draws no
         initial values and seeds no stream.
@@ -60,7 +62,7 @@ class ParameterStore:
         if self._arrays is None:
             array = np.ascontiguousarray(init(), dtype=np_dtype(self.dtype))
         elif name in self._arrays:
-            array = np.array(self._arrays[name], dtype=np_dtype(self.dtype))  # a copy: no two models share memory
+            array = self._arrays[name]
         else:
             raise ContractError(f"missing parameter {name!r}: the loaded arrays have no entry of that name")
         if array.shape != tuple(shape):
@@ -104,19 +106,28 @@ class ParameterStore:
         return {p.name: p.data.copy() for p in self}
 
     def planned(self, name: str, compute: Callable[[], Tensor]) -> Tensor:
-        """compute(), kept in the store's plan under `name` while grad is off and no parameter is writable.
+        """compute(), kept in the plan under `name` when the store serves loaded arrays and grad is off.
 
-        `Checkpoint.build_model()` makes every parameter read-only, so the kept product is bitwise what each
-        later call would compute. Otherwise each call computes it afresh; a writable parameter drops the plan.
+        Such a store's parameters can never be written, so the kept product is bitwise what each later call
+        would compute. Any other store, or any call under grad, computes it afresh.
         """
-        if grad_enabled():
-            return compute()
-        if any(p.data.flags.writeable for p in self._params.values()):
-            self._plan.clear()
+        if self._plan is None or grad_enabled():
             return compute()
         if name not in self._plan:
             self._plan[name] = compute()
         return self._plan[name]
+
+
+def _read_only_copy(arrays: dict[str, np.ndarray], dtype: np.dtype) -> dict[str, np.ndarray]:
+    """The arrays copied once into one `bytes` object, each as a view of it: read-only for good."""
+    flat = np.frombuffer(b"".join(np.asarray(a, dtype=dtype, order="C") for a in arrays.values()), dtype)
+    return split_by_shape(flat, {name: np.shape(a) for name, a in arrays.items()})
+
+
+def split_by_shape(flat: np.ndarray, shapes: dict[str, tuple[int, ...]]) -> dict[str, np.ndarray]:
+    """Name -> view of the next run of `flat`, reshaped to that name's shape, in the order of `shapes`."""
+    parts = np.split(flat, np.cumsum([math.prod(shape) for shape in shapes.values()])[:-1])
+    return {name: part.reshape(shape) for (name, shape), part in zip(shapes.items(), parts)}
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Command-line behaviour: subcommands, exit codes, file outputs."""
 
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -191,9 +192,11 @@ def test_predict_on_manifest_that_is_not_json_exits_1_without_traceback(tmp_path
 
 def test_predict_on_checkpoint_with_nan_parameter_exits_1_without_traceback(tmp_path):
     def poison(ck):
-        entry = next(p for p in json.loads((ck / "manifest.json").read_text())["params"] if p["name"] == "crf.transitions")
+        params = json.loads((ck / "manifest.json").read_text())["params"]
+        names = [p["name"] for p in params]
+        offset = 8 * sum(math.prod(p["shape"]) for p in params[: names.index("crf.transitions")])
         blob = bytearray((ck / "params.bin").read_bytes())
-        blob[entry["offset"] : entry["offset"] + 8] = struct.pack("<d", float("nan"))
+        blob[offset : offset + 8] = struct.pack("<d", float("nan"))
         (ck / "params.bin").write_bytes(bytes(blob))
 
     proc = _predict_subprocess(tmp_path, poison)
@@ -230,7 +233,7 @@ def test_predict_on_checkpoint_with_a_blob_outside_its_directory_exits_1_naming_
 
 def _list_crf_end_twice(params):
     start = next(p for p in params if p["name"] == "crf.start")
-    params.append({**start, "name": "crf.end"})  # crf.end again, at crf.start's offset
+    params.append({**start, "name": "crf.end"})  # crf.end again, with crf.start's shape
 
 
 def _give_crf_end_a_negative_shape(params):

@@ -1,5 +1,7 @@
 """Model assembly, parameter accounting, checkpoints, and training behaviour."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -215,9 +217,10 @@ def test_untrained_model_saturated_towards_outside_predicts_nothing():
 
 
 def test_two_process_runs_produce_identical_logits(tmp_path):
-    import hashlib
+    import os
     import subprocess
     import sys
+    from pathlib import Path
 
     script = tmp_path / "emit.py"
     script.write_text(
@@ -233,7 +236,11 @@ def test_two_process_runs_produce_identical_logits(tmp_path):
         "em = model.crf.emission(model.features_batch([u])[0]).data\n"
         "print(hashlib.sha256(em.tobytes()).hexdigest())\n"
     )
-    runs = {subprocess.run([sys.executable, str(script)], capture_output=True, text=True, check=True).stdout for _ in range(2)}
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    runs = {
+        subprocess.run([sys.executable, str(script)], capture_output=True, text=True, check=True, env=env).stdout
+        for _ in range(2)
+    }
     assert len(runs) == 1
 
 
@@ -388,9 +395,10 @@ def test_checkpoint_manifest_is_versioned_and_explicit(tmp_path):
     cfg = tiny_config()
     Checkpoint.from_model(SlotModel(cfg, VOCAB, TAGSET)).save(tmp_path / "ck")
     manifest = json.loads((tmp_path / "ck" / "manifest.json").read_text())
-    assert manifest["format_version"] == 2
-    assert manifest["endianness"] == "little"
-    assert manifest["params"][0].keys() == {"name", "shape", "offset", "dtype"}
+    assert manifest.keys() == {"format_version", "config", "tagset", "char_vocab", "params"}
+    assert manifest["format_version"] == 3
+    assert manifest["config"] == cfg.to_dict()
+    assert all(p.keys() == {"name", "shape"} for p in manifest["params"])
     shapes = {p["name"]: p["shape"] for p in manifest["params"]}
     assert shapes["encoder.lstm.input.kernel"] == [1, 8, 32]  # [num_blocks, in/k, out/k]
     blob = (tmp_path / "ck" / "params.bin").read_bytes()
@@ -405,7 +413,7 @@ def test_checkpoint_rejects_unknown_version(tmp_path):
     Checkpoint.from_model(SlotModel(cfg, VOCAB, TAGSET)).save(tmp_path / "ck")
     path = tmp_path / "ck" / "manifest.json"
     manifest = json.loads(path.read_text())
-    for version in (1, 99):  # 1 stored dense kernels as [in, out] under other names
+    for version in (1, 2, 99):  # 1 stored dense kernels as [in, out] under other names; 2 stored offsets
         manifest["format_version"] = version
         path.write_text(json.dumps(manifest))
         with pytest.raises(ConfigError):
@@ -428,11 +436,47 @@ def test_checkpoint_rejects_truncated_blob(tmp_path):
         Checkpoint.load(path.parent)
 
 
+def test_checkpoint_rejects_blob_with_trailing_bytes(tmp_path):
+    path, _ = _saved_checkpoint(tmp_path)
+    blob = path.parent / "params.bin"
+    blob.write_bytes(blob.read_bytes() + bytes(8))
+    with pytest.raises(ConfigError, match="trailing bytes"):
+        Checkpoint.load(path.parent)
+
+
+@pytest.mark.parametrize(
+    "damage, kind, key",
+    [
+        (lambda m: m.pop("tagset"), "missing", "tagset"),
+        (lambda m: m.update(endianness="little"), "extra", "endianness"),
+        (lambda m: m["params"][0].pop("shape"), "missing", "shape"),
+        (lambda m: m["params"][-1].update(offset=0), "extra", "offset"),
+        (lambda m: m["config"].pop("mask_current"), "missing", "mask_current"),
+        (lambda m: m["config"].update(hidden=3), "extra", "hidden"),
+    ],
+    ids=["top-missing", "top-extra", "entry-missing", "entry-extra", "config-missing", "config-extra"],
+)
+def test_checkpoint_load_names_each_missing_or_extra_key(tmp_path, damage, kind, key):
+    import json
+
+    path, manifest = _saved_checkpoint(tmp_path)
+    damage(manifest)
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(ConfigError, match=rf"malformed checkpoint manifest .* {kind} keys \['{key}'\]"):
+        Checkpoint.load(path.parent)
+
+
 def test_checkpoint_rejects_missing_parameter(tmp_path):
     import json
 
     path, manifest = _saved_checkpoint(tmp_path)
-    manifest["params"] = [p for p in manifest["params"] if p["name"] != "gate.bias"]
+    sizes = [8 * math.prod(p["shape"]) for p in manifest["params"]]
+    i = [p["name"] for p in manifest["params"]].index("gate.bias")
+    start = sum(sizes[:i])
+    blob = path.parent / "params.bin"
+    data = blob.read_bytes()
+    blob.write_bytes(data[:start] + data[start + sizes[i] :])  # its values go too
+    del manifest["params"][i]
     path.write_text(json.dumps(manifest))
     with pytest.raises(ContractError, match="gate.bias"):
         Checkpoint.load(path.parent).build_model()
@@ -451,11 +495,11 @@ def test_checkpoint_rejects_manifest_that_is_not_json(tmp_path):
     [
         lambda m: m.pop("params"),
         lambda m: m.pop("config"),
-        lambda m: m["params"][0].pop("offset"),
+        lambda m: m["params"][0].pop("shape"),
         lambda m: m.update(params=5),
         lambda m: m["params"][0].update(offset="0"),
     ],
-    ids=["no-params", "no-config", "no-offset", "params-not-a-list", "offset-not-an-int"],
+    ids=["no-params", "no-config", "no-shape", "params-not-a-list", "offset-not-an-int"],
 )
 def test_checkpoint_rejects_manifest_with_missing_or_mistyped_key(tmp_path, damage):
     import json
@@ -482,7 +526,6 @@ def _blob_elsewhere(absolute):
     [
         (_blob_elsewhere(absolute=True), "blob_file"),
         (_blob_elsewhere(absolute=False), "blob_file"),
-        (lambda m, ck: m.pop("blob_file"), "blob_file"),
         (lambda m, ck: m.update(endianness="big"), "endianness"),
         (lambda m, ck: m["params"][3].update(dtype="f32"), "dtype"),
         (lambda m, ck: m["char_vocab"].__setitem__(0, 5), "char_vocab"),
@@ -492,7 +535,6 @@ def _blob_elsewhere(absolute):
     ids=[
         "blob-absolute",
         "blob-parent",
-        "blob-missing",
         "big-endian",
         "dtype",
         "vocab-int",
@@ -516,6 +558,8 @@ def test_checkpoint_rejects_unknown_parameter(tmp_path):
     path, manifest = _saved_checkpoint(tmp_path)
     manifest["params"].append({**manifest["params"][-1], "name": "gate.extra"})
     path.write_text(json.dumps(manifest))
+    blob = path.parent / "params.bin"
+    blob.write_bytes(blob.read_bytes() + bytes(8 * math.prod(manifest["params"][-1]["shape"])))
     with pytest.raises(ContractError, match="gate.extra"):
         Checkpoint.load(path.parent).build_model()
 
@@ -611,22 +655,12 @@ def test_a_write_into_a_plan_input_of_a_served_model_raises():
                 p.data[...] = 0.0
 
 
-def test_a_served_parameter_made_writable_again_switches_the_plan_off():
-    writable = SlotModel(tiny_config(), VOCAB, TAGSET)
-    model = Checkpoint.from_model(writable).build_model()
-    batch = [utt("abc de"), utt("fgh abc de i"), utt("a")]
-    before, _ = _served(model, batch)  # fills the plan
-    query = model.store["attention.query"]
-    query.data.flags.writeable = True
-    for m in (writable, model):
-        m.store["attention.query"].data[...] *= -2.0
-    H3, spans = _served(writable, batch)
-    assert not np.array_equal(H3, before)
-    got_H3, got_spans = _served(model, batch)
-    assert np.array_equal(got_H3, H3) and got_spans == spans
-    query.data.flags.writeable = False  # read-only again: the next plan starts from the changed query
-    got_H3, got_spans = _served(model, batch)
-    assert np.array_equal(got_H3, H3) and got_spans == spans
+def test_a_served_parameter_cannot_be_made_writable_again():
+    for variant in ("abstract_rel", "self_rel", "self_abs", "none"):
+        model = Checkpoint.from_model(SlotModel(tiny_config(variant=variant), VOCAB, TAGSET)).build_model()
+        for p in model.store:
+            with pytest.raises(ValueError, match="WRITEABLE"):
+                p.data.flags.writeable = True
 
 
 def test_training_loss_on_a_served_model_still_reaches_the_plan_inputs():

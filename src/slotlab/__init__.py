@@ -25,7 +25,7 @@ from .data import (
 from .evaluate import EvalReport, span_f1
 from .layers import Dense
 from .model import Checkpoint, ModelConfig, SlotModel, count_parameters, parameter_reduction
-from .params import Parameter, ParameterStore, grad_check
+from .params import Parameter, ParameterStore
 from .tensor import SlotlabError, Tensor
 from .training import AdamW, train
 
@@ -54,7 +54,6 @@ __all__ = [
     "bio_from_spans",
     "count_parameters",
     "fraction_split",
-    "grad_check",
     "load_conll",
     "load_jsonl",
     "parameter_reduction",

@@ -86,17 +86,17 @@ class ContextAttention:
             )
 
     def _mask(self, length: int, lengths: np.ndarray, dtype) -> np.ndarray | None:
-        """Additive mask: -inf on padded keys and, when configured, on the current position.
+        """Additive mask: -inf on padded keys and, under abstract_rel, on the current position.
 
         [batch, 1, length, length] when a slot is padded. Otherwise the cached
         [length, length] current-position mask, or None when nothing is masked.
         """
         if lengths.min() == length:
-            return _current_mask(length, np.dtype(dtype)) if self.cfg.masks_current else None
+            return _current_mask(length, np.dtype(dtype)) if self.cfg.variant == "abstract_rel" else None
         cols = np.arange(length)
         pad = cols[None, None, None, :] >= lengths[:, None, None, None]
         m = np.where(pad, -np.inf, 0.0).astype(dtype)
-        if self.cfg.masks_current:
+        if self.cfg.variant == "abstract_rel":
             m = m + _current_mask(length, np.dtype(dtype))
         return m
 

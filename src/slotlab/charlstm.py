@@ -117,7 +117,7 @@ class CharLstmEncoder:
         # the input kernel is linear without bias, so project the V-row table once and gather its rows
         table = self.store.planned("char_table", lambda: self.input_map(self.embed))
         x = T.take_rows(table, np.concatenate(steps))
-        h = T.lstm_packed(x, self.recurrent_map.kernel, self.b, [len(s) for s in steps])
+        h = T.lstm_packed(x, self.recurrent_map.kernel, self.b, [len(w) for w in words])
         row = {w: r for r, w in enumerate(words)}
         return T.take_rows(self.proj(h), [row[k] for k in keys])
 

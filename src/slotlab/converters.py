@@ -26,17 +26,20 @@ def restaurants8k_to_utterances(payload) -> list[Utterance]:
     examples = payload.get("examples", payload) if isinstance(payload, dict) else payload
     out = []
     for k, ex in enumerate(examples):
+        where = f"restaurants8k example {k}"
         try:
             text = ex["userInput"]["text"]
         except (KeyError, TypeError) as exc:
-            raise DataError(f"restaurants8k example {k}: missing userInput.text") from exc
+            raise DataError(f"{where}: missing userInput.text") from exc
         spans = []
-        for label in ex.get("labels", []):
-            vs = label.get("valueSpan")
-            if vs is None:
-                continue
-            spans.append((vs.get("startIndex", 0), vs["endIndex"], label["slot"]))
-        out.append(utterance_from_text(text, spans, where=f"restaurants8k example {k}"))
+        try:
+            for label in ex.get("labels", []):
+                vs = label.get("valueSpan")
+                if vs is not None:
+                    spans.append((vs.get("startIndex", 0), vs["endIndex"], label["slot"]))
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise DataError(f"{where}: each label needs a slot and a valueSpan with an endIndex") from exc
+        out.append(utterance_from_text(text, spans, where=where))
     return out
 
 
@@ -50,11 +53,9 @@ def mtop_line_to_utterance(line: str, line_no: int = 0) -> Utterance:
     if slot_field.strip():
         for chunk in slot_field.split(","):
             bits = chunk.split(":")
-            if len(bits) < 3:
+            if len(bits) < 3 or not (bits[0].isdecimal() and bits[1].isdecimal()):
                 raise DataError(f"mtop line {line_no}: bad slot chunk {chunk!r}")
-            start, end = int(bits[0]), int(bits[1])
-            label = bits[-1]
-            spans.append((start, end, label))
+            spans.append((int(bits[0]), int(bits[1]), bits[-1]))
     return utterance_from_text(text, spans, lang=lang, where=f"mtop line {line_no}")
 
 

@@ -1,8 +1,9 @@
 """Linear-chain CRF head: emissions, forward-algorithm NLL, Viterbi, spans.
 
 Scores decompose as start[y0] + sum_t emission[t, yt] + sum_t
-transition[y_{t-1}, yt] + end[y_last]; the partition function is one op,
-`tensor.crf_log_partition`, computed in log space. No transitions are
+transition[y_{t-1}, yt] + end[y_last]. The NLL is one op, `tensor.crf_nll`:
+log Z, computed in log space, minus the gold-path score, with the marginals
+minus the gold feature counts as its gradient. No transitions are
 structurally forbidden; BIO inconsistencies in decoded paths are repaired
 when spans are extracted (a dangling I-x opens a new x span).
 """
@@ -93,32 +94,10 @@ def crf_nll_batch(H: Tensor, gold: np.ndarray, lengths: np.ndarray, head: CrfHea
     H is [B, Tmax, d_model]; gold is int [B, Tmax] (entries past each length
     are ignored and must still be valid indices, 0 is fine); returns [B].
     """
-    B, Tmax, _ = H.shape
-    K = head.num_tags
-    if gold.shape != (B, Tmax):
-        raise ContractError(f"gold shape {gold.shape} does not match features {(B, Tmax)}")
-    if lengths.min() < 1:
-        raise ContractError("crf_nll_batch: every sequence needs at least one step")
-    _validate_gold(gold, K)
-    dtype = H.data.dtype
-
-    em = head.emission(H)  # [B, Tmax, K]
-    step_mask = (np.arange(Tmax)[None, :] < lengths[:, None]).astype(dtype)
-
-    # gold path score
-    flat_rows = (np.arange(B)[:, None] * Tmax + np.arange(Tmax)[None, :]) * K + gold
-    picked = T.reshape(T.take_rows(T.reshape(em, (B * Tmax * K,)), flat_rows.ravel()), (B, Tmax))
-    score = T.reduce_sum(picked * T.constant(step_mask), axis=1)
-    score = score + T.take_rows(head.start, gold[:, 0])
-    score = score + T.take_rows(head.end, gold[np.arange(B), lengths - 1])
-    if Tmax > 1:
-        tr_idx = gold[:, :-1] * K + gold[:, 1:]
-        tr_mask = (np.arange(1, Tmax)[None, :] < lengths[:, None]).astype(dtype)
-        picked_tr = T.reshape(T.take_rows(T.reshape(head.transitions, (K * K,)), tr_idx.ravel()), (B, Tmax - 1))
-        score = score + T.reduce_sum(picked_tr * T.constant(tr_mask), axis=1)
-
-    log_z = T.crf_log_partition(em, lengths, head.transitions, head.start, head.end)
-    return log_z - score
+    if gold.shape != H.shape[:2]:
+        raise ContractError(f"gold shape {gold.shape} does not match features {H.shape[:2]}")
+    _validate_gold(gold, head.num_tags)
+    return T.crf_nll(head.emission(H), gold, lengths, head.transitions, head.start, head.end)
 
 
 def viterbi_decode_batch(

@@ -26,7 +26,7 @@ from .data import SlotSpan, Utterance, bio_from_spans
 from .params import ParameterStore, split_by_shape
 from .tensor import ConfigError, ContractError, SlotlabError, Tensor
 
-CHECKPOINT_FORMAT_VERSION = 3
+CHECKPOINT_FORMAT_VERSION = 4
 VARIANTS = ATTENTION_VARIANTS + ("none",)
 
 
@@ -54,7 +54,6 @@ _FIELD_RULES = {
     "weight_decay": _NON_NEGATIVE,
     "variant": (lambda v: v in VARIANTS, f"one of {VARIANTS}"),
     "use_block_dense": (lambda v: isinstance(v, bool), "true or false"),
-    "mask_current": (lambda v: v is None or isinstance(v, bool), "true, false or null"),
     "max_relative_distance": _POSITIVE,
     "learning_rate": _NON_NEGATIVE,
     "beta1": _FRACTION,
@@ -81,7 +80,6 @@ class ModelConfig:
     weight_decay: float = 0.01
     variant: str = "abstract_rel"
     use_block_dense: bool = False
-    mask_current: bool | None = None
     max_relative_distance: int = 8
     learning_rate: float = 1e-3
     beta1: float = 0.9
@@ -98,11 +96,6 @@ class ModelConfig:
             value = getattr(self, name)
             if not valid(value):
                 raise ConfigError(f"config field {name!r} must be {expected}, got {value!r}")
-
-    @property
-    def masks_current(self) -> bool:
-        """Whether attention masks each token's own position: mask_current, else on for abstract_rel only."""
-        return self.variant == "abstract_rel" if self.mask_current is None else self.mask_current
 
     def to_dict(self) -> dict:
         return asdict(self)

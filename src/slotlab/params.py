@@ -1,4 +1,4 @@
-"""Named trainable parameters, deterministic initialization, and grad checks."""
+"""Named trainable parameters and deterministic initialization."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .tensor import ContractError, NumericError, Tensor, backward, grad_enabled, np_dtype
+from .tensor import ContractError, Tensor, grad_enabled, np_dtype
 
 
 def _named_seed(seed: int, name: str) -> np.random.Generator:
@@ -147,46 +147,3 @@ def orthogonal(rng: np.random.Generator, shape: tuple[int, int]) -> np.ndarray:
     q, r = np.linalg.qr(a)
     q = q * np.sign(np.diag(r))
     return q[: shape[0], : shape[1]]
-
-
-# ---------------------------------------------------------------------------
-# finite-difference verification
-
-
-def grad_check(
-    f: Callable[[ParameterStore], Tensor],
-    store: ParameterStore,
-    eps: float = 1e-5,
-) -> float:
-    """Max relative error between backprop and central finite differences.
-
-    Checks every coordinate of every parameter in the store, so callers use
-    desk-scale stores. `f` must be deterministic given the store (dropout off).
-    """
-    store.zero_grads()
-    out = f(store)
-    if out.data.size != 1:
-        raise ContractError(f"grad_check: f must return a scalar, got shape {out.shape}")
-    backward(out)
-    analytic = {p.name: p.grad.copy() for p in store}
-
-    worst = 0.0
-    for p in store:
-        if np.isnan(analytic[p.name]).any():
-            raise NumericError(f"grad_check: NaN in analytic gradient of {p.name!r}")
-        flat = p.data.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + eps
-            f_plus = float(f(store).data)
-            flat[i] = orig - eps
-            f_minus = float(f(store).data)
-            flat[i] = orig
-            if np.isnan(f_plus) or np.isnan(f_minus):
-                raise NumericError(f"grad_check: NaN while perturbing {p.name!r}[{i}]")
-            numeric = (f_plus - f_minus) / (2.0 * eps)
-            a = analytic[p.name].reshape(-1)[i]
-            rel = abs(a - numeric) / max(1e-8, abs(a) + abs(numeric))
-            if rel > worst:
-                worst = rel
-    return worst

@@ -428,35 +428,54 @@ def einsum2(spec: str, a: Tensor, b: Tensor) -> Tensor:
 # recurrence
 
 
-def lstm_packed(xg: Tensor, kernel: Tensor, bias: Tensor, batch_sizes: Sequence[int]) -> Tensor:
+def _packed_layout(lengths: np.ndarray) -> tuple:
+    """Where each step of each sequence runs when sequences of these lengths run packed.
+
+    The sequences are sorted longest first, ties in input order, and laid out
+    time-major: step t owns the next sizes[t] rows, one per sequence longer
+    than t, in sorted order. Returns (seq, step, sizes, starts, prev, last):
+    packed row p is step step[p] of sequence seq[p], so seq[:B] is the sorted
+    order; step t's rows start at starts[t]; prev[p - B] is the row one step
+    before row p for the rows of steps 1, 2, ...; last[b] is the row of
+    sequence b's final step.
+    """
+    order = np.argsort(-lengths, kind="stable")
+    sizes = np.bincount(lengths - 1)[::-1].cumsum()[::-1]  # sequences longer than t
+    starts = sizes.cumsum() - sizes
+    step = np.repeat(np.arange(len(sizes)), sizes)
+    seq = order[np.arange(len(step)) - starts[step]]
+    prev = np.arange(len(order), len(step)) - np.repeat(sizes[:-1], sizes[1:])
+    last = starts[lengths - 1] + np.argsort(order)  # a sequence's place at every step is its place in order
+    return seq, step, sizes.tolist(), starts.tolist(), prev, last
+
+
+def lstm_packed(xg: Tensor, kernel: Tensor, bias: Tensor, lengths: Sequence[int]) -> Tensor:
     """A unidirectional LSTM over packed sequences as one node; returns each sequence's final h.
 
-    The sequences are sorted longest first and laid out time-major: step t
-    owns the next batch_sizes[t] rows of xg, one per sequence longer than t,
-    in sequence order. xg[r] is that character's input projection, kernel the
-    [k, H/k, 4H/k] recurrent blocks and bias [4H], gates in the order
-    i, f, g, o. State starts at zero, and the gate inputs
+    The sequences come longest first, with these lengths, and are laid out
+    time-major (`_packed_layout`): step t owns the next rows of xg, one per
+    sequence longer than t, in sequence order. xg[r] is that character's input
+    projection, kernel the [k, H/k, 4H/k] recurrent blocks and bias [4H],
+    gates in the order i, f, g, o. State starts at zero, and the gate inputs
         z_t = (xg_t + h_{t-1} @ blockdiag(kernel)) + bias
     are summed in this order, the order separate `add` ops would use. Step t
     runs only its active rows. Backward is a BPTT loop over the stored
     activations; the kernel gradient is one contraction over all steps.
     """
-    sizes = [int(s) for s in batch_sizes]
-    if not sizes or sizes[-1] < 1 or any(b > a for a, b in zip(sizes, sizes[1:])):
-        raise ContractError(f"lstm_packed: batch_sizes must be positive and non-increasing, got {sizes}")
+    lens = [int(n) for n in lengths]
+    if not lens or lens[-1] < 1 or any(b > a for a, b in zip(lens, lens[1:])):
+        raise ContractError(f"lstm_packed: lengths must be positive and non-increasing, got {lens}")
     if kernel.data.ndim != 3:
         raise DimensionError(f"lstm_packed: kernel must be [k, m, n], got shape {kernel.shape}")
     k, m, n = kernel.data.shape
     H = k * m
-    if k * n != 4 * H or xg.data.shape != (sum(sizes), 4 * H) or bias.data.shape != (4 * H,):
+    if k * n != 4 * H or xg.data.shape != (sum(lens), 4 * H) or bias.data.shape != (4 * H,):
         raise DimensionError(
-            f"lstm_packed: need xg [{sum(sizes)}, 4H], kernel [k, H/k, 4H/k] and bias [4H]; "
+            f"lstm_packed: need xg [{sum(lens)}, 4H], kernel [k, H/k, 4H/k] and bias [4H]; "
             f"got {xg.shape}, {kernel.shape}, {bias.shape}"
         )
     X, U, b = xg.data, kernel.data, bias.data
-    starts = np.cumsum([0] + sizes[:-1]).tolist()
-    # for each row of steps 1, 2, ...: the row of the same sequence one step earlier
-    prev = np.concatenate([np.arange(0)] + [np.arange(s, s + r) for s, r in zip(starts, sizes[1:])])
+    _, _, sizes, starts, prev, last = _packed_layout(np.array(lens))
     acts = np.empty_like(X)  # sigmoid(i), sigmoid(f), tanh(g), sigmoid(o)
     cs = np.empty((len(X), H), dtype=X.dtype)
     hs = np.empty_like(cs)
@@ -479,9 +498,6 @@ def lstm_packed(xg: Tensor, kernel: Tensor, bias: Tensor, batch_sizes: Sequence[
             np.multiply(f, cs[before], out=c)
             c += i * g
         np.multiply(o, np.tanh(c), out=hs[now])
-    # sequence j ends at step len_j - 1, where it is row j of that step
-    lengths = np.searchsorted(-np.asarray(sizes), -np.arange(sizes[0]), side="left")
-    last = np.asarray(starts)[lengths - 1] + np.arange(sizes[0])
 
     def bwd(gh, sink):
         dz = np.empty_like(X)
@@ -520,38 +536,37 @@ def _logsumexp(x: np.ndarray, axis: int) -> np.ndarray:
     return m + np.log(np.exp(x - np.expand_dims(m, axis)).sum(axis=axis))
 
 
-def crf_log_partition(em3: Tensor, lengths, transitions: Tensor, start: Tensor, end: Tensor) -> Tensor:
-    """log Z of a linear-chain CRF for each sequence of padded emissions em3 [B, Tmax, K], as [B].
+def crf_nll(em3: Tensor, gold, lengths, transitions: Tensor, start: Tensor, end: Tensor) -> Tensor:
+    """Negative log-likelihood of the gold paths of a linear-chain CRF: log Z minus the gold score, as [B].
 
+    em3 [B, Tmax, K] holds padded emissions and gold [B, Tmax] tag indices.
     A path y of sequence b scores start[y_0] + sum_t em3[b, t, y_t] +
-    sum_t transitions[y_{t-1}, y_t] + end[y_last], over its first
-    lengths[b] steps; steps past a length are never read. The forward
-    algorithm runs in log space over rows sorted longest first, so step t
-    touches only the sequences longer than t. The gradient of log Z is the
-    expected feature count: backward runs beta and takes the unary marginals
-    (emissions, start, end) and the pairwise marginals, summed for the
-    transitions in one product over every running (step, sequence) row.
+    sum_t transitions[y_{t-1}, y_t] + end[y_last] over its first lengths[b]
+    steps; steps past a length are never read. The forward algorithm runs in
+    log space over the packed rows (`_packed_layout`), so step t touches only
+    the sequences longer than t, and the gold score is read off the same
+    rows. The gradient is the marginals minus the gold feature counts:
+    backward runs beta for the unary marginals (emissions, start, end) and
+    the pairwise ones, summed for the transitions in one product over every
+    running (step, sequence) row, and subtracts the gold indicators.
     """
     if em3.data.ndim != 3:
-        raise DimensionError(f"crf_log_partition: emissions must be [B, Tmax, K], got shape {em3.shape}")
+        raise DimensionError(f"crf_nll: emissions must be [B, Tmax, K], got shape {em3.shape}")
     B, t_pad, K = em3.data.shape
     if transitions.data.shape != (K, K) or start.data.shape != (K,) or end.data.shape != (K,):
         raise DimensionError(
-            f"crf_log_partition: need transitions [{K}, {K}], start and end [{K}]; "
+            f"crf_nll: need transitions [{K}, {K}], start and end [{K}]; "
             f"got {transitions.shape}, {start.shape}, {end.shape}"
         )
     lens = np.asarray(lengths)
     if lens.shape != (B,) or B == 0 or lens.min() < 1 or lens.max() > t_pad:
-        raise ContractError(f"crf_log_partition: need {B} lengths in [1, {t_pad}], got {lens.tolist()}")
-    order = np.argsort(-lens, kind="stable")  # ties keep input order
-    sizes = (lens[:, None] > np.arange(lens.max())).sum(axis=0).tolist()  # running rows per step
-    starts = np.cumsum([0] + sizes[:-1]).tolist()
-    # packed row p: step step_of[p] of sorted row row_of[p], time-major as in `lstm_packed`;
-    # cells[p] is its (sequence, step) in em3
-    row_of = np.concatenate([np.arange(s) for s in sizes])
-    step_of = np.repeat(np.arange(len(sizes)), sizes)
-    cells = (order[row_of], step_of)
-    em = em3.data[cells]
+        raise ContractError(f"crf_nll: need {B} lengths in [1, {t_pad}], got {lens.tolist()}")
+    if np.shape(gold) != (B, t_pad):
+        raise DimensionError(f"crf_nll: gold must be [{B}, {t_pad}] like the emissions, got shape {np.shape(gold)}")
+    seq, step, sizes, starts, prev, last = _packed_layout(lens)
+    em = em3.data[seq, step]
+    y = np.asarray(gold)[seq, step]  # the gold tag of each packed row
+    gold_cells = (np.arange(len(y)), y)
     trans, trans_t = transitions.data, np.ascontiguousarray(transitions.data.T)
     alpha = np.empty_like(em)
     alpha[:B] = em[:B] + start.data
@@ -559,10 +574,11 @@ def crf_log_partition(em3: Tensor, lengths, transitions: Tensor, start: Tensor, 
         lo, rows, before = starts[t], sizes[t], starts[t - 1]
         alpha[lo : lo + rows] = _logsumexp(alpha[before : before + rows, None, :] + trans_t, axis=2)
         alpha[lo : lo + rows] += em[lo : lo + rows]
-    last = np.asarray(starts)[lens[order] - 1] + np.arange(B)  # sorted row r ends at packed row last[r]
     log_z = _logsumexp(alpha[last] + end.data, axis=1)
-    out = np.empty_like(log_z)
-    out[order] = log_z
+    picked = em[gold_cells]
+    picked[:B] += start.data[y[:B]]
+    picked[B:] += trans[y[prev], y[B:]]
+    score = np.bincount(seq, picked, B).astype(em.dtype) + end.data[y[last]]
 
     def bwd(g, sink):
         beta = np.empty_like(alpha)
@@ -571,26 +587,26 @@ def crf_log_partition(em3: Tensor, lengths, transitions: Tensor, start: Tensor, 
             nxt, rows = starts[t + 1], sizes[t + 1]
             ahead = em[nxt : nxt + rows] + beta[nxt : nxt + rows]
             beta[starts[t] : starts[t] + rows] = _logsumexp(ahead[:, None, :] + trans, axis=2)
-        g_sorted = g[order]
-        weight = g_sorted[row_of]
-        z = log_z[row_of]
+        weight, z = g[seq], log_z[seq]
+        # weight x (unary marginals - gold indicators); at the first and last rows also the start and end terms
         unary = np.exp(alpha + beta - z[:, None])
+        unary *= weight[:, None]
+        unary[gold_cells] -= weight
         if em3.requires_grad:
             d = np.zeros_like(em3.data)
-            d[cells] = unary * weight[:, None]
+            d[seq, step] = unary
             sink(em3, d)
         if start.requires_grad:
-            sink(start, g_sorted @ unary[:B])
+            sink(start, unary[:B].sum(axis=0))
         if end.requires_grad:
-            sink(end, g_sorted @ unary[last])
+            sink(end, unary[last].sum(axis=0))
         if transitions.requires_grad:
-            # packed rows of steps 1, 2, ... and, for each, its row one step earlier
-            prev = np.concatenate([np.arange(s, s + r) for s, r in zip(starts, sizes[1:])] + [np.arange(0)])
             ahead = em[B:] + beta[B:] - z[B:, None]
             pair = np.exp(alpha[prev][:, :, None] + trans + ahead[:, None, :])
-            sink(transitions, (weight[B:] @ pair.reshape(-1, K * K)).reshape(K, K))
+            counts = np.bincount(y[prev] * K + y[B:], weight[B:], K * K).astype(em.dtype)
+            sink(transitions, (weight[B:] @ pair.reshape(-1, K * K) - counts).reshape(K, K))
 
-    return _result(out, (em3, transitions, start, end), bwd)
+    return _result(log_z - score, (em3, transitions, start, end), bwd)
 
 
 # ---------------------------------------------------------------------------

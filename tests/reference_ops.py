@@ -1,14 +1,16 @@
 """Code only the tests use, kept out of slotlab: autodiff ops and scalar oracles for the
-reference compositions, and a CoNLL writer for the loader's round trips."""
+reference compositions, the finite-difference gradient check, and a CoNLL writer for the
+loader's round trips."""
 
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
 from slotlab import tensor as T
 from slotlab.crf import TagSet
 from slotlab.data import Utterance, bio_from_spans
-from slotlab.tensor import Tensor
+from slotlab.params import ParameterStore
+from slotlab.tensor import ContractError, NumericError, Tensor, backward
 
 
 def logsumexp_lastdim(x: Tensor) -> Tensor:
@@ -40,3 +42,42 @@ def save_conll(utterances: Iterable[Utterance], path) -> None:
             for tok, tid in zip(u.tokens, bio_from_spans(u, tagset)):
                 fh.write(f"{tok.surface}\t{tagset.tag(tid)}\n")
             fh.write("\n")
+
+
+def grad_check(
+    f: Callable[[ParameterStore], Tensor],
+    store: ParameterStore,
+    eps: float = 1e-5,
+) -> float:
+    """Max relative error between backprop and central finite differences.
+
+    Checks every coordinate of every parameter in the store, so callers use
+    desk-scale stores. `f` must be deterministic given the store (dropout off).
+    """
+    store.zero_grads()
+    out = f(store)
+    if out.data.size != 1:
+        raise ContractError(f"grad_check: f must return a scalar, got shape {out.shape}")
+    backward(out)
+    analytic = {p.name: p.grad.copy() for p in store}
+
+    worst = 0.0
+    for p in store:
+        if np.isnan(analytic[p.name]).any():
+            raise NumericError(f"grad_check: NaN in analytic gradient of {p.name!r}")
+        flat = p.data.reshape(-1)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + eps
+            f_plus = float(f(store).data)
+            flat[i] = orig - eps
+            f_minus = float(f(store).data)
+            flat[i] = orig
+            if np.isnan(f_plus) or np.isnan(f_minus):
+                raise NumericError(f"grad_check: NaN while perturbing {p.name!r}[{i}]")
+            numeric = (f_plus - f_minus) / (2.0 * eps)
+            a = analytic[p.name].reshape(-1)[i]
+            rel = abs(a - numeric) / max(1e-8, abs(a) + abs(numeric))
+            if rel > worst:
+                worst = rel
+    return worst

@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from reference_ops import grad_check
 
 from slotlab import tensor as T
 from slotlab.charlstm import CharLstmEncoder, CharVocab
@@ -26,7 +27,7 @@ from slotlab.data import SlotSpan, fraction_split, load_jsonl, utterance_from_wo
 from slotlab.evaluate import span_f1
 from slotlab.layers import Dense
 from slotlab.model import Checkpoint, ModelConfig, SlotModel, count_parameters, parameter_reduction
-from slotlab.params import ParameterStore, grad_check
+from slotlab.params import ParameterStore
 from slotlab.synthetic import desk_config, make_from_to_corpus
 from slotlab.tensor import Tensor
 from slotlab.training import train

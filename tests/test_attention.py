@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference_ops import relative_index
+from reference_ops import grad_check, relative_index
 
 from slotlab import tensor as T
 from slotlab.attention import (
@@ -15,12 +15,12 @@ from slotlab.attention import (
     sinusoid_table,
 )
 from slotlab.model import ModelConfig
-from slotlab.params import ParameterStore, grad_check
+from slotlab.params import ParameterStore
 from slotlab.synthetic import desk_config
 from slotlab.tensor import ConfigError, DimensionError, Tensor, backward
 
 
-def make_attention(variant="abstract_rel", heads=1, head_size=4, d_model=6, R=3, seed=0, mask_current=None):
+def make_attention(variant="abstract_rel", heads=1, head_size=4, d_model=6, R=3, seed=0):
     store = ParameterStore(seed=seed)
     cfg = ModelConfig(
         num_heads=heads,
@@ -29,7 +29,6 @@ def make_attention(variant="abstract_rel", heads=1, head_size=4, d_model=6, R=3,
         max_relative_distance=R,
         attention_dropout=0.0,
         variant=variant,
-        mask_current=mask_current,
     )
     return store, ContextAttention(store, cfg)
 
@@ -62,20 +61,21 @@ def test_length_one_masked_row_is_zero():
 
 
 def test_two_token_abstract_matches_enumeration_oracle():
-    store, attn = make_attention(mask_current=False)
+    store, attn = make_attention()
     rng = np.random.default_rng(1)
     attn.query.data[...] = rng.standard_normal((1, 4))
     E = rng.standard_normal((2, 6))
     A, probs = attend(attn, Tensor(E))
 
-    # oracle: direct enumeration of score(i, j) = q . (K e_j + r_{j-i}) / sqrt(d)
+    # oracle: direct enumeration of score(i, j) = q . (K e_j + r_{j-i}) / sqrt(d) over j != i
     q = attn.query.data[0]
     K = E @ attn.key_proj.kernel.data[0]  # [2, 4]
     V = E @ attn.value_proj.kernel.data[0]
     r = attn.rel_embed.data
     d = 4
     for i in range(2):
-        scores = np.array([q @ (K[j] + r[relative_index(i, j, 3)]) for j in range(2)]) / np.sqrt(d)
+        scores = [q @ (K[j] + r[relative_index(i, j, 3)]) if j != i else -np.inf for j in range(2)]
+        scores = np.array(scores) / np.sqrt(d)
         e = np.exp(scores - scores.max())
         p = e / e.sum()
         assert np.max(np.abs(probs.data[0, i] - p)) < 1e-12
@@ -144,7 +144,7 @@ def test_masked_output_independent_of_current_token():
 
 
 def test_asymmetric_relative_embeddings_distinguish_directions():
-    store, attn = make_attention(mask_current=True)
+    store, attn = make_attention()
     attn.rel_embed.data[...] = 0.0
     attn.rel_embed.data[attn.cfg.max_relative_distance - 1] = 1.0  # offset -1
     attn.rel_embed.data[attn.cfg.max_relative_distance + 1] = -1.0  # offset +1

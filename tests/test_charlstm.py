@@ -3,10 +3,11 @@ and the unfused per-step composition of tensor ops as the fused op's reference."
 
 import numpy as np
 import pytest
+from reference_ops import grad_check
 
 from slotlab import tensor as T
 from slotlab.charlstm import PAD_ID, UNK_ID, CharLstmEncoder, CharVocab
-from slotlab.params import ParameterStore, grad_check
+from slotlab.params import ParameterStore
 from slotlab.tensor import ContractError, DimensionError
 
 

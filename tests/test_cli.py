@@ -285,3 +285,16 @@ def test_train_with_bad_config_value_exits_1_without_traceback(tmp_path, field, 
     assert proc.returncode == 1
     assert "error:" in proc.stderr and field in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_predict_on_a_format_3_checkpoint_exits_1_naming_the_version(tmp_path):
+    def to_format_3(ck):
+        manifest = json.loads((ck / "manifest.json").read_text())
+        manifest["format_version"] = 3
+        manifest["config"]["mask_current"] = None  # format 3 stored this field, since removed
+        (ck / "manifest.json").write_text(json.dumps(manifest))
+
+    proc = _predict_subprocess(tmp_path, to_format_3)
+    assert proc.returncode == 1
+    assert "error:" in proc.stderr and "format_version 3" in proc.stderr
+    assert "Traceback" not in proc.stderr

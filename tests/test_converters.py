@@ -48,3 +48,22 @@ def test_mtop_bad_slot_chunk_names_line():
 def test_mtop_short_row_rejected():
     with pytest.raises(DataError):
         mtop_line_to_utterance("1\tIN:X", line_no=1)
+
+
+def _restaurants8k_label(label):
+    return lambda: restaurants8k_to_utterances({"examples": [{"userInput": {"text": "table for 2"}, "labels": [label]}]})
+
+
+@pytest.mark.parametrize(
+    "convert, where",
+    [
+        (_restaurants8k_label({"valueSpan": {"startIndex": 10, "endIndex": 11}}), "example 0"),
+        (_restaurants8k_label({"slot": "people", "valueSpan": {"startIndex": 10}}), "example 0"),
+        (_restaurants8k_label("people"), "example 0"),
+        (lambda: mtop_line_to_utterance("1\tIN:X\tx:1:SL:A\thello there\tmisc\ten", line_no=4), "line 4"),
+    ],
+    ids=["r8k-no-slot", "r8k-no-end-index", "r8k-label-not-an-object", "mtop-non-integer-offset"],
+)
+def test_malformed_native_record_raises_data_error_naming_it(convert, where):
+    with pytest.raises(DataError, match=where):
+        convert()

@@ -10,10 +10,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference_ops import logsumexp_lastdim
+from reference_ops import grad_check, logsumexp_lastdim
 
 from slotlab import tensor as T
-from slotlab.params import ParameterStore, grad_check
+from slotlab.params import ParameterStore
 from slotlab.tensor import (
     ContractError,
     DimensionError,

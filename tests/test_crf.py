@@ -4,12 +4,12 @@ import itertools
 
 import numpy as np
 import pytest
-from reference_ops import logsumexp_lastdim
+from reference_ops import grad_check, logsumexp_lastdim
 
 from slotlab import tensor as T
 from slotlab.crf import CrfHead, TagSet, crf_nll_batch, spans_from_bio, viterbi_decode, viterbi_decode_batch
 from slotlab.data import SlotSpan
-from slotlab.params import ParameterStore, grad_check
+from slotlab.params import ParameterStore
 from slotlab.tensor import ContractError, DimensionError, Tensor, backward
 
 
@@ -259,7 +259,7 @@ def test_batched_nll_equals_single():
 
 
 def log_partition_loop(em, lengths, transitions, start, end):
-    """Reference: the forward algorithm as composed ops, the loop `T.crf_log_partition` replaced, kept here unchanged.
+    """Reference: the forward algorithm as composed ops, the loop the CRF op replaced, kept here unchanged.
 
     Every row runs all Tmax steps and each sequence's alpha is gathered at its last step.
     """
@@ -275,42 +275,69 @@ def log_partition_loop(em, lengths, transitions, start, end):
     return logsumexp_lastdim(alpha + end)
 
 
-def _partition_case(rng, K):
-    """A ragged batch: B in 1-5, lengths in 1-6, sometimes a padded step past the longest."""
+def gold_score_composed(em, gold, lengths, transitions, start, end):
+    """Reference: the gold path score as composed ops, the composition the CRF op replaced, kept here unchanged."""
+    B, Tmax, K = em.shape
+    dtype = em.data.dtype
+    step_mask = (np.arange(Tmax)[None, :] < lengths[:, None]).astype(dtype)
+    flat_rows = (np.arange(B)[:, None] * Tmax + np.arange(Tmax)[None, :]) * K + gold
+    picked = T.reshape(T.take_rows(T.reshape(em, (B * Tmax * K,)), flat_rows.ravel()), (B, Tmax))
+    score = T.reduce_sum(picked * T.constant(step_mask), axis=1)
+    score = score + T.take_rows(start, gold[:, 0])
+    score = score + T.take_rows(end, gold[np.arange(B), lengths - 1])
+    if Tmax > 1:
+        tr_idx = gold[:, :-1] * K + gold[:, 1:]
+        tr_mask = (np.arange(1, Tmax)[None, :] < lengths[:, None]).astype(dtype)
+        picked_tr = T.reshape(T.take_rows(T.reshape(transitions, (K * K,)), tr_idx.ravel()), (B, Tmax - 1))
+        score = score + T.reduce_sum(picked_tr * T.constant(tr_mask), axis=1)
+    return score
+
+
+def nll_composed(em, gold, lengths, transitions, start, end):
+    return log_partition_loop(em, lengths, transitions, start, end) - gold_score_composed(
+        em, gold, lengths, transitions, start, end
+    )
+
+
+def _nll_case(rng, K):
+    """A ragged batch: B in 1-5, lengths in 1-6, sometimes a padded step past the longest; gold anywhere in [0, K)."""
     B = int(rng.integers(1, 6))
     lengths = rng.integers(1, 7, size=B)
     t_pad = int(lengths.max()) + int(rng.integers(0, 2))
+    gold = rng.integers(0, K, size=(B, t_pad))
     em = rng.standard_normal((B, t_pad, K)) * 2.0
     trans = rng.standard_normal((K, K))
     start, end = rng.standard_normal((2, K))
-    return lengths, em, trans, start, end
+    return lengths, gold, em, trans, start, end
 
 
-def _partition_and_grads(fn, lengths, arrays, weights):
+def _nll_and_grads(fn, lengths, gold, arrays, weights):
     leaves = [Tensor(a, requires_grad=True) for a in arrays]
     em, trans, start, end = leaves
-    out = fn(em, lengths, trans, start, end)
+    out = fn(em, gold, lengths, trans, start, end)
     backward(T.reduce_sum(out * weights))
     return out.data, [leaf.grad for leaf in leaves]
 
 
 @pytest.mark.parametrize("K", range(1, 6))
 def test_log_partition_op_matches_the_composed_loop(K):
-    """Forward and every gradient to 1e-12; NaN in the padded steps reaches neither."""
+    """T.crf_nll against log Z of the composed loop minus the composed gold score: forward and every
+    gradient to 1e-12. NaN in the padded emission steps reaches neither, and padded gold entries are not read."""
     rng = np.random.default_rng(K)
     for _ in range(12):
-        lengths, *arrays = _partition_case(rng, K)
+        lengths, gold, *arrays = _nll_case(rng, K)
         weights = rng.standard_normal(len(lengths))
-        got, got_grads = _partition_and_grads(T.crf_log_partition, lengths, arrays, weights)
-        want, want_grads = _partition_and_grads(log_partition_loop, lengths, arrays, weights)
+        got, got_grads = _nll_and_grads(T.crf_nll, lengths, gold, arrays, weights)
+        want, want_grads = _nll_and_grads(nll_composed, lengths, gold, arrays, weights)
         assert np.max(np.abs(got - want)) < 1e-12
         for g, w in zip(got_grads, want_grads):
             assert np.max(np.abs(g - w)) < 1e-12
 
-        padded = arrays[0].copy()
+        padded, other_gold = arrays[0].copy(), gold.copy()
         for b, n in enumerate(lengths):
             padded[b, n:] = np.nan
-        nan_out, nan_grads = _partition_and_grads(T.crf_log_partition, lengths, [padded] + arrays[1:], weights)
+            other_gold[b, n:] = (gold[b, n:] + 1) % K
+        nan_out, nan_grads = _nll_and_grads(T.crf_nll, lengths, other_gold, [padded] + arrays[1:], weights)
         assert np.array_equal(nan_out, got)
         for g, w in zip(nan_grads, got_grads):
             assert np.array_equal(g, w)  # no NaN anywhere; zero at every padded step
@@ -319,7 +346,7 @@ def test_log_partition_op_matches_the_composed_loop(K):
 @pytest.mark.parametrize("K", range(1, 6))
 def test_log_partition_op_gradients_match_finite_differences(K):
     rng = np.random.default_rng(10 + K)
-    lengths, em, trans, start, end = _partition_case(rng, K)
+    lengths, gold, em, trans, start, end = _nll_case(rng, K)
     for b, n in enumerate(lengths):
         em[b, n:] = np.nan  # never read: its finite-difference and analytic gradients are both 0
     store = ParameterStore(seed=K)
@@ -328,7 +355,7 @@ def test_log_partition_op_gradients_match_finite_differences(K):
     weights = Tensor(rng.standard_normal(len(lengths)))
 
     def f(s):
-        out = T.crf_log_partition(s["em"], lengths, s["trans"], s["start"], s["end"])
+        out = T.crf_nll(s["em"], gold, lengths, s["trans"], s["start"], s["end"])
         return T.reduce_sum(out * weights)
 
     assert grad_check(f, store) < 1e-5
@@ -336,13 +363,17 @@ def test_log_partition_op_gradients_match_finite_differences(K):
 
 def test_log_partition_op_rejects_bad_shapes_and_lengths():
     em, trans, vec = Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((4, 4))), Tensor(np.zeros(4))
+    gold = np.zeros((2, 3), dtype=np.int64)
     for lengths in ([3], [3, 0], [3, 4], []):
         with pytest.raises(ContractError):
-            T.crf_log_partition(em, np.array(lengths, dtype=int), trans, vec, vec)
+            T.crf_nll(em, gold, np.array(lengths, dtype=int), trans, vec, vec)
     with pytest.raises(DimensionError):
-        T.crf_log_partition(em, np.array([3, 1]), Tensor(np.zeros((3, 4))), vec, vec)
+        T.crf_nll(em, gold, np.array([3, 1]), Tensor(np.zeros((3, 4))), vec, vec)
     with pytest.raises(DimensionError):
-        T.crf_log_partition(Tensor(np.zeros((2, 4))), np.array([3, 1]), trans, vec, vec)
+        T.crf_nll(Tensor(np.zeros((2, 4))), gold, np.array([3, 1]), trans, vec, vec)
+    for bad_gold in (gold[:, :2], gold[:1], gold[0], np.zeros((2, 3, 1), dtype=np.int64)):
+        with pytest.raises(DimensionError):
+            T.crf_nll(em, bad_gold, np.array([3, 1]), trans, vec, vec)
 
 
 # ---------------------------------------------------------------------------

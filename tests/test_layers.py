@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_ops import grad_check
 
 from slotlab import tensor as T
 from slotlab.layers import ACTIVATIONS, Dense, dropout
-from slotlab.params import ParameterStore, grad_check
+from slotlab.params import ParameterStore
 from slotlab.tensor import ConfigError, Tensor
 
 

@@ -11,8 +11,7 @@ same seed) so the curve is monotone in data.
 import argparse
 import json
 
-from slotlab.cli import load_dataset
-from slotlab.data import fraction_split
+from slotlab.data import fraction_split, load_dataset
 from slotlab.evaluate import span_f1
 from slotlab.model import ModelConfig
 from slotlab.training import train

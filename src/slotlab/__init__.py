@@ -16,8 +16,7 @@ from .data import (
     Utterance,
     bio_from_spans,
     fraction_split,
-    load_conll,
-    load_jsonl,
+    load_dataset,
     save_jsonl,
     substitute_entities,
     tokenize,
@@ -54,8 +53,7 @@ __all__ = [
     "bio_from_spans",
     "count_parameters",
     "fraction_split",
-    "load_conll",
-    "load_jsonl",
+    "load_dataset",
     "parameter_reduction",
     "save_jsonl",
     "span_f1",

@@ -11,10 +11,9 @@ import sys
 from pathlib import Path
 
 from .data import (
-    Utterance,
     fraction_split,
-    load_conll,
-    load_jsonl,
+    load_dataset,
+    read_utf8,
     save_jsonl,
     substitute_entities,
     utterance_from_text,
@@ -36,13 +35,6 @@ ABLATION_VARIANTS = {
 # Tagset/vocab scale used when a params query gives no dataset: 79 entity
 # types in BIO form plus "O", and a 45-character vocabulary plus PAD/UNK.
 ATIS_SCALE = {"num_tags": 2 * 79 + 1, "char_vocab_size": 45 + 2}
-
-
-def load_dataset(path) -> list[Utterance]:
-    path = Path(path)
-    if path.suffix in (".conll", ".tsv", ".bio"):
-        return load_conll(path)
-    return load_jsonl(path)
 
 
 def _report_manifest(config: ModelConfig, dataset: str, count: int) -> dict:
@@ -133,7 +125,7 @@ def _cmd_subset(args) -> int:
 
 def _cmd_substitute(args) -> int:
     utts = load_dataset(args.inp)
-    values = [line.strip() for line in Path(args.values).read_text(encoding="utf-8").splitlines() if line.strip()]
+    values = [line.strip() for line in read_utf8(args.values).splitlines() if line.strip()]
     training_surfaces = None
     if args.train:
         train_utts = load_dataset(args.train)
@@ -179,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train a model and save a checkpoint")
     p.add_argument("--config", required=True, help="JSON file mirroring ModelConfig fields")
-    p.add_argument("--train", required=True, help="training data (.jsonl or .conll)")
+    p.add_argument("--train", required=True, help="training data (.jsonl, .conll, .tsv, .bio or .json; see load_dataset)")
     p.add_argument("--dev", help="development data for early stopping")
     p.add_argument("--out", required=True, help="output checkpoint directory")
     p.set_defaults(func=_cmd_train)

@@ -1,9 +1,15 @@
-"""Dataset ingestion, canonical JSONL/CoNLL storage, BIO codec, and protocols.
+"""Dataset reading and canonical JSONL storage, BIO codec, and protocols.
 
 Canonical JSONL: one object per line, {"text": str, "spans": [{"start_char",
 "end_char", "slot"}], "lang"?}; char offsets are half-open and must align
 with token boundaries. CoNLL: "token<TAB>tag" lines, blank line between
-utterances, tags O / B-x / I-x. Both formats are UTF-8.
+utterances, tags O / B-x / I-x. RESTAURANTS-8K: JSON, {"examples": [...]} or a
+bare list, each {"userInput": {"text"}, "labels": [{"slot", "valueSpan":
+{"startIndex", "endIndex"}}]} with endIndex exclusive; a label without a
+valueSpan (a requested slot left unfilled) gives no span. MTOP: tab-separated
+rows id, intent, slots, utterance, domain, locale, ..., the slots being
+comma-separated "start:end:Label" char offsets (end exclusive) into the
+utterance, the label's "SL:" prefix dropped. Every file is UTF-8.
 """
 
 from __future__ import annotations
@@ -11,6 +17,7 @@ from __future__ import annotations
 import json
 import string
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -128,27 +135,53 @@ def utterance_from_words(words: Sequence[str], spans: Sequence[SlotSpan], lang: 
 
 
 # ---------------------------------------------------------------------------
-# canonical formats
+# dataset files
 
 
-def load_jsonl(path) -> list[Utterance]:
+def read_utf8(path) -> str:
+    """The whole file as text; a file that is not UTF-8 fails naming it."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 ({exc.reason} at byte {exc.start})") from exc
+
+
+def load_dataset(path) -> list[Utterance]:
+    """Read a dataset file: `.json` is RESTAURANTS-8K; `.conll`, `.tsv` and `.bio`
+    are CoNLL, or MTOP when the first non-blank row has four or more
+    tab-separated fields; anything else is canonical JSONL."""
+    path = Path(path)
+    text = read_utf8(path)
+    if path.suffix == ".json":
+        return _parse_restaurants8k(text, path)
+    lines = text.split("\n")  # not splitlines(): save_jsonl writes U+0085 and U+2028 raw
+    if path.suffix in (".conll", ".tsv", ".bio"):
+        first = next((line for line in lines if line.strip()), "")
+        return _parse_rows(lines, path, _mtop_row) if first.count("\t") >= 3 else _parse_conll(lines, path)
+    return _parse_rows(lines, path, _jsonl_row)
+
+
+def _parse_rows(lines: list[str], path, parse_row) -> list[Utterance]:
+    """One utterance per non-blank line; parse_row(line, where) gives its text, char spans and lang."""
     out = []
-    with open(path, encoding="utf-8") as fh:
-        for ln, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-                text = obj["text"]
-                raw = [(sp["start_char"], sp["end_char"], sp["slot"]) for sp in obj.get("spans", [])]
-                lang = obj.get("lang", "")
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                raise DataError(f"{path} line {ln}: malformed record ({exc})") from exc
-            if not isinstance(lang, str):
-                raise DataError(f"{path} line {ln}: lang must be a string, got {lang!r}")
-            out.append(utterance_from_text(text, raw, lang, where=f"{path} line {ln}"))
+    for ln, line in enumerate(lines, start=1):
+        if line.strip():
+            where = f"{path} line {ln}"
+            out.append(utterance_from_text(*parse_row(line, where), where=where))
     return out
+
+
+def _jsonl_row(line: str, where: str) -> tuple[str, list, str]:
+    try:
+        obj = json.loads(line.strip())
+        text = obj["text"]
+        raw = [(sp["start_char"], sp["end_char"], sp["slot"]) for sp in obj.get("spans", [])]
+        lang = obj.get("lang", "")
+    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        raise DataError(f"{where}: malformed record ({exc})") from exc
+    if not isinstance(lang, str):
+        raise DataError(f"{where}: lang must be a string, got {lang!r}")
+    return text, raw, lang
 
 
 def save_jsonl(utterances: Iterable[Utterance], path) -> None:
@@ -164,24 +197,22 @@ def save_jsonl(utterances: Iterable[Utterance], path) -> None:
             fh.write(json.dumps(rec, ensure_ascii=False) + "\n")
 
 
-def load_conll(path) -> list[Utterance]:
+def _parse_conll(lines: list[str], path) -> list[Utterance]:
     """token<TAB>tag blocks; I- tags without an open span are repaired as B-."""
     from .crf import TagSet, spans_from_bio
 
     blocks: list[list[tuple[str, str]]] = [[]]
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line.strip():
-                if blocks[-1]:
-                    blocks.append([])
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                parts = line.split()
-            if len(parts) != 2:
-                raise DataError(f"{path}: cannot parse line {line!r}")
-            blocks[-1].append((parts[0], parts[1]))
+    for line in lines:
+        if not line.strip():
+            if blocks[-1]:
+                blocks.append([])
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2:
+            parts = line.split()
+        if len(parts) != 2:
+            raise DataError(f"{path}: cannot parse line {line!r}")
+        blocks[-1].append((parts[0], parts[1]))
     if blocks and not blocks[-1]:
         blocks.pop()
 
@@ -199,6 +230,48 @@ def load_conll(path) -> list[Utterance]:
         ids = [tagset.index(tag) for _, tag in block]
         spans = spans_from_bio(ids, tagset)
         out.append(utterance_from_words(words, spans, where=f"{path} block {bi}"))
+    return out
+
+
+def _mtop_row(line: str, where: str) -> tuple[str, list, str]:
+    parts = line.split("\t")
+    if len(parts) < 4:
+        raise DataError(f"{where}: expected at least 4 tab-separated columns")
+    slot_field, text = parts[2], parts[3]
+    spans = []
+    if slot_field.strip():
+        for chunk in slot_field.split(","):
+            bits = chunk.split(":")
+            if len(bits) < 3 or not (bits[0].isdecimal() and bits[1].isdecimal()):
+                raise DataError(f"{where}: bad slot chunk {chunk!r}")
+            spans.append((int(bits[0]), int(bits[1]), bits[-1]))
+    return text, spans, parts[5] if len(parts) > 5 else ""
+
+
+def _parse_restaurants8k(text: str, path) -> list[Utterance]:
+    try:
+        payload = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{path}: not JSON ({exc})") from exc
+    examples = payload.get("examples") if isinstance(payload, dict) else payload
+    if not isinstance(examples, list):
+        raise DataError(f'{path}: expected a list of examples or an object with an "examples" list')
+    out = []
+    for k, ex in enumerate(examples):
+        where = f"{path} example {k}"
+        try:
+            utt_text = ex["userInput"]["text"]
+        except (KeyError, TypeError) as exc:
+            raise DataError(f"{where}: missing userInput.text") from exc
+        spans = []
+        try:
+            for label in ex.get("labels", []):
+                vs = label.get("valueSpan")
+                if vs is not None:
+                    spans.append((vs.get("startIndex", 0), vs["endIndex"], label["slot"]))
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise DataError(f"{where}: each label needs a slot and a valueSpan with an endIndex") from exc
+        out.append(utterance_from_text(utt_text, spans, where=where))
     return out
 
 

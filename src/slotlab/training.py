@@ -98,8 +98,7 @@ def train(
     train_list = list(train_set)
     dev_list = list(dev_set) if dev_set else []
 
-    best_f1 = -1.0
-    best_arrays = model.store.snapshot()
+    best_f1 = -1.0  # any dev F1 beats it, so the first epoch sets best_arrays
     stale = 0
     records: list[dict] = []
 

@@ -7,7 +7,6 @@ the corpus itself is not bundled.
 """
 
 import itertools
-import json
 import multiprocessing
 import os
 import time
@@ -23,7 +22,7 @@ from slotlab import tensor as T
 from slotlab.charlstm import CharLstmEncoder, CharVocab
 from slotlab.attention import ContextAttention, FusionGate
 from slotlab.crf import CrfHead, TagSet, crf_nll_batch, viterbi_decode
-from slotlab.data import SlotSpan, fraction_split, load_jsonl, utterance_from_words
+from slotlab.data import SlotSpan, fraction_split, load_dataset, utterance_from_words
 from slotlab.evaluate import span_f1
 from slotlab.layers import Dense
 from slotlab.model import Checkpoint, ModelConfig, SlotModel, count_parameters, parameter_reduction
@@ -281,7 +280,7 @@ def test_criterion_6_ablation_ordering_synthetic(abstract_run, crf_only_run):
 
 def test_criterion_6_ablation_ordering_fixture():
     with criterion(6, "crf_only strictly below abstract_rel on the bundled from/to fixture"):
-        utts = load_jsonl(FIXTURES / "fromto.jsonl")
+        utts = load_dataset(FIXTURES / "fromto.jsonl")
         gold = [list(u.spans) for u in utts]
         scores = {}
         for variant in ("none", "abstract_rel"):
@@ -343,11 +342,9 @@ def test_criterion_8_determinism_and_persistence(tmp_path, corpus, abstract_run)
 )
 def test_criterion_9_restaurants8k_fraction():
     with criterion(9, "RESTAURANTS-8K 1/64 fraction trains to micro F1 in [0.55, 0.65]"):
-        from slotlab.converters import restaurants8k_to_utterances
-
         root = Path(os.environ["RESTAURANTS8K_DIR"])
-        train_full = restaurants8k_to_utterances(json.loads((root / "train.json").read_text()))
-        test_set = restaurants8k_to_utterances(json.loads((root / "test.json").read_text()))
+        train_full = load_dataset(root / "train.json")
+        test_set = load_dataset(root / "test.json")
         subset = fraction_split(train_full, 64, seed=0)
         assert len(subset) == len(train_full) // 64
         checkpoint, _ = train(subset, None, ModelConfig(max_epochs=50))

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from slotlab.cli import main
-from slotlab.data import load_jsonl, save_jsonl, utterance_from_words
+from slotlab.data import load_dataset, save_jsonl, utterance_from_words
 
 FIXTURES = Path(__file__).resolve().parent.parent / "data" / "fixtures"
 
@@ -89,7 +89,7 @@ def test_substitute_cli(tmp_path):
         ]
     )
     assert rc == 0
-    subbed = load_jsonl(out)
+    subbed = load_dataset(out)
     values = {line.strip() for line in (FIXTURES / "cities.txt").read_text().splitlines() if line.strip()}
     for u in subbed:
         for sp in u.spans:
@@ -133,6 +133,44 @@ def test_ablate_cli(tmp_path, capsys):
     assert payload["manifest"]["examples"] == 8
     out = capsys.readouterr().out
     assert "crf_only" in out
+
+
+@pytest.mark.parametrize(
+    "fixture, slots",
+    [("restaurants8k_native.json", {"date", "last_name", "people", "time"}), ("mtop_native.tsv", {"CONTACT", "DATE_TIME", "EVENT_NAME", "LOCATION"})],
+)
+def test_train_evaluate_on_a_native_layout(tmp_path, capsys, fixture, slots):
+    cfg_path = write_config(tmp_path, max_epochs=2)
+    data, ckpt_dir = str(FIXTURES / fixture), str(tmp_path / "ckpt")
+    assert main(["train", "--config", str(cfg_path), "--train", data, "--out", ckpt_dir]) == 0
+    report = tmp_path / "report.json"
+    assert main(["evaluate", "--ckpt", ckpt_dir, "--test", data, "--report", str(report)]) == 0
+    payload = json.loads(report.read_text())
+    assert set(payload["per_slot"]) == slots and payload["manifest"]["examples"] == 5
+
+
+NON_UTF8_ARGS = {
+    "train": lambda bad, tmp: ["train", "--config", str(write_config(tmp)), "--train", bad, "--out", str(tmp / "ck")],
+    "evaluate": lambda bad, tmp: ["evaluate", "--ckpt", str(tmp / "ck"), "--test", bad],
+    "subset": lambda bad, tmp: ["subset", "--in", bad, "--denominator", "1", "--out", str(tmp / "o.jsonl")],
+    "substitute": lambda bad, tmp: ["substitute", "--in", bad, "--slot", "x", "--values", str(FIXTURES / "cities.txt"), "--out", str(tmp / "o.jsonl")],
+    "substitute-values": lambda bad, tmp: ["substitute", "--in", str(FIXTURES / "fromto.jsonl"), "--slot", "to_city", "--values", bad, "--out", str(tmp / "o.jsonl")],
+    "ablate": lambda bad, tmp: ["ablate", "--config", str(write_config(tmp)), "--train", bad, "--test", bad],
+}
+
+
+@pytest.mark.parametrize("command", list(NON_UTF8_ARGS))
+def test_non_utf8_input_file_exits_1_naming_it(tmp_path, capsys, command):
+    from slotlab.charlstm import CharVocab
+    from slotlab.crf import TagSet
+    from slotlab.model import Checkpoint, ModelConfig, SlotModel
+
+    cfg = ModelConfig(char_embed_dim=8, lstm_units=8, d_model=16, num_heads=2, head_size=8, max_relative_distance=2)
+    Checkpoint.from_model(SlotModel(cfg, CharVocab(list("abc")), TagSet.from_slot_types(["x"]))).save(tmp_path / "ck")
+    bad = tmp_path / "latin1.jsonl"
+    bad.write_bytes('{"text": "caf\xe9"}\n'.encode("latin-1"))
+    assert main(NON_UTF8_ARGS[command](str(bad), tmp_path)) == 1
+    assert capsys.readouterr().err.startswith(f"error: {bad}: not UTF-8")
 
 
 @pytest.mark.parametrize("flag", ["--num-tags", "--char-vocab-size"])

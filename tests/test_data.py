@@ -1,5 +1,6 @@
-"""Tokenizer, canonical formats, BIO round trip, fractions, substitution."""
+"""Tokenizer, the four dataset layouts, BIO round trip, fractions, substitution."""
 
+import json
 from pathlib import Path
 
 import numpy as np
@@ -15,11 +16,11 @@ from slotlab.data import (
     Utterance,
     bio_from_spans,
     fraction_split,
-    load_conll,
-    load_jsonl,
+    load_dataset,
     save_jsonl,
     substitute_entities,
     tokenize,
+    utterance_from_text,
     utterance_from_words,
 )
 
@@ -47,7 +48,7 @@ def test_tokenize_all_punct_chunk():
 def test_load_jsonl_book_at_noon(tmp_path):
     p = tmp_path / "one.jsonl"
     p.write_text('{"text":"book at noon","spans":[{"start_char":8,"end_char":12,"slot":"time"}]}\n')
-    (utt,) = load_jsonl(p)
+    (utt,) = load_dataset(p)
     assert utt.words == ["book", "at", "noon"]
     assert utt.spans == [SlotSpan(2, 2, "time")]
 
@@ -55,7 +56,7 @@ def test_load_jsonl_book_at_noon(tmp_path):
 def test_load_jsonl_empty_file(tmp_path):
     p = tmp_path / "empty.jsonl"
     p.write_text("")
-    assert load_jsonl(p) == []
+    assert load_dataset(p) == []
 
 
 def test_load_jsonl_mid_token_span_names_line(tmp_path):
@@ -65,7 +66,7 @@ def test_load_jsonl_mid_token_span_names_line(tmp_path):
         '{"text":"book at noon","spans":[{"start_char":8,"end_char":10,"slot":"time"}]}\n'
     )
     with pytest.raises(DataError) as err:
-        load_jsonl(p)
+        load_dataset(p)
     assert "line 2" in str(err.value)
 
 
@@ -75,7 +76,7 @@ def test_load_jsonl_overlap_rejected(tmp_path):
         '{"text":"a b c","spans":[{"start_char":0,"end_char":3,"slot":"x"},{"start_char":2,"end_char":5,"slot":"y"}]}\n'
     )
     with pytest.raises(DataError):
-        load_jsonl(p)
+        load_dataset(p)
 
 
 def test_load_jsonl_malformed_line_number(tmp_path):
@@ -91,15 +92,15 @@ def test_load_jsonl_malformed_line_number(tmp_path):
     ):
         p.write_text('{"text":"ok"}\n' + bad + "\n")
         with pytest.raises(DataError) as err:
-            load_jsonl(p)
+            load_dataset(p)
         assert "line 2" in str(err.value), bad
 
 
 def test_jsonl_round_trip(tmp_path):
-    utts = load_jsonl(FIXTURES / "booking.jsonl")
+    utts = load_dataset(FIXTURES / "booking.jsonl")
     out = tmp_path / "again.jsonl"
     save_jsonl(utts, out)
-    again = load_jsonl(out)
+    again = load_dataset(out)
     assert [u.text for u in again] == [u.text for u in utts]
     assert [u.spans for u in again] == [u.spans for u in utts]
 
@@ -107,13 +108,13 @@ def test_jsonl_round_trip(tmp_path):
 def test_load_conll_two_blocks(tmp_path):
     p = tmp_path / "two.conll"
     p.write_text("a\tO\nb\tB-x\n\nc\tO\n\n")
-    utts = load_conll(p)
+    utts = load_dataset(p)
     assert len(utts) == 2
     assert utts[0].words == ["a", "b"] and utts[1].words == ["c"]
 
 
 def test_load_conll_spans():
-    utts = load_conll(FIXTURES / "flights.conll")
+    utts = load_dataset(FIXTURES / "flights.conll")
     assert utts[0].spans == [SlotSpan(3, 3, "fromloc"), SlotSpan(5, 5, "toloc")]
     assert utts[2].spans == [SlotSpan(3, 4, "fromloc"), SlotSpan(6, 6, "toloc")]
 
@@ -123,26 +124,140 @@ def test_load_conll_unknown_prefix_names_block(tmp_path):
     for tag in ("Q-x", "B-", "I-"):  # a prefix with no type would drop its span
         p.write_text(f"a\tO\n\nb\t{tag}\n")
         with pytest.raises(DataError) as err:
-            load_conll(p)
+            load_dataset(p)
         assert "block 1" in str(err.value), tag
 
 
 def test_conll_round_trip(tmp_path):
-    utts = load_conll(FIXTURES / "flights.conll")
+    utts = load_dataset(FIXTURES / "flights.conll")
     out = tmp_path / "rt.conll"
     save_conll(utts, out)
-    again = load_conll(out)
+    again = load_dataset(out)
     assert [u.words for u in again] == [u.words for u in utts]
     assert [u.spans for u in again] == [u.spans for u in utts]
     save_conll(again, out)
-    assert load_conll(out)[0].spans == again[0].spans
+    assert load_dataset(out)[0].spans == again[0].spans
 
 
 def test_conll_repairs_dangling_inside(tmp_path):
     p = tmp_path / "repair.conll"
     p.write_text("x\tI-time\ny\tI-time\n\n")
-    (utt,) = load_conll(p)
+    (utt,) = load_dataset(p)
     assert utt.spans == [SlotSpan(0, 1, "time")]
+
+
+def test_jsonl_round_trip_keeps_line_separators_inside_a_text(tmp_path):
+    utts = [utterance_from_text("book at noon\x85now", [(8, 12, "time")]), utterance_from_text("a\u2028b", [])]
+    save_jsonl(utts, tmp_path / "sep.jsonl")
+    again = load_dataset(tmp_path / "sep.jsonl")
+    assert [(u.text, u.spans) for u in again] == [(u.text, u.spans) for u in utts]
+
+
+# ---------------------------------------------------------------------------
+# native layouts: RESTAURANTS-8K (.json) and MTOP (.tsv rows of four or more fields)
+
+MTOP_ROW = "1\tIN:X\t\thello there\tmisc\ten\n"
+
+
+def _r8k_label(label) -> str:
+    return json.dumps({"examples": [{"userInput": {"text": "table for 2"}, "labels": [label]}]})
+
+
+def _write(tmp_path, name, content):
+    p = tmp_path / name
+    if isinstance(content, bytes):
+        p.write_bytes(content)
+    else:
+        p.write_text(content, encoding="utf-8")
+    return p
+
+
+def test_restaurants8k_fixture():
+    utts = load_dataset(FIXTURES / "restaurants8k_native.json")
+    assert len(utts) == 5
+    assert utts[0].words == ["table", "for", "2", "at", "7", "pm"]
+    assert utts[0].spans == [SlotSpan(2, 2, "people"), SlotSpan(4, 5, "time")]
+    assert utts[4].spans == []
+
+
+def test_restaurants8k_requested_slot_without_span(tmp_path):
+    payload = {"examples": [{"userInput": {"text": "anything"}, "labels": [{"slot": "time"}]}]}
+    (utt,) = load_dataset(_write(tmp_path, "r8k.json", json.dumps(payload)))
+    assert utt.spans == []
+
+
+def test_restaurants8k_missing_text_rejected(tmp_path):
+    with pytest.raises(DataError, match="example 0: missing userInput.text"):
+        load_dataset(_write(tmp_path, "r8k.json", json.dumps({"examples": [{"labels": []}]})))
+
+
+def test_mtop_fixture():
+    utts = load_dataset(FIXTURES / "mtop_native.tsv")
+    assert len(utts) == 5
+    assert utts[0].spans == [SlotSpan(3, 3, "LOCATION")]
+    assert utts[1].spans == [SlotSpan(3, 4, "DATE_TIME")]
+    assert utts[4].spans == []
+    assert all(u.lang == "en" for u in utts)
+
+
+def test_mtop_bad_slot_chunk_names_line(tmp_path):
+    p = _write(tmp_path, "bad.tsv", MTOP_ROW * 6 + "1\tIN:X\tnonsense\thello there\tmisc\ten\n")
+    with pytest.raises(DataError) as err:
+        load_dataset(p)
+    assert "line 7: bad slot chunk 'nonsense'" in str(err.value)
+
+
+def test_mtop_short_row_rejected(tmp_path):
+    with pytest.raises(DataError, match="line 2: expected at least 4 tab-separated columns"):
+        load_dataset(_write(tmp_path, "bad.tsv", MTOP_ROW + "1\tIN:X\n"))
+
+
+@pytest.mark.parametrize(
+    "name, content, where",
+    [
+        ("r8k.json", _r8k_label({"valueSpan": {"startIndex": 10, "endIndex": 11}}), "example 0"),
+        ("r8k.json", _r8k_label({"slot": "people", "valueSpan": {"startIndex": 10}}), "example 0"),
+        ("r8k.json", _r8k_label("people"), "example 0"),
+        ("mtop.tsv", MTOP_ROW * 3 + "1\tIN:X\tx:1:SL:A\thello there\tmisc\ten\n", "line 4"),
+    ],
+    ids=["r8k-no-slot", "r8k-no-end-index", "r8k-label-not-an-object", "mtop-non-integer-offset"],
+)
+def test_malformed_native_record_raises_data_error_naming_it(tmp_path, name, content, where):
+    p = _write(tmp_path, name, content)
+    with pytest.raises(DataError, match=where) as err:
+        load_dataset(p)
+    assert str(err.value).startswith(f"{p} {where}")
+
+
+@pytest.mark.parametrize(
+    "name, content",
+    [
+        ("r8k.json", "not json"),
+        ("r8k.json", '{"examples": 5}'),
+        ("r8k.json", '{"examples": [{"userInput": {"text": "caf\xe9"}}]}'.encode("latin-1")),
+        ("one.jsonl", '{"text": "caf\xe9"}\n'.encode("latin-1")),
+        ("one.conll", "caf\xe9\tO\n".encode("latin-1")),
+        ("one.tsv", MTOP_ROW.replace("hello", "h\xe9llo").encode("latin-1")),
+    ],
+    ids=["r8k-not-json", "r8k-examples-not-a-list", "r8k-not-utf8", "jsonl-not-utf8", "conll-not-utf8", "mtop-not-utf8"],
+)
+def test_malformed_file_raises_data_error_naming_it(tmp_path, name, content):
+    p = _write(tmp_path, name, content)
+    with pytest.raises(DataError) as err:
+        load_dataset(p)
+    assert str(err.value).startswith(f"{p}: ")
+
+
+def test_layout_follows_extension_then_first_non_blank_row(tmp_path):
+    mtop, conll, jsonl = (FIXTURES / name for name in ("mtop_native.tsv", "flights.conll", "booking.jsonl"))
+    for suffix in (".conll", ".tsv", ".bio"):
+        assert load_dataset(_write(tmp_path, "m" + suffix, "\n \n" + mtop.read_text())) == load_dataset(mtop)
+        assert load_dataset(_write(tmp_path, "c" + suffix, conll.read_text())) == load_dataset(conll)
+    assert load_dataset(_write(tmp_path, "b.txt", jsonl.read_text())) == load_dataset(jsonl)
+    (utt,) = load_dataset(_write(tmp_path, "four.tsv", "1\tIN:X\t0:5:SL:A\thello there\n"))
+    assert (utt.spans, utt.lang) == ([SlotSpan(0, 0, "A")], "")
+    with pytest.raises(DataError, match="cannot parse line"):
+        load_dataset(_write(tmp_path, "three.tsv", "1\tIN:X\thello there\n"))
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +432,7 @@ def test_substitute_respects_explicit_training_surfaces():
 
 
 def test_substitute_preserves_counts_and_other_slots():
-    utts = load_jsonl(FIXTURES / "fromto.jsonl")
+    utts = load_dataset(FIXTURES / "fromto.jsonl")
     out = substitute_entities(utts, "from_city", ["quito", "novi sad"], seed=9)
     assert len(out) == len(utts)
     assert sum(len(u.spans) for u in out) == sum(len(u.spans) for u in utts)
@@ -331,7 +446,7 @@ def test_substitute_preserves_counts_and_other_slots():
 
 
 def test_substitute_deterministic():
-    utts = load_jsonl(FIXTURES / "fromto.jsonl")
+    utts = load_dataset(FIXTURES / "fromto.jsonl")
     a = substitute_entities(utts, "to_city", ["x1", "x2", "x3"], seed=4)
     b = substitute_entities(utts, "to_city", ["x1", "x2", "x3"], seed=4)
     assert [u.words for u in a] == [u.words for u in b]

@@ -29,9 +29,9 @@ def test_run_fractions_reports_each_nested_fraction(tmp_path):
     config = tmp_path / "config.json"
     tiny = {"char_embed_dim": 8, "lstm_units": 8, "d_model": 16, "num_heads": 2, "head_size": 8, "max_epochs": 1}
     config.write_text(json.dumps(tiny))
-    booking = ROOT / "data" / "fixtures" / "booking.jsonl"
+    restaurants = ROOT / "data" / "fixtures" / "restaurants8k_native.json"
     report = tmp_path / "fractions.json"
-    args = ["--train", booking, "--test", booking, "--config", config, "--denominators", 1, 2, "--report", report]
+    args = ["--train", restaurants, "--test", restaurants, "--config", config, "--denominators", 1, 2, "--report", report]
     proc = _run("run_fractions.py", *args)
     rows = json.loads(report.read_text())["rows"]
     assert [r["fraction"] for r in rows] == ["1/1", "1/2"]

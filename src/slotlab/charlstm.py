@@ -113,10 +113,10 @@ class CharLstmEncoder:
         if not words[-1]:
             raise ContractError("encode_words: empty word in batch")
         # time-major: step t holds the characters of the words longer than t
-        steps = [[c for c in step if c is not None] for step in zip_longest(*words)]
+        chars = [c for step in zip_longest(*words) for c in step if c is not None]
         # the input kernel is linear without bias, so project the V-row table once and gather its rows
         table = self.store.planned("char_table", lambda: self.input_map(self.embed))
-        x = T.take_rows(table, np.concatenate(steps))
+        x = T.take_rows(table, np.array(chars))
         h = T.lstm_packed(x, self.recurrent_map.kernel, self.b, [len(w) for w in words])
         row = {w: r for r, w in enumerate(words)}
         return T.take_rows(self.proj(h), [row[k] for k in keys])

@@ -123,8 +123,7 @@ def viterbi_decode_batch(
     active = list(accumulate(reversed(ends)))[::-1]  # rows still running at each step
     em = em3 if order == list(range(B)) else em3[order]
     trans_t = np.ascontiguousarray(transitions.T)
-    # cand[r, j, i] = delta[r, i] + transitions[i, j]; flat[r, j] is the index of cand[r, j, 0]
-    flat = np.arange(0, B * num_tags * num_tags, num_tags).reshape(B, num_tags)
+    # cand[r, j, i] = delta[r, i] + transitions[i, j]
     back = np.empty((n_steps, B, num_tags), dtype=np.intp)
     finished = []  # scores of the rows that ended, shortest rows last
     delta = start + em[:, 0]
@@ -132,10 +131,10 @@ def viterbi_decode_batch(
         n = active[t]
         if n < len(delta):
             finished.append(delta[n:])
-            delta, flat = delta[:n], flat[:n]
+            delta = delta[:n]
         cand = delta[:, None, :] + trans_t
-        best = cand.argmax(axis=2, out=back[t, :n])  # argmax returns the lowest index on ties
-        delta = cand.ravel()[best + flat] + em[:n, t]
+        cand.argmax(axis=2, out=back[t, :n])  # argmax returns the lowest index on ties
+        delta = cand.max(axis=2) + em[:n, t]
     final = (np.concatenate([delta] + finished[::-1]) if finished else delta) + end
     last = final.argmax(axis=1).tolist()
     final, back = final.tolist(), back.tolist()

@@ -146,16 +146,21 @@ def read_utf8(path) -> str:
         raise DataError(f"{path}: not UTF-8 ({exc.reason} at byte {exc.start})") from exc
 
 
+# the layouts a file name selects other than canonical JSONL
+_SUFFIX_LAYOUTS = {".json": "RESTAURANTS-8K", ".conll": "CoNLL or MTOP", ".tsv": "CoNLL or MTOP", ".bio": "CoNLL or MTOP"}
+
+
 def load_dataset(path) -> list[Utterance]:
     """Read a dataset file: `.json` is RESTAURANTS-8K; `.conll`, `.tsv` and `.bio`
     are CoNLL, or MTOP when the first non-blank row has four or more
     tab-separated fields; anything else is canonical JSONL."""
     path = Path(path)
     text = read_utf8(path)
-    if path.suffix == ".json":
+    layout = _SUFFIX_LAYOUTS.get(path.suffix)
+    if layout == "RESTAURANTS-8K":
         return _parse_restaurants8k(text, path)
     lines = text.split("\n")  # not splitlines(): save_jsonl writes U+0085 and U+2028 raw
-    if path.suffix in (".conll", ".tsv", ".bio"):
+    if layout:
         first = next((line for line in lines if line.strip()), "")
         return _parse_rows(lines, path, _mtop_row) if first.count("\t") >= 3 else _parse_conll(lines, path)
     return _parse_rows(lines, path, _jsonl_row)
@@ -185,6 +190,10 @@ def _jsonl_row(line: str, where: str) -> tuple[str, list, str]:
 
 
 def save_jsonl(utterances: Iterable[Utterance], path) -> None:
+    """Write canonical JSONL; a name that `load_dataset` reads as another layout fails before anything is written."""
+    layout = _SUFFIX_LAYOUTS.get(Path(path).suffix)
+    if layout:
+        raise DataError(f"{path}: a {Path(path).suffix} file is read as {layout}, not JSONL; name it .jsonl")
     with open(path, "w", encoding="utf-8") as fh:
         for u in utterances:
             spans = [

@@ -319,15 +319,20 @@ def _block_mm(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """x[..., N, k*m] times the block-diagonal matrix whose blocks are w[k, m, n], as [..., N, k*n].
 
     Feature chunk i of x meets block i in one batched `_matmul` over the
-    [..., k, N, m] layout. For k > 1, on the shapes `_matmul` passes to
-    np.matmul unchanged, the [..., k, N, n] products are written straight
-    into a swapped view of the result: BLAS only writes them with another
-    row stride, so the bits are those of the product copied into layout.
+    [..., k, N, m] layout. One block is a plain `_matmul` with w[0], which
+    numpy broadcasts over the leading axes: the same gemm per [N, m] matrix
+    as the layout, without its reshape and copy. For k > 1, on the shapes
+    `_matmul` passes to np.matmul unchanged, the [..., k, N, n] products are
+    written straight into a swapped view of the result: BLAS only writes
+    them with another row stride, so the bits are those of the product
+    copied into layout.
     """
     k, m, n = w.shape
+    if k == 1:
+        return _matmul(x, w[0])
     lead = x.shape[:-1]
     xk = x.reshape(lead + (k, m)).swapaxes(-3, -2)
-    if k > 1 and x.shape[-2] > 1 and n >= _MIN_COLS:
+    if x.shape[-2] > 1 and n >= _MIN_COLS:
         out = np.empty(lead + (k * n,), np.result_type(x, w))
         np.matmul(xk, w, out=out.reshape(lead + (k, n)).swapaxes(-3, -2))
         return out
@@ -449,6 +454,15 @@ def _packed_layout(lengths: np.ndarray) -> tuple:
     return seq, step, sizes.tolist(), starts.tolist(), prev, last
 
 
+@lru_cache(maxsize=8)
+def _gate_affine(H: int, dtype: np.dtype) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only [4H] scale and shift that map tanh of the scaled gate inputs to the i, f, g, o gates."""
+    scale, shift = np.full((2, 4 * H), 0.5, dtype)
+    scale[2 * H : 3 * H], shift[2 * H : 3 * H] = 1.0, 0.0
+    scale.flags.writeable = shift.flags.writeable = False
+    return scale, shift
+
+
 def lstm_packed(xg: Tensor, kernel: Tensor, bias: Tensor, lengths: Sequence[int]) -> Tensor:
     """A unidirectional LSTM over packed sequences as one node; returns each sequence's final h.
 
@@ -459,8 +473,13 @@ def lstm_packed(xg: Tensor, kernel: Tensor, bias: Tensor, lengths: Sequence[int]
     gates in the order i, f, g, o. State starts at zero, and the gate inputs
         z_t = (xg_t + h_{t-1} @ blockdiag(kernel)) + bias
     are summed in this order, the order separate `add` ops would use. Step t
-    runs only its active rows. Backward is a BPTT loop over the stored
-    activations; the kernel gradient is one contraction over all steps.
+    runs only its active rows, and its four gates are one in-place tanh over
+    its [rows, 4H] block plus one fixed affine map: sigmoid(z) = tanh(z/2)/2
+    + 1/2 on i, f and o. Their columns of xg, kernel and bias are halved once
+    per call, which is exact, so each step sums exactly z/2 there; the gates
+    then differ from `_sigmoid(z)` by at most one machine epsilon. tanh(c)
+    is stored with the activations. Backward is a BPTT loop over them; the
+    kernel gradient is one contraction over all steps.
     """
     lens = [int(n) for n in lengths]
     if not lens or lens[-1] < 1 or any(b > a for a, b in zip(lens, lens[1:])):
@@ -476,28 +495,30 @@ def lstm_packed(xg: Tensor, kernel: Tensor, bias: Tensor, lengths: Sequence[int]
         )
     X, U, b = xg.data, kernel.data, bias.data
     _, _, sizes, starts, prev, last = _packed_layout(np.array(lens))
-    acts = np.empty_like(X)  # sigmoid(i), sigmoid(f), tanh(g), sigmoid(o)
+    scale, shift = _gate_affine(H, X.dtype)
+    I, F, G, O = (slice(j * H, (j + 1) * H) for j in range(4))
+    acts = X * scale  # the scaled gate inputs, then sigmoid(i), sigmoid(f), tanh(g), sigmoid(o)
+    scaled_U, scaled_b = U * scale.reshape(k, 1, n), b * scale
     cs = np.empty((len(X), H), dtype=X.dtype)
-    hs = np.empty_like(cs)
+    hs, tcs = np.empty_like(cs), np.empty_like(cs)  # h and tanh(c)
     for t, (lo, rows) in enumerate(zip(starts, sizes)):
         now = slice(lo, lo + rows)
-        if t == 0:
-            z = X[now] + b
-        else:
+        a, c, tc = acts[now], cs[now], tcs[now]
+        if t:
             before = slice(starts[t - 1], starts[t - 1] + rows)
-            z = X[now] + _block_mm(hs[before], U)
-            z += b
-        a = acts[now]
-        a[...] = _sigmoid(z)
-        i, f, g, o = (a[:, j * H : (j + 1) * H] for j in range(4))
-        g[...] = np.tanh(z[:, 2 * H : 3 * H])
-        c = cs[now]
+            a += _block_mm(hs[before], scaled_U)
+        a += scaled_b
+        np.tanh(a, out=a)
+        a *= scale
+        a += shift
+        i, f, g, o = a[:, I], a[:, F], a[:, G], a[:, O]
         if t == 0:
             np.multiply(i, g, out=c)
         else:
             np.multiply(f, cs[before], out=c)
-            c += i * g
-        np.multiply(o, np.tanh(c), out=hs[now])
+            c += np.multiply(i, g, out=tc)
+        np.tanh(c, out=tc)
+        np.multiply(o, tc, out=hs[now])
 
     def bwd(gh, sink):
         dz = np.empty_like(X)
@@ -508,8 +529,8 @@ def lstm_packed(xg: Tensor, kernel: Tensor, bias: Tensor, lengths: Sequence[int]
             lo, rows = starts[t], sizes[t]
             now = slice(lo, lo + rows)
             a, d, dht = acts[now], dz[now], dh[:rows]
-            i, f, g, o = (a[:, j * H : (j + 1) * H] for j in range(4))
-            tc = np.tanh(cs[now])
+            i, f, g, o = a[:, I], a[:, F], a[:, G], a[:, O]
+            tc = tcs[now]
             dct = dc[:rows] + dht * o * (1.0 - tc * tc)
             d[:, :H] = dct * g * i * (1.0 - i)
             if t:
@@ -719,7 +740,7 @@ def softmax_lastdim(x: Tensor) -> Tensor:
     d = x.data
     m = d.max(axis=-1, keepdims=True)
     finite = np.isfinite(m)
-    shifted = np.where(finite, d - np.where(finite, m, 0.0), -np.inf)
+    shifted = d - m if finite.all() else np.where(finite, d - np.where(finite, m, 0.0), -np.inf)
     e = np.exp(shifted)
     s = np.add.accumulate(e, axis=-1)[..., -1:]  # added left to right, so appended masked entries change no bit
     p = np.divide(e, s, out=np.zeros_like(e), where=s > 0)

@@ -1,7 +1,8 @@
 """Code only the tests use, kept out of slotlab: autodiff ops and scalar oracles for the
-reference compositions, the finite-difference gradient check, and a CoNLL writer for the
-loader's round trips."""
+reference compositions, the batched Viterbi as it read each step's best score before,
+the finite-difference gradient check, and a CoNLL writer for the loader's round trips."""
 
+from itertools import accumulate
 from typing import Callable, Iterable
 
 import numpy as np
@@ -31,6 +32,42 @@ def logsumexp_lastdim(x: Tensor) -> Tensor:
 def relative_index(i: int, j: int, max_distance: int) -> int:
     """Bucket of the signed offset j - i, clipped to [-R, R], shifted to [0, 2R]."""
     return int(np.clip(j - i, -max_distance, max_distance)) + max_distance
+
+
+def viterbi_decode_batch_gather(em3, lengths, transitions, start, end):
+    """`crf.viterbi_decode_batch` gathering each step's best score at its argmax through a flat index."""
+    B, t_pad, num_tags = em3.shape
+    lens = [int(n) for n in lengths]
+    order = sorted(range(B), key=lens.__getitem__, reverse=True)
+    n_steps = lens[order[0]]
+    ends = [0] * n_steps
+    for n in lens:
+        ends[n - 1] += 1
+    active = list(accumulate(reversed(ends)))[::-1]
+    em = em3[order]
+    trans_t = np.ascontiguousarray(transitions.T)
+    # cand[r, j, i] = delta[r, i] + transitions[i, j]; flat[r, j] is the index of cand[r, j, 0]
+    flat = np.arange(0, B * num_tags * num_tags, num_tags).reshape(B, num_tags)
+    back = np.empty((n_steps, B, num_tags), dtype=np.intp)
+    finished = []
+    delta = start + em[:, 0]
+    for t in range(1, n_steps):
+        n = active[t]
+        if n < len(delta):
+            finished.append(delta[n:])
+            delta, flat = delta[:n], flat[:n]
+        cand = delta[:, None, :] + trans_t
+        best = cand.argmax(axis=2, out=back[t, :n])
+        delta = cand.ravel()[best + flat] + em[:n, t]
+    final = (np.concatenate([delta] + finished[::-1]) if finished else delta) + end
+    last = final.argmax(axis=1).tolist()
+    paths, scores = [None] * B, [None] * B
+    for row, b in enumerate(order):
+        path = [last[row]]
+        for t in range(lens[b] - 1, 0, -1):
+            path.append(int(back[t, row, path[-1]]))
+        paths[b], scores[b] = path[::-1], final[row, last[row]]
+    return paths, scores
 
 
 def save_conll(utterances: Iterable[Utterance], path) -> None:

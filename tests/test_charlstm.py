@@ -11,9 +11,9 @@ from slotlab.params import ParameterStore
 from slotlab.tensor import ContractError, DimensionError
 
 
-def make_encoder(seed=0, vocab=None, char_embed=5, units=4, d_model=6, num_blocks=1):
+def make_encoder(seed=0, vocab=None, char_embed=5, units=4, d_model=6, num_blocks=1, dtype="f64"):
     vocab = vocab or CharVocab.from_words(["abc", "xyz", "hello"])
-    store = ParameterStore(seed=seed)
+    store = ParameterStore(seed=seed, dtype=dtype)
     return store, vocab, CharLstmEncoder(store, vocab.size, char_embed, units, d_model, num_blocks=num_blocks)
 
 
@@ -175,7 +175,7 @@ def unfused_encode(enc, char_ids):
     ids = np.zeros((n, max_len), dtype=np.int64)
     for r, w in enumerate(char_ids):
         ids[r, : len(w)] = w
-    h = c = T.constant(np.zeros((n, H)))
+    h = c = T.constant(np.zeros((n, H), dtype=enc.embed.data.dtype))
     hs = []
     for t in range(max_len):
         x = T.take_rows(enc.embed, ids[:, t])
@@ -194,8 +194,8 @@ def unfused_encode(enc, char_ids):
 RAGGED = ["abcabc", "a", "hello", "xy", "a", "zyx", "hello", "ab", "abcabc", "x", "hel"]  # lengths 1..6, repeats
 
 
-def ragged_encoder(num_blocks, seed=3):
-    store, vocab, enc = make_encoder(seed=seed, char_embed=4, units=4, d_model=6, num_blocks=num_blocks)
+def ragged_encoder(num_blocks, seed=3, dtype="f64"):
+    store, vocab, enc = make_encoder(seed=seed, char_embed=4, units=4, d_model=6, num_blocks=num_blocks, dtype=dtype)
     return store, enc, [vocab.encode(w) for w in RAGGED]
 
 
@@ -204,9 +204,18 @@ def weighted_sum(out):
     return T.reduce_sum(T.tanh(out) * T.constant(weights))
 
 
-@pytest.mark.parametrize("num_blocks", [1, 2])
-def test_fused_encoder_matches_unfused_composition(num_blocks):
-    store, enc, words = ragged_encoder(num_blocks)
+# f64 agrees to 1e-12. In f32 the gates' two forms of the sigmoid and the
+# orders of the sums round apart: outputs by up to 3e-8 and gradients by up to
+# 4.8e-7, four float32 epsilons (seeds 3-5), so the f32 bound is 2e-6.
+BOUND = {"f64": 1e-12, "f32": 2e-6}
+CASES = [(1, "f64"), (2, "f64"), (4, "f64"), (1, "f32"), (4, "f32")]
+
+
+@pytest.mark.parametrize(
+    "num_blocks, dtype", [pytest.param(nb, dt, id=str(nb) if dt == "f64" else f"{nb}-f32") for nb, dt in CASES]
+)
+def test_fused_encoder_matches_unfused_composition(num_blocks, dtype):
+    store, enc, words = ragged_encoder(num_blocks, dtype=dtype)
     results = []
     for encode in (enc.encode_words, lambda w: unfused_encode(enc, w)):
         store.zero_grads()
@@ -214,17 +223,43 @@ def test_fused_encoder_matches_unfused_composition(num_blocks):
         T.backward(weighted_sum(out))
         results.append((out.data, {p.name: p.grad.copy() for p in store}))
     (fused, fused_grads), (ref, ref_grads) = results
-    assert fused.shape == ref.shape == (len(RAGGED), 6)
-    assert np.max(np.abs(fused - ref)) < 1e-12
+    assert fused.shape == ref.shape == (len(RAGGED), 6) and fused.dtype == ref.dtype == T.np_dtype(dtype)
+    assert np.max(np.abs(fused - ref)) < BOUND[dtype]
     for name, g in ref_grads.items():
         assert np.abs(g).max() > 0, name
-        assert np.max(np.abs(fused_grads[name] - g)) < 1e-12, name
+        assert np.max(np.abs(fused_grads[name] - g)) < BOUND[dtype], name
 
 
-@pytest.mark.parametrize("num_blocks", [1, 2])
+@pytest.mark.parametrize("num_blocks", [1, 2, 4])
 def test_fused_encoder_gradients_on_ragged_batch(num_blocks):
     store, enc, words = ragged_encoder(num_blocks)
     assert grad_check(lambda s: weighted_sum(enc.encode_words(words)), store) < 1e-5
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_cell_gates_are_the_sigmoid_within_one_epsilon_and_store_tanh_c_exactly(dtype):
+    """The stored i, f and o gates against `T._sigmoid` of the same gate inputs, over
+    [-40, 40] and +-1e3; g against np.tanh; the stored tanh(c) against np.tanh(c), bitwise."""
+    rng = np.random.default_rng(2)
+    H, lens = 6, [7, 5, 5, 3, 1]
+    X = rng.uniform(-40.0, 40.0, (sum(lens), 4 * H))
+    X[rng.random(X.shape) < 0.1] = 1e3
+    X[rng.random(X.shape) < 0.1] = -1e3
+    U, b = rng.standard_normal((2, H // 2, 2 * H)).astype(dtype), rng.standard_normal(4 * H).astype(dtype)
+    out = T.lstm_packed(T.Tensor(X.astype(dtype), requires_grad=True), T.Tensor(U), T.Tensor(b), lens)
+    bwd = out._backward
+    state = dict(zip(bwd.__code__.co_freevars, (cell.cell_contents for cell in bwd.__closure__)))
+    acts, cs, hs, tcs = state["acts"], state["cs"], state["hs"], state["tcs"]
+    _, _, sizes, starts, _, _ = T._packed_layout(np.array(lens))
+    z = X.astype(dtype) + b
+    for t in range(1, len(sizes)):
+        now, before = slice(starts[t], starts[t] + sizes[t]), slice(starts[t - 1], starts[t - 1] + sizes[t])
+        z[now] = X[now].astype(dtype) + T._block_mm(hs[before], U)
+        z[now] += b
+    gate = np.r_[0 : 2 * H, 3 * H : 4 * H]
+    assert np.max(np.abs(acts[:, gate] - T._sigmoid(z[:, gate]))) <= np.finfo(dtype).eps
+    assert np.array_equal(acts[:, 2 * H : 3 * H], np.tanh(z[:, 2 * H : 3 * H]))
+    assert tcs.dtype == dtype and tcs.tobytes() == np.tanh(cs).tobytes()
 
 
 def test_repeated_word_is_encoded_once_and_bit_equal_alone():

@@ -97,6 +97,20 @@ def test_substitute_cli(tmp_path):
                 assert " ".join(u.words[sp.start_token : sp.end_token + 1]) in values
 
 
+@pytest.mark.parametrize("suffix, layout", [(".json", "RESTAURANTS-8K"), (".conll", "CoNLL or MTOP"), (".tsv", "CoNLL or MTOP"), (".bio", "CoNLL or MTOP")])
+@pytest.mark.parametrize("command", ["subset", "substitute"])
+def test_jsonl_output_under_another_layouts_name_exits_1_writing_nothing(tmp_path, capsys, command, suffix, layout):
+    out = tmp_path / ("small" + suffix)
+    args = {
+        "subset": ["subset", "--in", str(FIXTURES / "booking.jsonl"), "--denominator", "1"],
+        "substitute": ["substitute", "--in", str(FIXTURES / "fromto.jsonl"), "--slot", "to_city", "--values", str(FIXTURES / "cities.txt")],
+    }[command]
+    assert main(args + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {out}: ") and layout in err
+    assert not out.exists()
+
+
 def test_train_evaluate_predict_round_trip(tmp_path, capsys):
     cfg_path = write_config(tmp_path, variant="none", max_epochs=80, patience=80, dropout=0.0)
     ckpt_dir = tmp_path / "ckpt"

@@ -319,9 +319,12 @@ def _block_mm_copied(x, w):
     return T._matmul(x.reshape(lead + (k, m)).swapaxes(-3, -2), w).swapaxes(-3, -2).reshape(lead + (k * n,))
 
 
-@pytest.mark.parametrize("k", [2, 4, 8])
+@pytest.mark.parametrize("k", [1, 2, 4, 8])
 def test_block_products_written_in_place_are_bitwise_the_copied_layout(k):
-    """2-D and 3-D inputs, the transposed kernel view the input gradient uses, one-row inputs and n < 4."""
+    """2-D and 3-D inputs, the transposed kernel view the input gradient uses, one-row inputs and n < 4.
+
+    At k = 1 the product is `_matmul` with the one block, broadcast over the leading axes.
+    """
     rng = np.random.default_rng(k)
     for m, n in ((8, 16), (3, 5), (16, 4), (4, 3), (5, 1)):
         for dtype in (np.float64, np.float32):

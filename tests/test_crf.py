@@ -4,7 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
-from reference_ops import grad_check, logsumexp_lastdim
+from reference_ops import grad_check, logsumexp_lastdim, viterbi_decode_batch_gather
 
 from slotlab import tensor as T
 from slotlab.crf import CrfHead, TagSet, crf_nll_batch, spans_from_bio, viterbi_decode, viterbi_decode_batch
@@ -167,6 +167,23 @@ def test_batched_viterbi_matches_the_loop_bitwise_under_ties(B, K):
                 want_path, want_score = viterbi_loop(em3[b, :n], trans, start, end)
                 assert paths[b] == want_path
                 assert np.float64(scores[b]).tobytes() == np.float64(want_score).tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_best_score_read_by_max_is_bitwise_the_gather_at_argmax(dtype):
+    """Each step's max over predecessors is the very element argmax points at: small integer
+    scores (many ties) and normal ones, ragged lengths, paths and scores bit for bit."""
+    rng = np.random.default_rng(11)
+    for trial in range(60):
+        B, K = int(rng.integers(1, 9)), int(rng.integers(1, 7))
+        lengths = rng.integers(1, 9, size=B)
+        shapes = ((B, int(lengths.max()), K), (K, K), K, K)
+        draws = [rng.integers(-2, 3, size=s) if trial % 2 else rng.standard_normal(s) for s in shapes]
+        em3, trans, start, end = (d.astype(dtype) for d in draws)
+        got = viterbi_decode_batch(em3, lengths, trans, start, end)
+        want = viterbi_decode_batch_gather(em3, lengths, trans, start, end)
+        assert got[0] == want[0]
+        assert np.array(got[1], dtype).tobytes() == np.array(want[1], dtype).tobytes()
 
 
 def test_viterbi_decode_batch_rejects_bad_lengths():

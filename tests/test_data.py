@@ -105,6 +105,15 @@ def test_jsonl_round_trip(tmp_path):
     assert [u.spans for u in again] == [u.spans for u in utts]
 
 
+@pytest.mark.parametrize("suffix, layout", [(".json", "RESTAURANTS-8K"), (".conll", "CoNLL or MTOP"), (".tsv", "CoNLL or MTOP"), (".bio", "CoNLL or MTOP")])
+def test_save_jsonl_refuses_a_name_read_as_another_layout(tmp_path, suffix, layout):
+    out = tmp_path / ("small" + suffix)
+    with pytest.raises(DataError) as err:
+        save_jsonl(load_dataset(FIXTURES / "booking.jsonl"), out)
+    assert str(err.value).startswith(f"{out}: ") and layout in str(err.value)
+    assert not out.exists()
+
+
 def test_load_conll_two_blocks(tmp_path):
     p = tmp_path / "two.conll"
     p.write_text("a\tO\nb\tB-x\n\nc\tO\n\n")

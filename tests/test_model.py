@@ -1,5 +1,6 @@
 """Model assembly, parameter accounting, checkpoints, and training behaviour."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -279,9 +280,8 @@ def test_word_rows_are_bitwise_equal_alone_and_in_a_batch(desk_served):
     assert not differ, f"{len(differ)} of {len(ids)} words get another encoder row alone, on BLAS {_blas()}"
 
 
-def test_utterance_features_are_bitwise_equal_alone_and_in_a_batch(desk_served):
-    model, test_set = desk_served
-    print(f"BLAS: {_blas()}")
+def _features_differing_alone(model, test_set) -> int:
+    """How many utterances get other fused features served alone than in batches of 32."""
     differ = 0
     with T.no_grad():
         for lo in range(0, len(test_set), 32):
@@ -290,6 +290,25 @@ def test_utterance_features_are_bitwise_equal_alone_and_in_a_batch(desk_served):
             for b, u in enumerate(batch):
                 alone, _ = model.features_batch([u])
                 differ += not np.array_equal(alone.data[0], H3.data[b, : lengths[b]])
+    return differ
+
+
+def test_utterance_features_are_bitwise_equal_alone_and_in_a_batch(desk_served):
+    model, test_set = desk_served
+    print(f"BLAS: {_blas()}")
+    differ = _features_differing_alone(model, test_set)
+    assert differ == 0, f"{differ} of {len(test_set)} utterances get other features alone, on BLAS {_blas()}"
+
+
+@pytest.mark.parametrize("served", ["desk_f32", "block_dense"])
+def test_utterance_features_are_bitwise_equal_alone_and_in_a_batch_in_f32_and_block_dense(served):
+    """A desk model trained two epochs in f32, and an untrained paper-size ModelConfig(use_block_dense=True)."""
+    train_set, test_set = make_from_to_corpus(seed=7)
+    if served == "desk_f32":
+        checkpoint, _ = train(train_set, None, dataclasses.replace(desk_config(max_epochs=2), dtype="f32"))
+    else:
+        checkpoint = Checkpoint.from_model(build_model(train_set, ModelConfig(use_block_dense=True)))
+    differ = _features_differing_alone(checkpoint.build_model(), test_set)
     assert differ == 0, f"{differ} of {len(test_set)} utterances get other features alone, on BLAS {_blas()}"
 
 

@@ -9,7 +9,9 @@ the words longer than t. The input kernel has no bias, so it projects the
 character table once (V rows, PAD and UNK included) and one gather picks each
 real character's row; the recurrence is one `T.lstm_packed` op, and one final
 gather puts the projected rows back in the caller's word order. A served model
-projects the table once (`ParameterStore.planned`).
+projects the table once (`ParameterStore.planned`) and keeps the rows of the
+last 512 distinct words it encoded (`ParameterStore.kept_rows`), so a call runs
+the LSTM only over the words it has not served lately.
 """
 
 from __future__ import annotations
@@ -112,14 +114,18 @@ class CharLstmEncoder:
         words = sorted(dict.fromkeys(keys), key=len, reverse=True)  # longest first, ties in first-seen order
         if not words[-1]:
             raise ContractError("encode_words: empty word in batch")
+        rows = self.store.kept_rows(words, self._encode_sorted)
+        row = {w: r for r, w in enumerate(words)}
+        return T.take_rows(rows, [row[k] for k in keys])
+
+    def _encode_sorted(self, words: list[tuple[int, ...]]) -> Tensor:
+        """[len(words), d_model] rows of distinct words given longest first: the packed LSTM, then the projection."""
         # time-major: step t holds the characters of the words longer than t
         chars = [c for step in zip_longest(*words) for c in step if c is not None]
         # the input kernel is linear without bias, so project the V-row table once and gather its rows
         table = self.store.planned("char_table", lambda: self.input_map(self.embed))
         x = T.take_rows(table, np.array(chars))
-        h = T.lstm_packed(x, self.recurrent_map.kernel, self.b, [len(w) for w in words])
-        row = {w: r for r, w in enumerate(words)}
-        return T.take_rows(self.proj(h), [row[k] for k in keys])
+        return self.proj(T.lstm_packed(x, self.recurrent_map.kernel, self.b, [len(w) for w in words]))
 
     def encode_utterance(
         self,

@@ -11,6 +11,9 @@ import numpy as np
 from .tensor import ContractError, Tensor, grad_enabled, np_dtype
 
 
+ROW_CAPACITY = 512  # rows a serving store keeps (`ParameterStore.kept_rows`)
+
+
 def _named_seed(seed: int, name: str) -> np.random.Generator:
     digest = hashlib.sha256(f"{seed}:{name}".encode()).digest()
     return np.random.default_rng(int.from_bytes(digest[:8], "little"))
@@ -50,6 +53,10 @@ class ParameterStore:
         self._rngs: dict[str, np.random.Generator] = {}
         self._arrays = None if arrays is None else _read_only_copy(arrays, np_dtype(dtype))
         self._plan: dict[str, Tensor] | None = None if arrays is None else {}
+        self._rows: np.ndarray | None = None  # the kept rows, a FIFO ring allocated at the first miss
+        self._row_slot: dict = {}  # key -> its row in the ring
+        self._row_key: list = [None] * ROW_CAPACITY  # row -> its key
+        self._row_next = 0  # the next row to overwrite
 
     def create(self, name: str, shape: tuple[int, ...], init: Callable[[], np.ndarray]) -> Parameter:
         """Declare a parameter: the read-only loaded array of that name, else init()'s value.
@@ -105,17 +112,50 @@ class ParameterStore:
     def snapshot(self) -> dict[str, np.ndarray]:
         return {p.name: p.data.copy() for p in self}
 
-    def planned(self, name: str, compute: Callable[[], Tensor]) -> Tensor:
-        """compute(), kept in the plan under `name` when the store serves loaded arrays and grad is off.
+    def _keeps(self) -> bool:
+        """Whether a result may be kept: the store serves loaded arrays and grad is off.
 
-        Such a store's parameters can never be written, so the kept product is bitwise what each later call
-        would compute. Any other store, or any call under grad, computes it afresh.
+        Such a store's parameters can never be written, so a kept result is bitwise what a later call would
+        compute. Any other store, or any call under grad, computes afresh and keeps nothing.
         """
-        if self._plan is None or grad_enabled():
+        return self._plan is not None and not grad_enabled()
+
+    def planned(self, name: str, compute: Callable[[], Tensor]) -> Tensor:
+        """compute(), kept in the plan under `name` when the store keeps results (`_keeps`)."""
+        if not self._keeps():
             return compute()
         if name not in self._plan:
             self._plan[name] = compute()
         return self._plan[name]
+
+    def kept_rows(self, keys: list, compute: Callable[[list], Tensor]) -> Tensor:
+        """compute(keys), one row per distinct key; a store that keeps results (`_keeps`) reads seen keys' rows back.
+
+        compute must give each key the same row bits in any list of keys, and must accept any sublist of
+        `keys`; it then runs only on the keys not kept. The last ROW_CAPACITY rows computed are kept, the
+        oldest overwritten first. A call's result is read before its fresh rows are kept, so they cannot
+        overwrite a row it reads, and a call with more misses than ROW_CAPACITY keeps only the first ones.
+        """
+        if not self._keeps():
+            return compute(keys)
+        slots = [self._row_slot.get(key, -1) for key in keys]
+        missed = [i for i, slot in enumerate(slots) if slot < 0]
+        if not missed:
+            return Tensor(self._rows[slots])
+        fresh = compute([keys[i] for i in missed]).data
+        if self._rows is None:
+            self._rows = np.empty((ROW_CAPACITY, fresh.shape[1]), fresh.dtype)
+        out = self._rows[slots]  # a missed key's -1 reads a row that is overwritten next
+        out[missed] = fresh
+        kept = missed[:ROW_CAPACITY]
+        at = [(self._row_next + j) % ROW_CAPACITY for j in range(len(kept))]
+        for slot, i in zip(at, kept):
+            self._row_slot.pop(self._row_key[slot], None)
+            self._row_key[slot] = keys[i]
+            self._row_slot[keys[i]] = slot
+        self._rows[at] = fresh[: len(kept)]
+        self._row_next = (self._row_next + len(kept)) % ROW_CAPACITY
+        return Tensor(out)
 
 
 def _read_only_copy(arrays: dict[str, np.ndarray], dtype: np.dtype) -> dict[str, np.ndarray]:

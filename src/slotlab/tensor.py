@@ -18,6 +18,7 @@ import os
 import sys
 from contextlib import contextmanager
 from functools import lru_cache
+from itertools import accumulate
 from typing import Callable, Sequence
 
 import numpy as np
@@ -454,6 +455,16 @@ def _packed_layout(lengths: np.ndarray) -> tuple:
     return seq, step, sizes.tolist(), starts.tolist(), prev, last
 
 
+def _sorted_layout(lens: list[int]) -> tuple[list[int], list[int], list[int]]:
+    """`_packed_layout`'s sizes, starts and last for non-increasing lengths, in a few list passes."""
+    ends = [0] * lens[0]
+    for n in lens:
+        ends[n - 1] += 1  # the sequences whose final step is n - 1
+    sizes = list(accumulate(reversed(ends)))[::-1]
+    starts = [0, *accumulate(sizes[:-1])]
+    return sizes, starts, [starts[n - 1] + b for b, n in enumerate(lens)]  # in sorted order, b's place is b
+
+
 @lru_cache(maxsize=8)
 def _gate_affine(H: int, dtype: np.dtype) -> tuple[np.ndarray, np.ndarray]:
     """Read-only [4H] scale and shift that map tanh of the scaled gate inputs to the i, f, g, o gates."""
@@ -494,7 +505,7 @@ def lstm_packed(xg: Tensor, kernel: Tensor, bias: Tensor, lengths: Sequence[int]
             f"got {xg.shape}, {kernel.shape}, {bias.shape}"
         )
     X, U, b = xg.data, kernel.data, bias.data
-    _, _, sizes, starts, prev, last = _packed_layout(np.array(lens))
+    sizes, starts, last = _sorted_layout(lens)
     scale, shift = _gate_affine(H, X.dtype)
     I, F, G, O = (slice(j * H, (j + 1) * H) for j in range(4))
     acts = X * scale  # the scaled gate inputs, then sigmoid(i), sigmoid(f), tanh(g), sigmoid(o)
@@ -545,6 +556,7 @@ def lstm_packed(xg: Tensor, kernel: Tensor, bias: Tensor, lengths: Sequence[int]
         if xg.requires_grad:
             sink(xg, dz)
         if kernel.requires_grad:
+            prev = np.arange(sizes[0], len(X)) - np.repeat(sizes[:-1], sizes[1:])  # the row one step before
             sink(kernel, _block_kernel_grad(hs[prev], dz[sizes[0] :], k))
         if bias.requires_grad:
             sink(bias, dz.sum(axis=0))

@@ -262,6 +262,14 @@ def test_cell_gates_are_the_sigmoid_within_one_epsilon_and_store_tanh_c_exactly(
     assert tcs.dtype == dtype and tcs.tobytes() == np.tanh(cs).tobytes()
 
 
+def test_the_lean_layout_of_sorted_lengths_is_the_packed_layout():
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        lens = sorted(rng.integers(1, 16, int(rng.integers(1, 40))).tolist(), reverse=True)
+        _, _, sizes, starts, _, last = T._packed_layout(np.array(lens))
+        assert T._sorted_layout(lens) == (sizes, starts, last.tolist()), lens
+
+
 def test_repeated_word_is_encoded_once_and_bit_equal_alone():
     store, vocab, enc = make_encoder()
     a, b = vocab.encode("hello"), vocab.encode("xyz")

@@ -13,6 +13,7 @@ from slotlab.crf import TagSet
 from slotlab.data import DataError, SlotSpan, utterance_from_words
 from slotlab.evaluate import span_f1
 from slotlab.model import Checkpoint, ModelConfig, SlotModel, count_parameters, parameter_reduction
+from slotlab.params import ROW_CAPACITY
 from slotlab.synthetic import desk_config, make_from_to_corpus
 from slotlab.tensor import ConfigError, ContractError, NumericError
 from slotlab.training import AdamW, build_model, train, _check_finite
@@ -264,39 +265,46 @@ def _blas() -> str:
 
 @pytest.fixture(scope="module")
 def desk_served():
-    """A desk model after two epochs, served from its checkpoint, and the unseen-city test split."""
+    """The checkpoint of a desk model after two epochs, and the unseen-city test split.
+
+    A test that compares two ways of serving builds one model for each, so neither reads rows the other kept.
+    """
     train_set, test_set = make_from_to_corpus(seed=7)
     checkpoint, _ = train(train_set, None, desk_config(max_epochs=2))
-    return checkpoint.build_model(), test_set
+    return checkpoint, test_set
 
 
 def test_word_rows_are_bitwise_equal_alone_and_in_a_batch(desk_served):
-    model, test_set = desk_served
+    checkpoint, test_set = desk_served
+    model, alone_model = checkpoint.build_model(), checkpoint.build_model()
     print(f"BLAS: {_blas()}")
     ids = [model.vocab.encode(w) for w in dict.fromkeys(w for u in test_set for w in u.words)]
     with T.no_grad():
         together = model.encoder.encode_words(ids).data
-        differ = [w for w, row in zip(ids, together) if not np.array_equal(model.encoder.encode_words([w]).data[0], row)]
+        differ = [
+            w for w, row in zip(ids, together) if not np.array_equal(alone_model.encoder.encode_words([w]).data[0], row)
+        ]
     assert not differ, f"{len(differ)} of {len(ids)} words get another encoder row alone, on BLAS {_blas()}"
 
 
-def _features_differing_alone(model, test_set) -> int:
-    """How many utterances get other fused features served alone than in batches of 32."""
+def _features_differing_alone(checkpoint, test_set) -> int:
+    """How many utterances get other fused features served alone than in batches of 32, by two built models."""
+    model, alone_model = checkpoint.build_model(), checkpoint.build_model()
     differ = 0
     with T.no_grad():
         for lo in range(0, len(test_set), 32):
             batch = test_set[lo : lo + 32]
             H3, lengths = model.features_batch(batch)
             for b, u in enumerate(batch):
-                alone, _ = model.features_batch([u])
+                alone, _ = alone_model.features_batch([u])
                 differ += not np.array_equal(alone.data[0], H3.data[b, : lengths[b]])
     return differ
 
 
 def test_utterance_features_are_bitwise_equal_alone_and_in_a_batch(desk_served):
-    model, test_set = desk_served
+    checkpoint, test_set = desk_served
     print(f"BLAS: {_blas()}")
-    differ = _features_differing_alone(model, test_set)
+    differ = _features_differing_alone(checkpoint, test_set)
     assert differ == 0, f"{differ} of {len(test_set)} utterances get other features alone, on BLAS {_blas()}"
 
 
@@ -308,7 +316,7 @@ def test_utterance_features_are_bitwise_equal_alone_and_in_a_batch_in_f32_and_bl
         checkpoint, _ = train(train_set, None, dataclasses.replace(desk_config(max_epochs=2), dtype="f32"))
     else:
         checkpoint = Checkpoint.from_model(build_model(train_set, ModelConfig(use_block_dense=True)))
-    differ = _features_differing_alone(checkpoint.build_model(), test_set)
+    differ = _features_differing_alone(checkpoint, test_set)
     assert differ == 0, f"{differ} of {len(test_set)} utterances get other features alone, on BLAS {_blas()}"
 
 
@@ -338,6 +346,7 @@ def test_predict_batch_decodes_the_graph_built_emissions():
 
 
 def test_serving_does_not_depend_on_earlier_calls():
+    """On a writable model and on one built from its checkpoint, whose row cache the earlier calls fill."""
     batch = [utt("abc de"), utt("fgh abc de i"), utt("a"), utt("de de bij")]
 
     def served(model):
@@ -345,13 +354,19 @@ def test_serving_does_not_depend_on_earlier_calls():
             H3, _ = model.features_batch(batch)
         return H3.data, model.predict_batch(batch)
 
-    cold = served(SlotModel(tiny_config(), VOCAB, TAGSET))
-    model = SlotModel(tiny_config(), VOCAB, TAGSET)
-    model.predict_batch([utt("abc xyz de"), utt("hhh")])
-    model.predict(utt("de de bij"))
-    warm = served(model)
-    assert np.array_equal(warm[0], cold[0])
-    assert warm[1] == cold[1]
+    for built in (False, True):
+
+        def fresh():
+            model = SlotModel(tiny_config(), VOCAB, TAGSET)
+            return Checkpoint.from_model(model).build_model() if built else model
+
+        cold = served(fresh())
+        model = fresh()
+        model.predict_batch([utt("abc xyz de"), utt("hhh")])
+        model.predict(utt("de de bij"))
+        warm = served(model)
+        assert np.array_equal(warm[0], cold[0]), built
+        assert warm[1] == cold[1], built
 
 def test_full_model_gradient_check():
     cfg = tiny_config()
@@ -646,12 +661,21 @@ def _served(model, batch):
 
 
 @pytest.mark.parametrize(
-    "overrides",
-    [{}, {"use_block_dense": True}, {"variant": "self_rel"}, {"variant": "self_abs"}, {"variant": "none"}],
-    ids=["dense", "block_dense", "self_rel", "self_abs", "none"],
+    "config",
+    [
+        tiny_config(),
+        tiny_config(use_block_dense=True),
+        tiny_config(variant="self_rel"),
+        tiny_config(variant="self_abs"),
+        tiny_config(variant="none"),
+        ModelConfig(),
+        ModelConfig(dtype="f32"),
+    ],
+    ids=["dense", "block_dense", "self_rel", "self_abs", "none", "paper_f64", "paper_f32"],
 )
-def test_a_served_model_serves_the_writable_models_bits_cold_and_warm(overrides):
-    writable = SlotModel(tiny_config(**overrides), VOCAB, TAGSET)
+def test_a_served_model_serves_the_writable_models_bits_cold_and_warm(config):
+    """The warm pass reads every word row back from the served model's row cache, the cold pass some."""
+    writable = SlotModel(config, VOCAB, TAGSET)
     batches = [[utt("abc de"), utt("fgh abc de i"), utt("a")], [utt("de de bij")], [utt("ab cd"), utt("ef gh")]]
     want = [_served(writable, b) for b in batches]
     model = Checkpoint.from_model(writable).build_model()
@@ -659,11 +683,65 @@ def test_a_served_model_serves_the_writable_models_bits_cold_and_warm(overrides)
         for batch, (H3, spans) in zip(batches, want):
             got_H3, got_spans = _served(model, batch)
             assert np.array_equal(got_H3, H3) and got_spans == spans
-    assert not writable.store._plan  # a writable model keeps the per-call path
+    assert not writable.store._plan and writable.store._rows is None  # a writable model keeps the per-call path
+    assert len(model.store._row_slot) == len({w for batch in batches for u in batch for w in u.words})
     if model.config.variant == "abstract_rel":
         assert set(model.store._plan) == {"char_table", "kernel_q", "rel_by_head"}
     else:
         assert set(model.store._plan) == {"char_table"}
+
+
+def _distinct_words(n: int, length: int = 4) -> list[str]:
+    """n distinct words of VOCAB's characters, so no two share their char ids."""
+    chars = VOCAB.chars
+    return ["".join(chars[(i // len(chars) ** j) % len(chars)] for j in range(length)) for i in range(n)]
+
+
+def test_serving_more_distinct_words_than_the_row_cache_holds_gives_the_writable_models_bits():
+    """One cold batch with more new words than the cache holds, then a stream of distinct words through single calls."""
+    writable = SlotModel(tiny_config(), VOCAB, TAGSET)
+    model = Checkpoint.from_model(writable).build_model()
+    words = _distinct_words(ROW_CAPACITY + 100)
+    big = [utt(" ".join(words[i : i + 8])) for i in range(0, len(words), 8)][::-1]
+    got, want = _served(model, big), _served(writable, big)
+    assert np.array_equal(got[0], want[0]) and got[1] == want[1]
+    assert len(model.store._row_slot) == ROW_CAPACITY
+    assert model.store._rows.shape == (ROW_CAPACITY, model.config.d_model)
+    stream = [utt(" ".join(words[i : i + 3])) for i in range(0, len(words), 3)]
+    for u in stream + stream[:40]:  # the repeats were evicted since
+        assert np.array_equal(_served(model, [u])[0], _served(writable, [u])[0]), u.text
+    assert len(model.store._row_slot) == ROW_CAPACITY
+
+
+def test_a_call_whose_misses_evict_its_own_hits_is_served_its_rows():
+    """The cache is full and its oldest row is the next one overwritten: a call that reads that row and misses
+    one word still gets the writable model's bits, so its result is read before its fresh rows are kept."""
+    writable = SlotModel(tiny_config(), VOCAB, TAGSET)
+    model = Checkpoint.from_model(writable).build_model()
+    words = _distinct_words(ROW_CAPACITY + 1)
+    oldest, fill, new = words[0], words[:ROW_CAPACITY], words[ROW_CAPACITY]
+    for lo in range(0, ROW_CAPACITY, 16):
+        _served(model, [utt(" ".join(fill[lo : lo + 16]))])
+    key = {w: tuple(VOCAB.encode(w)) for w in (oldest, new)}  # the cache keys on char ids
+    assert model.store._row_slot[key[oldest]] == model.store._row_next == 0
+    u = utt(f"{oldest} {new} {oldest}")
+    with T.no_grad():
+        got, _ = model.features_batch([u])
+    assert np.array_equal(got.data, _served(writable, [u])[0])
+    assert key[oldest] not in model.store._row_slot and model.store._row_slot[key[new]] == 0
+
+
+def test_training_and_loss_keep_no_word_rows():
+    writable = SlotModel(tiny_config(), VOCAB, TAGSET)
+    model = Checkpoint.from_model(writable).build_model()
+    batch = [utt("abc de", (0, 0, "x")), utt("fgh abc de i", (2, 3, "y"))]
+    writable.predict_batch(batch)
+    for m in (writable, model):
+        T.backward(m.loss(batch, training=True))
+        m.loss(batch, training=False)
+        assert m.store._rows is None and not m.store._row_slot
+    model.predict_batch(batch)
+    assert len(model.store._row_slot) == 4  # abc, de, fgh and i
 
 
 def test_a_write_into_a_plan_input_of_a_served_model_raises():
@@ -696,16 +774,17 @@ def test_training_loss_on_a_served_model_still_reaches_the_plan_inputs():
 
 
 def test_an_unpadded_batch_gives_each_utterance_its_rows_alone_and_padded(desk_served):
-    model, test_set = desk_served
+    checkpoint, test_set = desk_served
+    model, padded_model, alone_model = (checkpoint.build_model() for _ in range(3))
     length = max({len(u.tokens) for u in test_set}, key=lambda n: sum(len(u.tokens) == n for u in test_set))
     equal = [u for u in test_set if len(u.tokens) == length][:8]
     longer = next(u for u in test_set if len(u.tokens) > length)
     assert len(equal) > 1
     with T.no_grad():
         together, _ = model.features_batch(equal)
-        padded, _ = model.features_batch(equal + [longer])
+        padded, _ = padded_model.features_batch(equal + [longer])
         for b, u in enumerate(equal):
-            alone, _ = model.features_batch([u])
+            alone, _ = alone_model.features_batch([u])
             assert np.array_equal(together.data[b], alone.data[0]), u.text
             assert np.array_equal(together.data[b], padded.data[b, :length]), u.text
 

@@ -6,12 +6,14 @@ projected to the model width. No state crosses word boundaries, so a batch
 encodes each distinct char-id sequence once. The distinct words are sorted
 longest first and their characters laid out time-major, so step t runs only
 the words longer than t. The input kernel has no bias, so it projects the
-character table once (V rows, PAD and UNK included) and one gather picks each
-real character's row; the recurrence is one `T.lstm_packed` op, and one final
-gather puts the projected rows back in the caller's word order. A served model
-projects the table once (`ParameterStore.planned`) and keeps the rows of the
-last 512 distinct words it encoded (`ParameterStore.kept_rows`), so a call runs
-the LSTM only over the words it has not served lately.
+character table once (V rows, PAD and UNK included); the recurrence is one
+`T.lstm_packed` op, which reads each real character's row of that table and
+sends the table its gradient as one product over the characters' one-hot
+rows, and one final gather puts the projected rows back in the caller's word
+order. A served model projects the table once (`ParameterStore.planned`) and
+keeps the rows of the last 512 distinct words it encoded
+(`ParameterStore.kept_rows`), so a call runs the LSTM only over the words it
+has not served lately.
 """
 
 from __future__ import annotations
@@ -122,10 +124,9 @@ class CharLstmEncoder:
         """[len(words), d_model] rows of distinct words given longest first: the packed LSTM, then the projection."""
         # time-major: step t holds the characters of the words longer than t
         chars = [c for step in zip_longest(*words) for c in step if c is not None]
-        # the input kernel is linear without bias, so project the V-row table once and gather its rows
+        # the input kernel is linear without bias, so project the V-row table once; the LSTM reads its rows
         table = self.store.planned("char_table", lambda: self.input_map(self.embed))
-        x = T.take_rows(table, np.array(chars))
-        return self.proj(T.lstm_packed(x, self.recurrent_map.kernel, self.b, [len(w) for w in words]))
+        return self.proj(T.lstm_packed(table, chars, self.recurrent_map.kernel, self.b, [len(w) for w in words]))
 
     def encode_utterance(
         self,

@@ -79,6 +79,15 @@ class CrfHead:
         self.start = store.create("crf.start", (num_tags,), lambda: np.zeros(num_tags))
         self.end = store.create("crf.end", (num_tags,), lambda: np.zeros(num_tags))
 
+    def nll(self, H: Tensor, gold: np.ndarray, lengths: np.ndarray) -> Tensor:
+        """Per-sequence negative log-likelihood [B] of the packed feature rows H and their gold tags.
+
+        H and gold are laid out as `tensor.crf_nll` reads its emissions: the
+        batch's real steps, sequence b's after sequence b-1's, as [N, d_model]
+        and [N], or as [B, T, d_model] and [B, T] when every length is T.
+        """
+        return T.crf_nll(self.emission(H), gold, lengths, self.transitions, self.start, self.end)
+
 
 def _validate_gold(gold: np.ndarray, num_tags: int) -> None:
     """Every entry of the [B, Tmax] gold array, padding included, must be a tag index."""
@@ -93,11 +102,16 @@ def crf_nll_batch(H: Tensor, gold: np.ndarray, lengths: np.ndarray, head: CrfHea
 
     H is [B, Tmax, d_model]; gold is int [B, Tmax] (entries past each length
     are ignored and must still be valid indices, 0 is fine); returns [B].
+    Only the real rows reach the emission: a ragged batch is cut to them
+    (`tensor.unpad`), so the result is `CrfHead.nll` of the packed rows.
     """
     if gold.shape != H.shape[:2]:
         raise ContractError(f"gold shape {gold.shape} does not match features {H.shape[:2]}")
     _validate_gold(gold, head.num_tags)
-    return T.crf_nll(head.emission(H), gold, lengths, head.transitions, head.start, head.end)
+    lengths = np.asarray(lengths)
+    if lengths.size and lengths.min() < H.shape[1]:  # ragged: an empty batch fails in the op, by name
+        H, gold = T.unpad(H, lengths), gold[np.arange(H.shape[1]) < lengths[:, None]]
+    return head.nll(H, gold, lengths)
 
 
 def viterbi_decode_batch(

@@ -21,7 +21,7 @@ import numpy as np
 from . import tensor as T
 from .attention import VARIANTS as ATTENTION_VARIANTS, ContextAttention, FusionGate
 from .charlstm import CharLstmEncoder, CharVocab
-from .crf import CrfHead, TagSet, crf_nll_batch, spans_from_bio, viterbi_decode_batch
+from .crf import CrfHead, TagSet, spans_from_bio, viterbi_decode_batch
 from .data import SlotSpan, Utterance, bio_from_spans
 from .params import ParameterStore, split_by_shape
 from .tensor import ConfigError, ContractError, SlotlabError, Tensor
@@ -164,7 +164,14 @@ class SlotModel:
         return [self.vocab.encode(w) for w in utt.words]
 
     def features_batch(self, utts: Sequence[Utterance], training: bool = False) -> tuple[Tensor, np.ndarray]:
-        """Padded fused features [B, Tmax, d_model] plus true lengths."""
+        """Fused features of the batch's words, packed in utterance order, plus the utterance lengths.
+
+        The rows are utterance b's words after utterance b-1's: [N, d_model]
+        for N words, or, when all B utterances have T words, the same rows as
+        [B, T, d_model]. Only the attention reads a padded [B, Tmax, d_model]
+        grid (`tensor.pad`); its output is cut back to the real rows
+        (`tensor.unpad`), so the gate runs over them alone.
+        """
         if not utts:
             raise ContractError("features_batch: empty batch")
         lengths = np.array([len(u.tokens) for u in utts])
@@ -172,31 +179,25 @@ class SlotModel:
             raise ContractError("cannot encode an utterance with no tokens")
         words = [w for u in utts for w in u.words]
         ids = {w: self.vocab.encode(w) for w in dict.fromkeys(words)}  # each distinct string encoded once
-        flat = self.encoder.encode_utterance([ids[w] for w in words], self.config.dropout, training)
+        E = self.encoder.encode_utterance([ids[w] for w in words], self.config.dropout, training)
         t_max = int(lengths.max())
         if lengths.min() == t_max:  # nothing to pad: utterance b is rows b*T .. b*T + T-1
-            E3 = T.reshape(flat, (len(utts), t_max, self.config.d_model))
-        else:  # slot (b, t) reads word t of utterance b; padded slots read an appended zero row
-            steps = np.arange(t_max)
-            starts = np.cumsum(lengths) - lengths
-            index = np.where(steps < lengths[:, None], starts[:, None] + steps, len(words))
-            zero = T.constant(np.zeros((1, self.config.d_model), dtype=flat.data.dtype))
-            E3 = T.take_rows(T.concat([flat, zero], axis=0), index)
+            E = T.reshape(E, (len(utts), t_max, self.config.d_model))
         if self.attention is None:
-            return E3, lengths
-        A3, _ = self.attention.attend_batch(E3, lengths, training)
-        return self.gate.fuse(A3, E3), lengths
+            return E, lengths
+        if E.data.ndim == 3:
+            A, _ = self.attention.attend_batch(E, lengths, training)
+        else:
+            A = T.unpad(self.attention.attend_batch(T.pad(E, lengths), lengths, training)[0], lengths)
+        return self.gate.fuse(A, E), lengths
 
     def loss(self, utts: Sequence[Utterance], training: bool = True) -> Tensor:
         """Mean CRF negative log-likelihood over a batch of utterances."""
         if not utts:
             raise ContractError("loss: empty batch")
-        H3, lengths = self.features_batch(utts, training)
-        t_max = int(lengths.max())
-        gold = np.zeros((len(utts), t_max), dtype=np.int64)
-        for b, u in enumerate(utts):
-            gold[b, : len(u.tokens)] = bio_from_spans(u, self.tagset)
-        return T.reduce_mean(crf_nll_batch(H3, gold, lengths, self.crf))
+        H, lengths = self.features_batch(utts, training)
+        gold = np.concatenate([bio_from_spans(u, self.tagset) for u in utts]).reshape(H.shape[:-1])
+        return T.reduce_mean(self.crf.nll(H, gold, lengths))
 
     # ------------------------------------------------------------------
     # decoding
@@ -208,8 +209,9 @@ class SlotModel:
         if not utts:
             return []
         with T.no_grad():
-            H3, lengths = self.features_batch(utts, training=False)
-            em3 = self.crf.emission(H3).data
+            H, lengths = self.features_batch(utts, training=False)
+            em = self.crf.emission(H)
+            em3 = (em if em.data.ndim == 3 else T.pad(em, lengths)).data
         crf = self.crf
         paths, _ = viterbi_decode_batch(em3, lengths, crf.transitions.data, crf.start.data, crf.end.data)
         return [spans_from_bio(tags, self.tagset) for tags in paths]

@@ -166,8 +166,12 @@ def _read_only_copy(arrays: dict[str, np.ndarray], dtype: np.dtype) -> dict[str,
 
 def split_by_shape(flat: np.ndarray, shapes: dict[str, tuple[int, ...]]) -> dict[str, np.ndarray]:
     """Name -> view of the next run of `flat`, reshaped to that name's shape, in the order of `shapes`."""
-    parts = np.split(flat, np.cumsum([math.prod(shape) for shape in shapes.values()])[:-1])
-    return {name: part.reshape(shape) for (name, shape), part in zip(shapes.items(), parts)}
+    views, lo = {}, 0
+    for name, shape in shapes.items():
+        hi = lo + math.prod(shape)
+        views[name] = flat[lo:hi].reshape(shape)
+        lo = hi
+    return views
 
 
 # ---------------------------------------------------------------------------

@@ -351,7 +351,9 @@ def block_matmul(x: Tensor, w: Tensor) -> Tensor:
 
     Feature chunk i of x meets block i and the outputs are laid out
     contiguously again, giving [..., N, k*n]. Forward and input gradient are
-    one `_block_mm` each; the kernel gradient contracts all rows at once.
+    one `_block_mm` each, the latter with a C-ordered copy of the transposed
+    blocks rather than their F-ordered view; the kernel gradient contracts all
+    rows at once.
     """
     if w.data.ndim != 3:
         raise DimensionError(f"block_matmul: kernel must be [k, m, n], got shape {w.shape}")
@@ -362,7 +364,7 @@ def block_matmul(x: Tensor, w: Tensor) -> Tensor:
 
     def bwd(g, sink):
         if x.requires_grad:
-            sink(x, _block_mm(g, w.data.swapaxes(1, 2)))
+            sink(x, _block_mm(g, np.ascontiguousarray(w.data.swapaxes(1, 2))))
         if w.requires_grad:
             sink(w, _block_kernel_grad(x.data, g, k))
 
@@ -474,23 +476,26 @@ def _gate_affine(H: int, dtype: np.dtype) -> tuple[np.ndarray, np.ndarray]:
     return scale, shift
 
 
-def lstm_packed(xg: Tensor, kernel: Tensor, bias: Tensor, lengths: Sequence[int]) -> Tensor:
+def lstm_packed(table: Tensor, ids, kernel: Tensor, bias: Tensor, lengths: Sequence[int]) -> Tensor:
     """A unidirectional LSTM over packed sequences as one node; returns each sequence's final h.
 
     The sequences come longest first, with these lengths, and are laid out
-    time-major (`_packed_layout`): step t owns the next rows of xg, one per
-    sequence longer than t, in sequence order. xg[r] is that character's input
-    projection, kernel the [k, H/k, 4H/k] recurrent blocks and bias [4H],
-    gates in the order i, f, g, o. State starts at zero, and the gate inputs
-        z_t = (xg_t + h_{t-1} @ blockdiag(kernel)) + bias
+    time-major (`_packed_layout`): step t owns the next entries of ids, one
+    per sequence longer than t, in sequence order. Row ids[r] of the table
+    [V, 4H] is that character's input projection, kernel the [k, H/k, 4H/k]
+    recurrent blocks and bias [4H], gates in the order i, f, g, o. State
+    starts at zero, and the gate inputs
+        z_t = (table[ids_t] + h_{t-1} @ blockdiag(kernel)) + bias
     are summed in this order, the order separate `add` ops would use. Step t
     runs only its active rows, and its four gates are one in-place tanh over
     its [rows, 4H] block plus one fixed affine map: sigmoid(z) = tanh(z/2)/2
-    + 1/2 on i, f and o. Their columns of xg, kernel and bias are halved once
-    per call, which is exact, so each step sums exactly z/2 there; the gates
-    then differ from `_sigmoid(z)` by at most one machine epsilon. tanh(c)
-    is stored with the activations. Backward is a BPTT loop over them; the
-    kernel gradient is one contraction over all steps.
+    + 1/2 on i, f and o. Their columns of the table, kernel and bias are
+    halved once per call, which is exact, so each step sums exactly z/2
+    there; the gates then differ from `_sigmoid(z)` by at most one machine
+    epsilon. tanh(c) is stored with the activations. Backward is a BPTT loop
+    over them with a C-ordered copy of the transposed kernel; the kernel
+    gradient is one contraction over all steps, and the table gradient one
+    product of the ids' one-hot rows [V, n] with the gate-input gradients.
     """
     lens = [int(n) for n in lengths]
     if not lens or lens[-1] < 1 or any(b > a for a, b in zip(lens, lens[1:])):
@@ -499,18 +504,20 @@ def lstm_packed(xg: Tensor, kernel: Tensor, bias: Tensor, lengths: Sequence[int]
         raise DimensionError(f"lstm_packed: kernel must be [k, m, n], got shape {kernel.shape}")
     k, m, n = kernel.data.shape
     H = k * m
-    if k * n != 4 * H or xg.data.shape != (sum(lens), 4 * H) or bias.data.shape != (4 * H,):
+    ids = np.asarray(ids)
+    if k * n != 4 * H or table.data.shape[1:] != (4 * H,) or ids.shape != (sum(lens),) or bias.data.shape != (4 * H,):
         raise DimensionError(
-            f"lstm_packed: need xg [{sum(lens)}, 4H], kernel [k, H/k, 4H/k] and bias [4H]; "
-            f"got {xg.shape}, {kernel.shape}, {bias.shape}"
+            f"lstm_packed: need table [V, 4H], {sum(lens)} ids, kernel [k, H/k, 4H/k] and bias [4H]; "
+            f"got {table.shape}, {ids.shape}, {kernel.shape}, {bias.shape}"
         )
-    X, U, b = xg.data, kernel.data, bias.data
+    U, b = kernel.data, bias.data
     sizes, starts, last = _sorted_layout(lens)
-    scale, shift = _gate_affine(H, X.dtype)
+    scale, shift = _gate_affine(H, U.dtype)
     I, F, G, O = (slice(j * H, (j + 1) * H) for j in range(4))
-    acts = X * scale  # the scaled gate inputs, then sigmoid(i), sigmoid(f), tanh(g), sigmoid(o)
+    acts = table.data[ids]
+    acts *= scale  # the scaled gate inputs, then sigmoid(i), sigmoid(f), tanh(g), sigmoid(o)
     scaled_U, scaled_b = U * scale.reshape(k, 1, n), b * scale
-    cs = np.empty((len(X), H), dtype=X.dtype)
+    cs = np.empty((len(ids), H), dtype=acts.dtype)
     hs, tcs = np.empty_like(cs), np.empty_like(cs)  # h and tanh(c)
     for t, (lo, rows) in enumerate(zip(starts, sizes)):
         now = slice(lo, lo + rows)
@@ -532,10 +539,10 @@ def lstm_packed(xg: Tensor, kernel: Tensor, bias: Tensor, lengths: Sequence[int]
         np.multiply(o, tc, out=hs[now])
 
     def bwd(gh, sink):
-        dz = np.empty_like(X)
-        dh = np.array(gh, dtype=X.dtype)  # row j holds d h_{len_j - 1} until its own last step is done
+        dz = np.empty_like(acts)
+        dh = np.array(gh, dtype=acts.dtype)  # row j holds d h_{len_j - 1} until its own last step is done
         dc = np.zeros_like(dh)
-        back = U.swapaxes(1, 2)
+        back = np.ascontiguousarray(U.swapaxes(1, 2))
         for t in reversed(range(len(sizes))):
             lo, rows = starts[t], sizes[t]
             now = slice(lo, lo + rows)
@@ -553,15 +560,16 @@ def lstm_packed(xg: Tensor, kernel: Tensor, bias: Tensor, lengths: Sequence[int]
             np.multiply(dct, f, out=dc[:rows])
             if t:
                 dh[:rows] = _block_mm(d, back)
-        if xg.requires_grad:
-            sink(xg, dz)
+        if table.requires_grad:
+            one_hot = (ids == np.arange(len(table.data))[:, None]).astype(dz.dtype)
+            sink(table, _matmul(one_hot, dz))
         if kernel.requires_grad:
-            prev = np.arange(sizes[0], len(X)) - np.repeat(sizes[:-1], sizes[1:])  # the row one step before
+            prev = np.arange(sizes[0], len(ids)) - np.repeat(sizes[:-1], sizes[1:])  # the row one step before
             sink(kernel, _block_kernel_grad(hs[prev], dz[sizes[0] :], k))
         if bias.requires_grad:
             sink(bias, dz.sum(axis=0))
 
-    return _result(hs[last], (xg, kernel, bias), bwd)
+    return _result(hs[last], (table, kernel, bias), bwd)
 
 
 def _logsumexp(x: np.ndarray, axis: int) -> np.ndarray:
@@ -569,37 +577,43 @@ def _logsumexp(x: np.ndarray, axis: int) -> np.ndarray:
     return m + np.log(np.exp(x - np.expand_dims(m, axis)).sum(axis=axis))
 
 
-def crf_nll(em3: Tensor, gold, lengths, transitions: Tensor, start: Tensor, end: Tensor) -> Tensor:
+def crf_nll(emissions: Tensor, gold, lengths, transitions: Tensor, start: Tensor, end: Tensor) -> Tensor:
     """Negative log-likelihood of the gold paths of a linear-chain CRF: log Z minus the gold score, as [B].
 
-    em3 [B, Tmax, K] holds padded emissions and gold [B, Tmax] tag indices.
-    A path y of sequence b scores start[y_0] + sum_t em3[b, t, y_t] +
-    sum_t transitions[y_{t-1}, y_t] + end[y_last] over its first lengths[b]
-    steps; steps past a length are never read. The forward algorithm runs in
-    log space over the packed rows (`_packed_layout`), so step t touches only
-    the sequences longer than t, and the gold score is read off the same
-    rows. The gradient is the marginals minus the gold feature counts:
-    backward runs beta for the unary marginals (emissions, start, end) and
-    the pairwise ones, summed for the transitions in one product over every
-    running (step, sequence) row, and subtracts the gold indicators.
+    emissions holds the rows of the batch's N real steps in sequence order,
+    sequence b's lengths[b] rows after sequence b-1's (`pad`'s layout):
+    [N, K], or any [..., K] whose rows in C order are those, such as
+    [B, T, K] when every length is T. gold holds their N tag indices in the
+    shape of the leading axes. A path y of sequence b scores start[y_0] +
+    sum_t em_b[t, y_t] + sum_t transitions[y_{t-1}, y_t] + end[y_last] over
+    its steps. The forward algorithm runs in log space over the rows re-laid
+    time-major (`_packed_layout`), so step t touches only the sequences
+    longer than t, and the gold score is read off the same rows. The
+    gradient is the marginals minus the gold feature counts: backward runs
+    beta for the unary marginals (emissions, start, end) and the pairwise
+    ones, summed for the transitions in one product over every running
+    (step, sequence) row, and subtracts the gold indicators.
     """
-    if em3.data.ndim != 3:
-        raise DimensionError(f"crf_nll: emissions must be [B, Tmax, K], got shape {em3.shape}")
-    B, t_pad, K = em3.data.shape
+    if emissions.data.ndim < 2:
+        raise DimensionError(f"crf_nll: emissions must be [N, K] rows, got shape {emissions.shape}")
+    K = emissions.data.shape[-1]
+    N = math.prod(emissions.data.shape[:-1])
     if transitions.data.shape != (K, K) or start.data.shape != (K,) or end.data.shape != (K,):
         raise DimensionError(
             f"crf_nll: need transitions [{K}, {K}], start and end [{K}]; "
             f"got {transitions.shape}, {start.shape}, {end.shape}"
         )
     lens = np.asarray(lengths)
-    if lens.shape != (B,) or B == 0 or lens.min() < 1 or lens.max() > t_pad:
-        raise ContractError(f"crf_nll: need {B} lengths in [1, {t_pad}], got {lens.tolist()}")
-    if np.shape(gold) != (B, t_pad):
-        raise DimensionError(f"crf_nll: gold must be [{B}, {t_pad}] like the emissions, got shape {np.shape(gold)}")
+    if lens.ndim != 1 or len(lens) == 0 or lens.min() < 1 or lens.sum() != N:
+        raise ContractError(f"crf_nll: need positive lengths summing to the {N} emission rows, got {lens.tolist()}")
+    if np.shape(gold) != emissions.data.shape[:-1]:
+        raise DimensionError(f"crf_nll: gold must be {emissions.data.shape[:-1]} like the rows, got {np.shape(gold)}")
+    B = len(lens)
     seq, step, sizes, starts, prev, last = _packed_layout(lens)
-    em = em3.data[seq, step]
-    y = np.asarray(gold)[seq, step]  # the gold tag of each packed row
-    gold_cells = (np.arange(len(y)), y)
+    perm = (np.cumsum(lens) - lens)[seq] + step  # the emission row that packed row p reads
+    em = emissions.data.reshape(N, K)[perm]
+    y = np.asarray(gold).reshape(N)[perm]  # the gold tag of each packed row
+    gold_cells = (np.arange(N), y)
     trans, trans_t = transitions.data, np.ascontiguousarray(transitions.data.T)
     alpha = np.empty_like(em)
     alpha[:B] = em[:B] + start.data
@@ -625,10 +639,10 @@ def crf_nll(em3: Tensor, gold, lengths, transitions: Tensor, start: Tensor, end:
         unary = np.exp(alpha + beta - z[:, None])
         unary *= weight[:, None]
         unary[gold_cells] -= weight
-        if em3.requires_grad:
-            d = np.zeros_like(em3.data)
-            d[seq, step] = unary
-            sink(em3, d)
+        if emissions.requires_grad:
+            d = np.empty_like(em)
+            d[perm] = unary  # a permutation: every emission row is written once
+            sink(emissions, d.reshape(emissions.data.shape))
         if start.requires_grad:
             sink(start, unary[:B].sum(axis=0))
         if end.requires_grad:
@@ -639,7 +653,7 @@ def crf_nll(em3: Tensor, gold, lengths, transitions: Tensor, start: Tensor, end:
             counts = np.bincount(y[prev] * K + y[B:], weight[B:], K * K).astype(em.dtype)
             sink(transitions, (weight[B:] @ pair.reshape(-1, K * K) - counts).reshape(K, K))
 
-    return _result(log_z - score, (em3, transitions, start, end), bwd)
+    return _result(log_z - score, (emissions, transitions, start, end), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -664,6 +678,50 @@ def transpose(x: Tensor, axes: Sequence[int]) -> Tensor:
         sink(x, g.transpose(inv))
 
     return _result(x.data.transpose(axes), (x,), bwd)
+
+
+def _grid_slots(lengths: np.ndarray, t_pad: int) -> np.ndarray:
+    """The flat slots b * t_pad + t of a [B, t_pad] grid that sequence b's steps fill, in packed order."""
+    return np.flatnonzero(np.arange(t_pad) < lengths[:, None])
+
+
+def pad(x: Tensor, lengths) -> Tensor:
+    """Packed rows x [N, ...], sequence b's lengths[b] rows after sequence b-1's, as a zero-padded [B, Tmax, ...].
+
+    Backward gathers the gradient's real slots back into packed rows.
+    """
+    lengths = np.asarray(lengths)
+    B, t_max = len(lengths), int(lengths.max())
+    slots = _grid_slots(lengths, t_max)
+    rest = x.data.shape[1:]
+    if x.data.shape[:1] != slots.shape:
+        raise DimensionError(f"pad: lengths {lengths.tolist()} need {len(slots)} rows, got shape {x.shape}")
+    out = np.zeros((B * t_max,) + rest, x.data.dtype)
+    out[slots] = x.data
+
+    def bwd(g, sink):
+        sink(x, g.reshape((B * t_max,) + rest)[slots])
+
+    return _result(out.reshape((B, t_max) + rest), (x,), bwd)
+
+
+def unpad(x: Tensor, lengths) -> Tensor:
+    """The real rows of a padded x [B, T, ...], packed as `pad` lays them out, as [N, ...].
+
+    Backward scatters the rows' gradient into a zero grid: each slot is written at most once.
+    """
+    lengths, shape = np.asarray(lengths), x.data.shape
+    if x.data.ndim < 2 or shape[0] != len(lengths) or lengths.max() > shape[1]:
+        raise DimensionError(f"unpad: lengths {lengths.tolist()} need [B, >= Tmax, ...] rows, got shape {shape}")
+    flat_shape = (shape[0] * shape[1],) + shape[2:]
+    slots = _grid_slots(lengths, shape[1])
+
+    def bwd(g, sink):
+        buf = np.zeros(flat_shape, g.dtype)
+        buf[slots] = g
+        sink(x, buf.reshape(shape))
+
+    return _result(x.data.reshape(flat_shape)[slots], (x,), bwd)
 
 
 def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:

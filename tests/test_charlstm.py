@@ -246,7 +246,8 @@ def test_cell_gates_are_the_sigmoid_within_one_epsilon_and_store_tanh_c_exactly(
     X[rng.random(X.shape) < 0.1] = 1e3
     X[rng.random(X.shape) < 0.1] = -1e3
     U, b = rng.standard_normal((2, H // 2, 2 * H)).astype(dtype), rng.standard_normal(4 * H).astype(dtype)
-    out = T.lstm_packed(T.Tensor(X.astype(dtype), requires_grad=True), T.Tensor(U), T.Tensor(b), lens)
+    table = T.Tensor(X.astype(dtype), requires_grad=True)  # one table row per character
+    out = T.lstm_packed(table, np.arange(sum(lens)), T.Tensor(U), T.Tensor(b), lens)
     bwd = out._backward
     state = dict(zip(bwd.__code__.co_freevars, (cell.cell_contents for cell in bwd.__closure__)))
     acts, cs, hs, tcs = state["acts"], state["cs"], state["hs"], state["tcs"]
@@ -280,12 +281,16 @@ def test_repeated_word_is_encoded_once_and_bit_equal_alone():
 
 
 def test_lstm_packed_rejects_bad_batch_sizes_and_shapes():
-    xg = T.constant(np.zeros((3, 8)))
+    table, ids = T.constant(np.zeros((5, 8))), np.array([4, 0, 2])
     kernel, bias = T.constant(np.zeros((1, 2, 8))), T.constant(np.zeros(8))
     for sizes in ([1, 2], [], [3, 0]):
         with pytest.raises(ContractError):
-            T.lstm_packed(xg, kernel, bias, sizes)
+            T.lstm_packed(table, ids, kernel, bias, sizes)
     with pytest.raises(DimensionError):
-        T.lstm_packed(xg, kernel, bias, [2, 2])
+        T.lstm_packed(table, ids, kernel, bias, [2, 2])
     with pytest.raises(DimensionError):
-        T.lstm_packed(xg, T.constant(np.zeros((2, 8))), bias, [2, 1])
+        T.lstm_packed(table, ids, T.constant(np.zeros((2, 8))), bias, [2, 1])
+    with pytest.raises(DimensionError):
+        T.lstm_packed(T.constant(np.zeros((5, 6))), ids, kernel, bias, [2, 1])
+    with pytest.raises(DimensionError):
+        T.lstm_packed(table, ids[None], kernel, bias, [2, 1])

@@ -398,6 +398,97 @@ def test_take_rows_gradient_is_bitwise_np_add_at(dtype, case, leaf_shape, index)
     assert leaf.grad.tobytes() == expected.tobytes()  # C order for both, whatever their layout
 
 
+# pad and unpad: packed rows, sequence b's after sequence b-1's, to and from a zero-padded grid
+PAD_LENGTHS = [np.array([2, 4, 1]), np.array([3, 3]), np.array([1])]
+
+
+@pytest.mark.parametrize("lengths", PAD_LENGTHS, ids=["ragged", "equal", "one"])
+def test_pad_and_unpad_gradients_match_fd(lengths):
+    rng = np.random.default_rng(len(lengths))
+    n, t_max = int(lengths.sum()), int(lengths.max())
+    store = ParameterStore(seed=0)
+    store.create("rows", (n, 3), lambda: rng.standard_normal((n, 3)))
+    store.create("grid", (len(lengths), t_max + 1, 3), lambda: rng.standard_normal((len(lengths), t_max + 1, 3)))
+    w_grid, w_rows = Tensor(rng.standard_normal((len(lengths), t_max, 3))), Tensor(rng.standard_normal((n, 3)))
+    assert grad_check(lambda s: T.reduce_sum(T.tanh(T.pad(s["rows"], lengths)) * w_grid), store) < 1e-5
+    assert grad_check(lambda s: T.reduce_sum(T.tanh(T.unpad(s["grid"], lengths)) * w_rows), store) < 1e-5
+
+
+@pytest.mark.parametrize("lengths", PAD_LENGTHS, ids=["ragged", "equal", "one"])
+def test_pad_and_unpad_backward_is_exactly_the_inverse_gather_and_scatter(lengths):
+    rng = np.random.default_rng(7)
+    n, t_max, B = int(lengths.sum()), int(lengths.max()), len(lengths)
+    real = np.arange(t_max) < lengths[:, None]  # [B, Tmax]: the slots that hold a row
+    rows = Tensor(rng.standard_normal((n, 2)), requires_grad=True)
+    grid = T.pad(rows, lengths)
+    assert grid.shape == (B, t_max, 2)
+    assert np.array_equal(grid.data[real], rows.data) and not grid.data[~real].any()
+    g = rng.standard_normal(grid.shape)
+    backward(T.reduce_sum(grid * Tensor(g)))
+    assert rows.grad.tobytes() == g[real].tobytes()  # a plain gather: no padded slot reaches a row
+
+    leaf = Tensor(rng.standard_normal((B, t_max + 1, 2)), requires_grad=True)  # one slot more than any length
+    cut = T.unpad(leaf, lengths)
+    wider = np.arange(t_max + 1) < lengths[:, None]
+    assert np.array_equal(cut.data, leaf.data[wider]) and np.array_equal(T.unpad(grid, lengths).data, rows.data)
+    g = rng.standard_normal(cut.shape)
+    backward(T.reduce_sum(cut * Tensor(g)))
+    expected = np.zeros(leaf.shape)
+    expected[wider] = g
+    assert leaf.grad.tobytes() == expected.tobytes()  # a plain scatter: each slot written once, padding zero
+
+
+def test_pad_and_unpad_reject_rows_that_do_not_fit_the_lengths():
+    with pytest.raises(DimensionError):
+        T.pad(Tensor(np.zeros((4, 2))), np.array([2, 1]))
+    for shape in ((2, 1, 2), (3, 2, 2), (4,)):
+        with pytest.raises(DimensionError):
+            T.unpad(Tensor(np.zeros(shape)), np.array([2, 1]))
+
+
+def test_block_matmul_input_gradient_with_the_c_ordered_kernel_matches_the_f_ordered_product():
+    """Backward multiplies by a C-ordered copy of the transposed blocks; the swapped view it replaced agrees."""
+    rng = np.random.default_rng(11)
+    for k, m, n, lead in ((1, 48, 192, (37,)), (1, 64, 5, (3, 9)), (4, 16, 32, (3, 9)), (8, 64, 16, (50,))):
+        x = Tensor(rng.standard_normal(lead + (k * m,)), requires_grad=True)
+        w = Tensor(rng.standard_normal((k, m, n)))
+        g = rng.standard_normal(lead + (k * n,))
+        backward(T.reduce_sum(T.block_matmul(x, w) * Tensor(g)))
+        f_ordered = w.data.swapaxes(1, 2)
+        assert not f_ordered.flags.c_contiguous
+        assert np.max(np.abs(x.grad - T._block_mm(g, f_ordered))) < 1e-12, (k, m, n)
+
+
+def _char_table_grads(table_data, ids, lens, weights):
+    """The table gradient of a packed LSTM reading rows `ids` of the table: the op's one-hot product, and the
+    np.add.at reference, which scatters the gate-input gradients of a run over the gathered rows."""
+    H = table_data.shape[1] // 4
+    kernel = Tensor(np.random.default_rng(1).standard_normal((1, H, 4 * H)) * 0.5)
+    bias = Tensor(np.zeros(4 * H))
+    table = Tensor(table_data, requires_grad=True)
+    backward(T.reduce_sum(T.lstm_packed(table, ids, kernel, bias, lens) * weights))
+    gathered = Tensor(table_data[ids], requires_grad=True)  # one row per character: the one-hot product is exact
+    backward(T.reduce_sum(T.lstm_packed(gathered, np.arange(len(ids)), kernel, bias, lens) * weights))
+    reference, magnitude = np.zeros_like(table_data), np.zeros_like(table_data)
+    np.add.at(reference, ids, gathered.grad)
+    np.add.at(magnitude, ids, np.abs(gathered.grad))
+    return table.grad, reference, magnitude
+
+
+def test_char_table_gradient_is_the_np_add_at_sum_to_rounding_and_reproducible():
+    rng = np.random.default_rng(4)
+    V, H = 26, 12
+    lens = sorted(rng.integers(1, 12, 40).tolist(), reverse=True)
+    ids = rng.integers(0, V - 3, sum(lens))  # the last three rows are never read
+    table_data = rng.standard_normal((V, 4 * H))
+    weights = Tensor(rng.standard_normal((len(lens), H)))
+    got, reference, magnitude = _char_table_grads(table_data, ids, lens, weights)
+    assert np.all(np.abs(got - reference) <= 1e-12 * magnitude)
+    assert not got[V - 3 :].any() and got[: V - 3].any()
+    again, _, _ = _char_table_grads(table_data, ids, lens, weights)
+    assert again.tobytes() == got.tobytes()
+
+
 def test_store_rejects_duplicate_names():
     store = ParameterStore(seed=0)
     store.create("p", (1,), lambda: np.ones(1))

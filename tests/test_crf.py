@@ -328,6 +328,12 @@ def _nll_case(rng, K):
     return lengths, gold, em, trans, start, end
 
 
+def packed_crf_nll(em, gold, lengths, transitions, start, end):
+    """T.crf_nll of a padded batch [B, Tmax, K]: its real rows, cut out by T.unpad, and their gold tags."""
+    real = np.arange(em.shape[1]) < lengths[:, None]
+    return T.crf_nll(T.unpad(em, lengths), gold[real], lengths, transitions, start, end)
+
+
 def _nll_and_grads(fn, lengths, gold, arrays, weights):
     leaves = [Tensor(a, requires_grad=True) for a in arrays]
     em, trans, start, end = leaves
@@ -344,7 +350,7 @@ def test_log_partition_op_matches_the_composed_loop(K):
     for _ in range(12):
         lengths, gold, *arrays = _nll_case(rng, K)
         weights = rng.standard_normal(len(lengths))
-        got, got_grads = _nll_and_grads(T.crf_nll, lengths, gold, arrays, weights)
+        got, got_grads = _nll_and_grads(packed_crf_nll, lengths, gold, arrays, weights)
         want, want_grads = _nll_and_grads(nll_composed, lengths, gold, arrays, weights)
         assert np.max(np.abs(got - want)) < 1e-12
         for g, w in zip(got_grads, want_grads):
@@ -354,7 +360,7 @@ def test_log_partition_op_matches_the_composed_loop(K):
         for b, n in enumerate(lengths):
             padded[b, n:] = np.nan
             other_gold[b, n:] = (gold[b, n:] + 1) % K
-        nan_out, nan_grads = _nll_and_grads(T.crf_nll, lengths, other_gold, [padded] + arrays[1:], weights)
+        nan_out, nan_grads = _nll_and_grads(packed_crf_nll, lengths, other_gold, [padded] + arrays[1:], weights)
         assert np.array_equal(nan_out, got)
         for g, w in zip(nan_grads, got_grads):
             assert np.array_equal(g, w)  # no NaN anywhere; zero at every padded step
@@ -372,25 +378,28 @@ def test_log_partition_op_gradients_match_finite_differences(K):
     weights = Tensor(rng.standard_normal(len(lengths)))
 
     def f(s):
-        out = T.crf_nll(s["em"], gold, lengths, s["trans"], s["start"], s["end"])
+        out = packed_crf_nll(s["em"], gold, lengths, s["trans"], s["start"], s["end"])
         return T.reduce_sum(out * weights)
 
     assert grad_check(f, store) < 1e-5
 
 
 def test_log_partition_op_rejects_bad_shapes_and_lengths():
-    em, trans, vec = Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((4, 4))), Tensor(np.zeros(4))
-    gold = np.zeros((2, 3), dtype=np.int64)
-    for lengths in ([3], [3, 0], [3, 4], []):
+    """Emissions are the [N, K] packed rows (or a [B, T, K] grid of them), gold their N tags."""
+    em, trans, vec = Tensor(np.zeros((4, 4))), Tensor(np.zeros((4, 4))), Tensor(np.zeros(4))
+    gold = np.zeros(4, dtype=np.int64)
+    for lengths in ([3], [3, 0], [3, 4], [], [[3, 1]]):
         with pytest.raises(ContractError):
             T.crf_nll(em, gold, np.array(lengths, dtype=int), trans, vec, vec)
     with pytest.raises(DimensionError):
         T.crf_nll(em, gold, np.array([3, 1]), Tensor(np.zeros((3, 4))), vec, vec)
     with pytest.raises(DimensionError):
-        T.crf_nll(Tensor(np.zeros((2, 4))), gold, np.array([3, 1]), trans, vec, vec)
-    for bad_gold in (gold[:, :2], gold[:1], gold[0], np.zeros((2, 3, 1), dtype=np.int64)):
+        T.crf_nll(Tensor(np.zeros(4)), gold, np.array([3, 1]), trans, vec, vec)
+    for bad_gold in (gold[:3], gold.reshape(2, 2), np.zeros((4, 1), dtype=np.int64)):
         with pytest.raises(DimensionError):
             T.crf_nll(em, bad_gold, np.array([3, 1]), trans, vec, vec)
+    with pytest.raises(DimensionError):
+        T.crf_nll(Tensor(np.zeros((2, 2, 4))), gold, np.array([2, 2]), trans, vec, vec)
 
 
 # ---------------------------------------------------------------------------

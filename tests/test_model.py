@@ -9,8 +9,8 @@ from reference_ops import grad_check
 
 from slotlab import tensor as T
 from slotlab.charlstm import CharVocab
-from slotlab.crf import TagSet
-from slotlab.data import DataError, SlotSpan, utterance_from_words
+from slotlab.crf import TagSet, crf_nll_batch, spans_from_bio, viterbi_decode_batch
+from slotlab.data import DataError, SlotSpan, bio_from_spans, utterance_from_words
 from slotlab.evaluate import span_f1
 from slotlab.model import Checkpoint, ModelConfig, SlotModel, count_parameters, parameter_reduction
 from slotlab.params import ROW_CAPACITY
@@ -46,6 +46,11 @@ def utt(words, *spans):
 def features(model, u):
     """Fused features [T, d_model] of one utterance, run as a batch of one."""
     return model.features_batch([u])[0].data[0]
+
+
+def by_utterance(H, lengths) -> list[np.ndarray]:
+    """features_batch's packed rows split into each utterance's [n, d_model]."""
+    return np.split(H.data.reshape(-1, H.shape[-1]), np.cumsum(lengths)[:-1])
 
 
 # ---------------------------------------------------------------------------
@@ -246,16 +251,16 @@ def test_two_process_runs_produce_identical_logits(tmp_path):
 
 
 def test_batched_features_match_single():
-    """Each utterance's row of a padded batch equals the utterance run alone."""
+    """Each utterance's rows of a ragged batch, packed, equal the utterance run alone."""
     cfg = tiny_config()
     model = SlotModel(cfg, VOCAB, TAGSET)
     utts = [utt("abc de"), utt("fgh abc de i"), utt("a")]
-    H3, lengths = model.features_batch(utts)
-    assert H3.shape == (3, 4, cfg.d_model) and lengths.tolist() == [2, 4, 1]
-    for b, u in enumerate(utts):
+    H, lengths = model.features_batch(utts)
+    assert H.shape == (7, cfg.d_model) and lengths.tolist() == [2, 4, 1]
+    for rows, u in zip(by_utterance(H, lengths), utts):
         alone, _ = model.features_batch([u])
         assert alone.shape == (1, len(u.tokens), cfg.d_model)
-        assert np.max(np.abs(H3.data[b, : len(u.tokens)] - alone.data[0])) < 1e-12
+        assert np.max(np.abs(rows - alone.data[0])) < 1e-12
 
 
 def _blas() -> str:
@@ -294,10 +299,10 @@ def _features_differing_alone(checkpoint, test_set) -> int:
     with T.no_grad():
         for lo in range(0, len(test_set), 32):
             batch = test_set[lo : lo + 32]
-            H3, lengths = model.features_batch(batch)
-            for b, u in enumerate(batch):
+            H, lengths = model.features_batch(batch)
+            for rows, u in zip(by_utterance(H, lengths), batch):
                 alone, _ = alone_model.features_batch([u])
-                differ += not np.array_equal(alone.data[0], H3.data[b, : lengths[b]])
+                differ += not np.array_equal(alone.data[0], rows)
     return differ
 
 
@@ -333,13 +338,13 @@ def test_predict_batch_decodes_the_graph_built_emissions():
     model = SlotModel(tiny_config(), VOCAB, TAGSET)
     model.crf.emission.bias.data[...] = np.array([0.0, 0.4, 0.1, 0.3, 0.2])
     utts = [utt("abc de"), utt("fgh abc de i"), utt("a")]
-    H3, lengths = model.features_batch(utts)
-    em3 = model.crf.emission(H3)
-    assert em3.requires_grad
+    H, lengths = model.features_batch(utts)
+    em = model.crf.emission(H)
+    assert em.requires_grad
     crf = model.crf
     want = [
-        spans_from_bio(viterbi_decode(em3.data[b, :n], crf.transitions.data, crf.start.data, crf.end.data)[0], TAGSET)
-        for b, n in enumerate(lengths)
+        spans_from_bio(viterbi_decode(rows, crf.transitions.data, crf.start.data, crf.end.data)[0], TAGSET)
+        for rows in by_utterance(em, lengths)
     ]
     assert any(want)
     assert model.predict_batch(utts) == want
@@ -782,11 +787,119 @@ def test_an_unpadded_batch_gives_each_utterance_its_rows_alone_and_padded(desk_s
     assert len(equal) > 1
     with T.no_grad():
         together, _ = model.features_batch(equal)
-        padded, _ = padded_model.features_batch(equal + [longer])
-        for b, u in enumerate(equal):
+        ragged, lengths = padded_model.features_batch(equal + [longer])
+        for b, (rows, u) in enumerate(zip(by_utterance(ragged, lengths), equal)):
             alone, _ = alone_model.features_batch([u])
             assert np.array_equal(together.data[b], alone.data[0]), u.text
-            assert np.array_equal(together.data[b], padded.data[b, :length]), u.text
+            assert np.array_equal(together.data[b], rows), u.text
+
+
+# ---------------------------------------------------------------------------
+# packed rows against the padded composition
+
+
+def padded_composition(model, utts, training):
+    """The layers as the benchmark's traced run drives them, over a zero-padded grid: encode_utterance, then each
+    utterance narrowed out and padded with zero rows, attend_batch, fuse and crf_nll_batch. (loss, H3, lengths)."""
+    cfg = model.config
+    lengths = np.array([len(u.tokens) for u in utts])
+    t_max = int(lengths.max())
+    E = model.encoder.encode_utterance([model.vocab.encode(w) for u in utts for w in u.words], cfg.dropout, training)
+    rows, lo = [], 0
+    for n in lengths.tolist():
+        piece = T.narrow(E, 0, lo, n)
+        if n < t_max:
+            piece = T.concat([piece, T.constant(np.zeros((t_max - n, cfg.d_model), E.data.dtype))], axis=0)
+        rows.append(T.reshape(piece, (1, t_max, cfg.d_model)))
+        lo += n
+    H3 = E3 = T.concat(rows, axis=0)
+    if model.attention is not None:
+        H3 = model.gate.fuse(model.attention.attend_batch(E3, lengths, training)[0], E3)
+    gold = np.zeros((len(utts), t_max), dtype=np.int64)
+    for b, u in enumerate(utts):
+        gold[b, : len(u.tokens)] = bio_from_spans(u, model.tagset)
+    return T.reduce_mean(crf_nll_batch(H3, gold, lengths, model.crf)), H3, lengths
+
+
+# the benchmark self-check's block-dense model
+SELFCHECK_BLOCK = dict(
+    use_block_dense=True, char_embed_dim=32, lstm_units=16, d_model=32, num_heads=2, head_size=16, num_blocks=4,
+    max_relative_distance=4,
+)
+
+
+@pytest.fixture(scope="module")
+def desk_corpus():
+    train_set, _ = make_from_to_corpus(seed=7)
+    length = max({len(u.tokens) for u in train_set}, key=lambda n: sum(len(u.tokens) == n for u in train_set))
+    equal = [u for u in train_set if len(u.tokens) == length][:12]
+    ragged = train_set[:32]
+    assert len(set(len(u.tokens) for u in ragged)) > 2 and len(equal) == 12
+    return train_set, {"ragged": ragged, "equal": equal}
+
+
+@pytest.mark.parametrize("variant", ["abstract_rel", "self_rel", "self_abs", "none"])
+@pytest.mark.parametrize("size", ["desk", "selfcheck_block"])
+def test_packed_rows_equal_the_padded_composition_bit_for_bit(desk_corpus, size, variant):
+    """loss (training on and off) and predict_batch against the padded composition, on ragged and equal-length
+    batches: the same loss bits, gradients to 1e-9 of their largest entry, the same features and spans."""
+    train_set, batches = desk_corpus
+    if size == "desk":
+        cfg = desk_config(variant=variant)
+    else:
+        cfg = ModelConfig(**SELFCHECK_BLOCK, variant=variant)
+    for kind, batch in batches.items():
+        for training in (True, False):
+            packed, padded = build_model(train_set, cfg), build_model(train_set, cfg)  # the same dropout draws
+            loss = packed.loss(batch, training=training)
+            ref, _, _ = padded_composition(padded, batch, training)
+            assert loss.data.tobytes() == ref.data.tobytes(), (kind, training)
+            for model, out in ((packed, loss), (padded, ref)):
+                model.store.zero_grads()
+                T.backward(out)
+            for p, q in zip(packed.store, padded.store):
+                assert np.max(np.abs(p.grad - q.grad)) <= 1e-9 * max(np.abs(q.grad).max(), 1e-300), (kind, p.name)
+        model = build_model(train_set, cfg)
+        with T.no_grad():
+            H, lengths = model.features_batch(batch)
+            _, H3, _ = padded_composition(model, batch, False)
+            em3 = model.crf.emission(H3).data
+        real = np.arange(H3.shape[1]) < lengths[:, None]
+        assert H.data.reshape(-1, cfg.d_model).tobytes() == H3.data[real].tobytes(), kind
+        crf = model.crf
+        paths, _ = viterbi_decode_batch(em3, lengths, crf.transitions.data, crf.start.data, crf.end.data)
+        assert model.predict_batch(batch) == [spans_from_bio(path, model.tagset) for path in paths], kind
+
+
+def test_an_equal_length_batch_runs_no_pad_or_unpad_op(monkeypatch):
+    """The latency path: a single predict, an equal-length batch and its loss take the unpadded ops."""
+    ops = []
+    op_result = T._result
+
+    def counted(data, parents, backward):
+        ops.append(backward.__qualname__.split(".")[0])  # the op whose backward closure this is
+        return op_result(data, parents, backward)
+
+    monkeypatch.setattr(T, "_result", counted)
+    equal = [utt("abc de", (0, 0, "x")), utt("fgh i", (1, 1, "y")), utt("de de")]
+    ragged = equal + [utt("a")]
+    writable = SlotModel(tiny_config(), VOCAB, TAGSET)
+    for model in (writable, Checkpoint.from_model(writable).build_model()):
+        for call in (
+            lambda: model.predict(utt("abc de i")),
+            lambda: model.predict(utt("a")),
+            lambda: model.predict_batch(equal),
+            lambda: model.loss(equal, training=True),
+        ):
+            ops.clear()
+            call()
+            assert ops and not {"pad", "unpad"} & set(ops), ops
+        ops.clear()
+        model.predict_batch(ragged)
+        assert ops.count("pad") == 2 and ops.count("unpad") == 1  # the attention input, its output; the emissions
+        ops.clear()
+        model.loss(ragged, training=True)
+        assert ops.count("pad") == 1 and ops.count("unpad") == 1
 
 
 def test_adamw_counts_a_gradient_never_written_as_zero():

@@ -12,7 +12,7 @@ import argparse
 import json
 
 from slotlab.data import fraction_split, load_dataset
-from slotlab.evaluate import span_f1
+from slotlab.evaluate import score
 from slotlab.model import ModelConfig
 from slotlab.training import train
 
@@ -32,13 +32,12 @@ def main() -> int:
     full_train = load_dataset(args.train)
     test_set = load_dataset(args.test)
     dev_set = load_dataset(args.dev) if args.dev else None
-    gold = [list(u.spans) for u in test_set]
 
     rows = []
     for d in args.denominators:
         subset = fraction_split(full_train, d, args.seed)
         checkpoint, _ = train(subset, dev_set, config)
-        report = span_f1(gold, checkpoint.build_model().predict_batch(test_set))
+        report = score(checkpoint.build_model(), test_set)
         rows.append({"fraction": f"1/{d}", "train_size": len(subset), "micro_f1": report.micro_f1})
         print(f"1/{d:<4} ({len(subset):>6})  micro F1 {report.micro_f1:.3f}")
 

@@ -12,7 +12,7 @@ import argparse
 import json
 import time
 
-from slotlab.evaluate import span_f1
+from slotlab.evaluate import score
 from slotlab.synthetic import desk_config, make_from_to_corpus
 from slotlab.training import train
 
@@ -29,7 +29,6 @@ def main() -> int:
     args = parser.parse_args()
 
     train_set, test_set = make_from_to_corpus(seed=args.corpus_seed, n_train=args.n_train, n_test=args.n_test)
-    gold = [list(u.spans) for u in test_set]
     print(f"{len(train_set)} train / {len(test_set)} test utterances, unseen-city test split")
 
     results = {}
@@ -38,7 +37,7 @@ def main() -> int:
         t0 = time.perf_counter()
         checkpoint, log = train(train_set, None, config)
         seconds = time.perf_counter() - t0
-        report = span_f1(gold, checkpoint.build_model().predict_batch(test_set))
+        report = score(checkpoint.build_model(), test_set)
         results[variant] = {
             "micro_f1": report.micro_f1,
             "macro_f1": report.macro_f1,

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -85,22 +85,22 @@ class ContextAttention:
                 "attention.rel_embed", r_shape, lambda: store.rng(init).uniform(-scale, scale, size=r_shape)
             )
 
-    def _mask(self, length: int, lengths: np.ndarray, dtype) -> np.ndarray | None:
+    def _mask(self, length: int, lengths: Sequence[int], dtype) -> np.ndarray | None:
         """Additive mask: -inf on padded keys and, under abstract_rel, on the current position.
 
         [batch, 1, length, length] when a slot is padded. Otherwise the cached
         [length, length] current-position mask, or None when nothing is masked.
         """
-        if lengths.min() == length:
+        if min(lengths) == length:
             return _current_mask(length, np.dtype(dtype)) if self.cfg.variant == "abstract_rel" else None
         cols = np.arange(length)
-        pad = cols[None, None, None, :] >= lengths[:, None, None, None]
+        pad = cols[None, None, None, :] >= np.asarray(lengths)[:, None, None, None]
         m = np.where(pad, -np.inf, 0.0).astype(dtype)
         if self.cfg.variant == "abstract_rel":
             m = m + _current_mask(length, np.dtype(dtype))
         return m
 
-    def attend_batch(self, E: Tensor, lengths: np.ndarray, training: bool = False) -> tuple[Tensor, Tensor]:
+    def attend_batch(self, E: Tensor, lengths: Sequence[int], training: bool = False) -> tuple[Tensor, Tensor]:
         """E [B, T, d_model] padded -> (A [B, T, d_model], probs [B, heads, T, T])."""
         cfg = self.cfg
         B, length, _ = E.shape

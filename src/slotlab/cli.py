@@ -18,7 +18,7 @@ from .data import (
     substitute_entities,
     utterance_from_text,
 )
-from .evaluate import span_f1
+from .evaluate import score
 from .model import Checkpoint, ModelConfig, count_parameters, parameter_reduction
 from .tensor import SlotlabError
 from .training import train
@@ -71,12 +71,7 @@ def _cmd_train(args) -> int:
 def _cmd_evaluate(args) -> int:
     checkpoint = Checkpoint.load(args.ckpt)
     test_set = load_dataset(args.test)
-    model = checkpoint.build_model()
-    report = span_f1(
-        [list(u.spans) for u in test_set],
-        model.predict_batch(test_set),
-        manifest=_report_manifest(checkpoint.config, args.test, len(test_set)),
-    )
+    report = score(checkpoint.build_model(), test_set, _report_manifest(checkpoint.config, args.test, len(test_set)))
     print(report.table())
     print(f"micro F1 (no O): {report.micro_f1:.3f}")
     if args.report:
@@ -146,12 +141,11 @@ def _cmd_ablate(args) -> int:
     train_set = load_dataset(args.train)
     dev_set = load_dataset(args.dev) if args.dev else None
     test_set = load_dataset(args.test)
-    gold = [list(u.spans) for u in test_set]
     results = {}
     for label, variant in ABLATION_VARIANTS.items():
         config = ModelConfig.from_dict({**base.to_dict(), "variant": variant})
         checkpoint, _ = train(train_set, dev_set, config)
-        report = span_f1(gold, checkpoint.build_model().predict_batch(test_set))
+        report = score(checkpoint.build_model(), test_set)
         results[label] = report.micro_f1
         print(f"{label:18s} micro F1 (no O): {report.micro_f1:.3f}")
     if args.report:
@@ -230,6 +224,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # a config too large for this machine
+        print(f"error: {args.command}: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

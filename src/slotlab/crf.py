@@ -3,9 +3,11 @@
 Scores decompose as start[y0] + sum_t emission[t, yt] + sum_t
 transition[y_{t-1}, yt] + end[y_last]. The NLL is one op, `tensor.crf_nll`:
 log Z, computed in log space, minus the gold-path score, with the marginals
-minus the gold feature counts as its gradient. No transitions are
-structurally forbidden; BIO inconsistencies in decoded paths are repaired
-when spans are extracted (a dangling I-x opens a new x span).
+minus the gold feature counts as its gradient. The NLL and the Viterbi read
+one layout: the batch's packed emission rows [N, K], sequence b's after
+sequence b-1's, which both re-lay time-major by `tensor.packed_layout`. No
+transitions are structurally forbidden; BIO inconsistencies in decoded paths
+are repaired when spans are extracted (a dangling I-x opens a new x span).
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from . import tensor as T
 from .data import SlotSpan
 from .layers import Dense
 from .params import ParameterStore
-from .tensor import ContractError, Tensor
+from .tensor import ContractError, DimensionError, Tensor
 
 
 class TagSet:
@@ -79,12 +81,11 @@ class CrfHead:
         self.start = store.create("crf.start", (num_tags,), lambda: np.zeros(num_tags))
         self.end = store.create("crf.end", (num_tags,), lambda: np.zeros(num_tags))
 
-    def nll(self, H: Tensor, gold: np.ndarray, lengths: np.ndarray) -> Tensor:
-        """Per-sequence negative log-likelihood [B] of the packed feature rows H and their gold tags.
+    def nll(self, H: Tensor, gold: np.ndarray, lengths: Sequence[int]) -> Tensor:
+        """Per-sequence negative log-likelihood [B] of the packed feature rows H [N, d_model] and their gold tags [N].
 
-        H and gold are laid out as `tensor.crf_nll` reads its emissions: the
-        batch's real steps, sequence b's after sequence b-1's, as [N, d_model]
-        and [N], or as [B, T, d_model] and [B, T] when every length is T.
+        The rows are the batch's real steps, sequence b's after sequence
+        b-1's, the layout `tensor.crf_nll` reads its emissions in.
         """
         return T.crf_nll(self.emission(H), gold, lengths, self.transitions, self.start, self.end)
 
@@ -102,66 +103,64 @@ def crf_nll_batch(H: Tensor, gold: np.ndarray, lengths: np.ndarray, head: CrfHea
 
     H is [B, Tmax, d_model]; gold is int [B, Tmax] (entries past each length
     are ignored and must still be valid indices, 0 is fine); returns [B].
-    Only the real rows reach the emission: a ragged batch is cut to them
-    (`tensor.unpad`), so the result is `CrfHead.nll` of the packed rows.
+    The batch is cut to its real rows (`tensor.unpad`), so the result is
+    `CrfHead.nll` of the packed rows.
     """
     if gold.shape != H.shape[:2]:
         raise ContractError(f"gold shape {gold.shape} does not match features {H.shape[:2]}")
     _validate_gold(gold, head.num_tags)
     lengths = np.asarray(lengths)
-    if lengths.size and lengths.min() < H.shape[1]:  # ragged: an empty batch fails in the op, by name
-        H, gold = T.unpad(H, lengths), gold[np.arange(H.shape[1]) < lengths[:, None]]
-    return head.nll(H, gold, lengths)
+    return head.nll(T.unpad(H, lengths), gold[np.arange(H.shape[1]) < lengths[:, None]], lengths)
 
 
 def viterbi_decode_batch(
-    em3: np.ndarray, lengths: Sequence[int], transitions: np.ndarray, start: np.ndarray, end: np.ndarray
+    em: np.ndarray, lengths: Sequence[int], transitions: np.ndarray, start: np.ndarray, end: np.ndarray
 ) -> tuple[list[list[int]], list[float]]:
-    """Max-scoring path and its score per sequence of padded emissions [B, Tmax, K].
+    """Max-scoring path and its score per sequence of the packed emission rows em [N, K].
 
-    Ties resolve to the lowest tag index at every step. Rows run longest
-    first, so step t touches only the sequences longer than t; a finished
-    row keeps the scores of its last step.
+    em holds sequence b's lengths[b] rows after sequence b-1's, the rows
+    `tensor.crf_nll` reads. Ties resolve to the lowest tag index at every
+    step. The rows are re-laid time-major (`tensor.packed_layout`), so step
+    t touches only the sequences longer than t; a finished sequence keeps the
+    scores of its last step.
     """
-    B, t_pad, num_tags = em3.shape
+    if em.ndim != 2:
+        raise DimensionError(f"viterbi_decode_batch: emissions must be [N, K] rows, got shape {em.shape}")
     lens = [int(n) for n in lengths]
-    if len(lens) != B or not lens:
-        raise ContractError(f"viterbi_decode_batch: {len(lens)} lengths for {B} sequences")
-    if min(lens) < 1 or max(lens) > t_pad:
-        raise ContractError(f"viterbi_decode_batch: lengths must lie in [1, {t_pad}], got {lens}")
-    order = sorted(range(B), key=lens.__getitem__, reverse=True)  # stable: ties keep input order
-    n_steps = lens[order[0]]
-    ends = [0] * n_steps
-    for n in lens:
-        ends[n - 1] += 1
-    active = list(accumulate(reversed(ends)))[::-1]  # rows still running at each step
-    em = em3 if order == list(range(B)) else em3[order]
+    if not lens or min(lens) < 1 or sum(lens) != len(em):
+        raise ContractError(f"viterbi_decode_batch: need positive lengths summing to the {len(em)} rows, got {lens}")
+    order, sizes, starts, last = T.packed_layout(lens)
+    B = len(lens)
+    if B > 1:  # one sequence's rows already are time-major
+        offsets = [0, *accumulate(lens[:-1])]
+        em = em[[offsets[b] + t for t, rows in enumerate(sizes) for b in order[:rows]]]
     trans_t = np.ascontiguousarray(transitions.T)
-    # cand[r, j, i] = delta[r, i] + transitions[i, j]
-    back = np.empty((n_steps, B, num_tags), dtype=np.intp)
-    finished = []  # scores of the rows that ended, shortest rows last
-    delta = start + em[:, 0]
-    for t in range(1, n_steps):
-        n = active[t]
-        if n < len(delta):
-            finished.append(delta[n:])
-            delta = delta[:n]
+    # cand[r, j, i] = delta[r, i] + transitions[i, j]; back[p, j] is the best tag before tag j at row p
+    back = np.empty(em.shape, dtype=np.intp)
+    finished = []  # best scores of the sequences that ended, shortest last
+    delta = start + em[:B]
+    for t in range(1, len(sizes)):
+        lo, rows = starts[t], sizes[t]
+        if rows < len(delta):
+            finished.append(delta[rows:])
+            delta = delta[:rows]
         cand = delta[:, None, :] + trans_t
-        cand.argmax(axis=2, out=back[t, :n])  # argmax returns the lowest index on ties
-        delta = cand.max(axis=2) + em[:n, t]
-    final = (np.concatenate([delta] + finished[::-1]) if finished else delta) + end
-    last = final.argmax(axis=1).tolist()
+        cand.argmax(axis=2, out=back[lo : lo + rows])  # argmax returns the lowest index on ties
+        delta = cand.max(axis=2) + em[lo : lo + rows]
+    final = (np.concatenate([delta] + finished[::-1]) if finished else delta) + end  # in sorted order
+    best = final.argmax(axis=1).tolist()
     final, back = final.tolist(), back.tolist()
     paths: list = [None] * B
     scores: list = [None] * B
-    for row, b in enumerate(order):
-        tag = last[row]
+    for r, b in enumerate(order):
+        row, tag = last[b], best[r]
         path = [tag]
         for t in range(lens[b] - 1, 0, -1):
-            tag = back[t][row][tag]
+            tag = back[row][tag]
+            row -= sizes[t - 1]
             path.append(tag)
         path.reverse()
-        paths[b], scores[b] = path, final[row][last[row]]
+        paths[b], scores[b] = path, final[r][best[r]]
     return paths, scores
 
 
@@ -169,7 +168,7 @@ def viterbi_decode(
     emissions: np.ndarray, transitions: np.ndarray, start: np.ndarray, end: np.ndarray
 ) -> tuple[list[int], float]:
     """Max-scoring path of one sequence [n, K]; ties resolve to the lowest tag index."""
-    paths, scores = viterbi_decode_batch(emissions[None], [len(emissions)], transitions, start, end)
+    paths, scores = viterbi_decode_batch(emissions, [len(emissions)], transitions, start, end)
     return paths[0], scores[0]
 
 

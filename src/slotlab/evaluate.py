@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .data import SlotSpan
+from .data import SlotSpan, Utterance
 from .tensor import ContractError
 
 
@@ -112,3 +112,8 @@ def span_f1(
         fn=sum(s.fn for s in per_slot.values()),
     )
     return EvalReport(per_slot, micro, manifest or {})
+
+
+def score(model, utts: Sequence[Utterance], manifest: dict | None = None) -> EvalReport:
+    """Span F1 of a model's `predict_batch` on utts against their gold spans."""
+    return span_f1([list(u.spans) for u in utts], model.predict_batch(utts), manifest)

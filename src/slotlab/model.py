@@ -163,40 +163,34 @@ class SlotModel:
     def word_ids(self, utt: Utterance) -> list[list[int]]:
         return [self.vocab.encode(w) for w in utt.words]
 
-    def features_batch(self, utts: Sequence[Utterance], training: bool = False) -> tuple[Tensor, np.ndarray]:
-        """Fused features of the batch's words, packed in utterance order, plus the utterance lengths.
+    def features_batch(self, utts: Sequence[Utterance], training: bool = False) -> tuple[Tensor, list[int]]:
+        """Fused features [N, d_model] of the batch's N words, packed in utterance order, plus the utterance lengths.
 
-        The rows are utterance b's words after utterance b-1's: [N, d_model]
-        for N words, or, when all B utterances have T words, the same rows as
-        [B, T, d_model]. Only the attention reads a padded [B, Tmax, d_model]
-        grid (`tensor.pad`); its output is cut back to the real rows
-        (`tensor.unpad`), so the gate runs over them alone.
+        The rows are utterance b's words after utterance b-1's, the one layout
+        the gate and the CRF read. Only the attention reads a padded
+        [B, Tmax, d_model] grid (`tensor.pad`), and its output is cut back to
+        the real rows (`tensor.unpad`); when every utterance has Tmax words,
+        both are reshapes.
         """
         if not utts:
             raise ContractError("features_batch: empty batch")
-        lengths = np.array([len(u.tokens) for u in utts])
-        if lengths.min() < 1:
+        lengths = [len(u.tokens) for u in utts]
+        if min(lengths) < 1:
             raise ContractError("cannot encode an utterance with no tokens")
         words = [w for u in utts for w in u.words]
         ids = {w: self.vocab.encode(w) for w in dict.fromkeys(words)}  # each distinct string encoded once
         E = self.encoder.encode_utterance([ids[w] for w in words], self.config.dropout, training)
-        t_max = int(lengths.max())
-        if lengths.min() == t_max:  # nothing to pad: utterance b is rows b*T .. b*T + T-1
-            E = T.reshape(E, (len(utts), t_max, self.config.d_model))
         if self.attention is None:
             return E, lengths
-        if E.data.ndim == 3:
-            A, _ = self.attention.attend_batch(E, lengths, training)
-        else:
-            A = T.unpad(self.attention.attend_batch(T.pad(E, lengths), lengths, training)[0], lengths)
-        return self.gate.fuse(A, E), lengths
+        A, _ = self.attention.attend_batch(T.pad(E, lengths), lengths, training)
+        return self.gate.fuse(T.unpad(A, lengths), E), lengths
 
     def loss(self, utts: Sequence[Utterance], training: bool = True) -> Tensor:
         """Mean CRF negative log-likelihood over a batch of utterances."""
         if not utts:
             raise ContractError("loss: empty batch")
         H, lengths = self.features_batch(utts, training)
-        gold = np.concatenate([bio_from_spans(u, self.tagset) for u in utts]).reshape(H.shape[:-1])
+        gold = np.concatenate([bio_from_spans(u, self.tagset) for u in utts])
         return T.reduce_mean(self.crf.nll(H, gold, lengths))
 
     # ------------------------------------------------------------------
@@ -210,10 +204,9 @@ class SlotModel:
             return []
         with T.no_grad():
             H, lengths = self.features_batch(utts, training=False)
-            em = self.crf.emission(H)
-            em3 = (em if em.data.ndim == 3 else T.pad(em, lengths)).data
+            em = self.crf.emission(H).data
         crf = self.crf
-        paths, _ = viterbi_decode_batch(em3, lengths, crf.transitions.data, crf.start.data, crf.end.data)
+        paths, _ = viterbi_decode_batch(em, lengths, crf.transitions.data, crf.start.data, crf.end.data)
         return [spans_from_bio(tags, self.tagset) for tags in paths]
 
 

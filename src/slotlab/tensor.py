@@ -436,35 +436,26 @@ def einsum2(spec: str, a: Tensor, b: Tensor) -> Tensor:
 # recurrence
 
 
-def _packed_layout(lengths: np.ndarray) -> tuple:
-    """Where each step of each sequence runs when sequences of these lengths run packed.
+def packed_layout(lens: list[int]) -> tuple[list[int], list[int], list[int], list[int]]:
+    """Where each step of each sequence runs when sequences of these positive lengths run packed.
 
     The sequences are sorted longest first, ties in input order, and laid out
     time-major: step t owns the next sizes[t] rows, one per sequence longer
-    than t, in sorted order. Returns (seq, step, sizes, starts, prev, last):
-    packed row p is step step[p] of sequence seq[p], so seq[:B] is the sorted
-    order; step t's rows start at starts[t]; prev[p - B] is the row one step
-    before row p for the rows of steps 1, 2, ...; last[b] is the row of
-    sequence b's final step.
+    than t, in sorted order, from row starts[t]. Returns (order, sizes,
+    starts, last): sequence order[r] runs in row starts[t] + r at each of its
+    steps t, so its row one step before row p is p - sizes[t - 1]; last[b] is
+    the row of sequence b's final step.
     """
-    order = np.argsort(-lengths, kind="stable")
-    sizes = np.bincount(lengths - 1)[::-1].cumsum()[::-1]  # sequences longer than t
-    starts = sizes.cumsum() - sizes
-    step = np.repeat(np.arange(len(sizes)), sizes)
-    seq = order[np.arange(len(step)) - starts[step]]
-    prev = np.arange(len(order), len(step)) - np.repeat(sizes[:-1], sizes[1:])
-    last = starts[lengths - 1] + np.argsort(order)  # a sequence's place at every step is its place in order
-    return seq, step, sizes.tolist(), starts.tolist(), prev, last
-
-
-def _sorted_layout(lens: list[int]) -> tuple[list[int], list[int], list[int]]:
-    """`_packed_layout`'s sizes, starts and last for non-increasing lengths, in a few list passes."""
-    ends = [0] * lens[0]
+    order = sorted(range(len(lens)), key=lens.__getitem__, reverse=True)  # stable: ties keep input order
+    ends = [0] * lens[order[0]]
     for n in lens:
         ends[n - 1] += 1  # the sequences whose final step is n - 1
     sizes = list(accumulate(reversed(ends)))[::-1]
     starts = [0, *accumulate(sizes[:-1])]
-    return sizes, starts, [starts[n - 1] + b for b, n in enumerate(lens)]  # in sorted order, b's place is b
+    last = [0] * len(lens)
+    for r, b in enumerate(order):
+        last[b] = starts[lens[b] - 1] + r
+    return order, sizes, starts, last
 
 
 @lru_cache(maxsize=8)
@@ -480,7 +471,7 @@ def lstm_packed(table: Tensor, ids, kernel: Tensor, bias: Tensor, lengths: Seque
     """A unidirectional LSTM over packed sequences as one node; returns each sequence's final h.
 
     The sequences come longest first, with these lengths, and are laid out
-    time-major (`_packed_layout`): step t owns the next entries of ids, one
+    time-major (`packed_layout`): step t owns the next entries of ids, one
     per sequence longer than t, in sequence order. Row ids[r] of the table
     [V, 4H] is that character's input projection, kernel the [k, H/k, 4H/k]
     recurrent blocks and bias [4H], gates in the order i, f, g, o. State
@@ -511,7 +502,7 @@ def lstm_packed(table: Tensor, ids, kernel: Tensor, bias: Tensor, lengths: Seque
             f"got {table.shape}, {ids.shape}, {kernel.shape}, {bias.shape}"
         )
     U, b = kernel.data, bias.data
-    sizes, starts, last = _sorted_layout(lens)
+    _, sizes, starts, last = packed_layout(lens)
     scale, shift = _gate_affine(H, U.dtype)
     I, F, G, O = (slice(j * H, (j + 1) * H) for j in range(4))
     acts = table.data[ids]
@@ -564,7 +555,7 @@ def lstm_packed(table: Tensor, ids, kernel: Tensor, bias: Tensor, lengths: Seque
             one_hot = (ids == np.arange(len(table.data))[:, None]).astype(dz.dtype)
             sink(table, _matmul(one_hot, dz))
         if kernel.requires_grad:
-            prev = np.arange(sizes[0], len(ids)) - np.repeat(sizes[:-1], sizes[1:])  # the row one step before
+            prev = np.arange(sizes[0], len(ids)) - np.repeat(np.array(sizes[:-1], int), sizes[1:])  # one step before
             sink(kernel, _block_kernel_grad(hs[prev], dz[sizes[0] :], k))
         if bias.requires_grad:
             sink(bias, dz.sum(axis=0))
@@ -580,24 +571,21 @@ def _logsumexp(x: np.ndarray, axis: int) -> np.ndarray:
 def crf_nll(emissions: Tensor, gold, lengths, transitions: Tensor, start: Tensor, end: Tensor) -> Tensor:
     """Negative log-likelihood of the gold paths of a linear-chain CRF: log Z minus the gold score, as [B].
 
-    emissions holds the rows of the batch's N real steps in sequence order,
-    sequence b's lengths[b] rows after sequence b-1's (`pad`'s layout):
-    [N, K], or any [..., K] whose rows in C order are those, such as
-    [B, T, K] when every length is T. gold holds their N tag indices in the
-    shape of the leading axes. A path y of sequence b scores start[y_0] +
+    emissions [N, K] holds the packed rows of the batch's N real steps,
+    sequence b's lengths[b] rows after sequence b-1's (`pad`'s layout), and
+    gold [N] their tag indices. A path y of sequence b scores start[y_0] +
     sum_t em_b[t, y_t] + sum_t transitions[y_{t-1}, y_t] + end[y_last] over
     its steps. The forward algorithm runs in log space over the rows re-laid
-    time-major (`_packed_layout`), so step t touches only the sequences
+    time-major (`packed_layout`), so step t touches only the sequences
     longer than t, and the gold score is read off the same rows. The
     gradient is the marginals minus the gold feature counts: backward runs
     beta for the unary marginals (emissions, start, end) and the pairwise
     ones, summed for the transitions in one product over every running
     (step, sequence) row, and subtracts the gold indicators.
     """
-    if emissions.data.ndim < 2:
+    if emissions.data.ndim != 2:
         raise DimensionError(f"crf_nll: emissions must be [N, K] rows, got shape {emissions.shape}")
-    K = emissions.data.shape[-1]
-    N = math.prod(emissions.data.shape[:-1])
+    N, K = emissions.data.shape
     if transitions.data.shape != (K, K) or start.data.shape != (K,) or end.data.shape != (K,):
         raise DimensionError(
             f"crf_nll: need transitions [{K}, {K}], start and end [{K}]; "
@@ -606,13 +594,17 @@ def crf_nll(emissions: Tensor, gold, lengths, transitions: Tensor, start: Tensor
     lens = np.asarray(lengths)
     if lens.ndim != 1 or len(lens) == 0 or lens.min() < 1 or lens.sum() != N:
         raise ContractError(f"crf_nll: need positive lengths summing to the {N} emission rows, got {lens.tolist()}")
-    if np.shape(gold) != emissions.data.shape[:-1]:
-        raise DimensionError(f"crf_nll: gold must be {emissions.data.shape[:-1]} like the rows, got {np.shape(gold)}")
+    if np.shape(gold) != (N,):
+        raise DimensionError(f"crf_nll: gold must be [{N}] like the rows, got {np.shape(gold)}")
     B = len(lens)
-    seq, step, sizes, starts, prev, last = _packed_layout(lens)
+    order, sizes, starts, last = packed_layout(lens.tolist())
+    rows = np.array(sizes)
+    step = np.repeat(np.arange(len(sizes)), rows)  # packed row p is step step[p] of sequence seq[p]
+    seq = np.array(order)[np.arange(N) - np.repeat(starts, rows)]
+    prev = np.arange(B, N) - rows[step[B:] - 1]  # the row one step before each row of steps 1, 2, ...
     perm = (np.cumsum(lens) - lens)[seq] + step  # the emission row that packed row p reads
-    em = emissions.data.reshape(N, K)[perm]
-    y = np.asarray(gold).reshape(N)[perm]  # the gold tag of each packed row
+    em = emissions.data[perm]
+    y = np.asarray(gold)[perm]  # the gold tag of each packed row
     gold_cells = (np.arange(N), y)
     trans, trans_t = transitions.data, np.ascontiguousarray(transitions.data.T)
     alpha = np.empty_like(em)
@@ -642,7 +634,7 @@ def crf_nll(emissions: Tensor, gold, lengths, transitions: Tensor, start: Tensor
         if emissions.requires_grad:
             d = np.empty_like(em)
             d[perm] = unary  # a permutation: every emission row is written once
-            sink(emissions, d.reshape(emissions.data.shape))
+            sink(emissions, d)
         if start.requires_grad:
             sink(start, unary[:B].sum(axis=0))
         if end.requires_grad:
@@ -688,14 +680,19 @@ def _grid_slots(lengths: np.ndarray, t_pad: int) -> np.ndarray:
 def pad(x: Tensor, lengths) -> Tensor:
     """Packed rows x [N, ...], sequence b's lengths[b] rows after sequence b-1's, as a zero-padded [B, Tmax, ...].
 
-    Backward gathers the gradient's real slots back into packed rows.
+    This is the one packed layout every layer after the char-LSTM reads. When
+    every length is Tmax the rows already are the grid, and the result is a
+    `reshape` of x, a view; otherwise backward gathers the gradient's real
+    slots back into packed rows.
     """
-    lengths = np.asarray(lengths)
-    B, t_max = len(lengths), int(lengths.max())
-    slots = _grid_slots(lengths, t_max)
+    lens = [int(n) for n in lengths]
+    B, t_max = len(lens), max(lens)
     rest = x.data.shape[1:]
-    if x.data.shape[:1] != slots.shape:
-        raise DimensionError(f"pad: lengths {lengths.tolist()} need {len(slots)} rows, got shape {x.shape}")
+    if x.data.shape[:1] != (sum(lens),):
+        raise DimensionError(f"pad: lengths {lens} need {sum(lens)} rows, got shape {x.shape}")
+    if min(lens) == t_max:
+        return reshape(x, (B, t_max) + rest)
+    slots = _grid_slots(np.asarray(lens), t_max)
     out = np.zeros((B * t_max,) + rest, x.data.dtype)
     out[slots] = x.data
 
@@ -708,13 +705,17 @@ def pad(x: Tensor, lengths) -> Tensor:
 def unpad(x: Tensor, lengths) -> Tensor:
     """The real rows of a padded x [B, T, ...], packed as `pad` lays them out, as [N, ...].
 
-    Backward scatters the rows' gradient into a zero grid: each slot is written at most once.
+    When every length is T the grid's rows are all real, and the result is a
+    `reshape` of x, a view; otherwise backward scatters the rows' gradient
+    into a zero grid, each slot written at most once.
     """
-    lengths, shape = np.asarray(lengths), x.data.shape
-    if x.data.ndim < 2 or shape[0] != len(lengths) or lengths.max() > shape[1]:
-        raise DimensionError(f"unpad: lengths {lengths.tolist()} need [B, >= Tmax, ...] rows, got shape {shape}")
+    lens, shape = [int(n) for n in lengths], x.data.shape
+    if x.data.ndim < 2 or shape[0] != len(lens) or not lens or max(lens) > shape[1]:
+        raise DimensionError(f"unpad: lengths {lens} need [B, >= Tmax, ...] rows, got shape {shape}")
     flat_shape = (shape[0] * shape[1],) + shape[2:]
-    slots = _grid_slots(lengths, shape[1])
+    if min(lens) == shape[1]:
+        return reshape(x, flat_shape)
+    slots = _grid_slots(np.asarray(lens), shape[1])
 
     def bwd(g, sink):
         buf = np.zeros(flat_shape, g.dtype)

@@ -16,7 +16,7 @@ import numpy as np
 from .charlstm import CharVocab
 from .crf import TagSet
 from .data import DataError, Utterance
-from .evaluate import span_f1
+from .evaluate import score
 from .model import Checkpoint, ModelConfig, SlotModel
 from .params import ParameterStore
 from .tensor import NumericError, backward
@@ -120,8 +120,7 @@ def train(
 
         dev_f1 = None
         if dev_list:
-            report = span_f1([list(u.spans) for u in dev_list], model.predict_batch(dev_list))
-            dev_f1 = report.micro_f1
+            dev_f1 = score(model, dev_list).micro_f1
             if dev_f1 > best_f1:
                 best_f1, stale = dev_f1, 0
                 best_arrays = model.store.snapshot()

@@ -35,7 +35,8 @@ def relative_index(i: int, j: int, max_distance: int) -> int:
 
 
 def viterbi_decode_batch_gather(em3, lengths, transitions, start, end):
-    """`crf.viterbi_decode_batch` gathering each step's best score at its argmax through a flat index."""
+    """`crf.viterbi_decode_batch` over a padded grid em3 [B, Tmax, K], gathering each step's best score at its
+    argmax through a flat index."""
     B, t_pad, num_tags = em3.shape
     lens = [int(n) for n in lengths]
     order = sorted(range(B), key=lens.__getitem__, reverse=True)

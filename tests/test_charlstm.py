@@ -236,6 +236,15 @@ def test_fused_encoder_gradients_on_ragged_batch(num_blocks):
     assert grad_check(lambda s: weighted_sum(enc.encode_words(words)), store) < 1e-5
 
 
+@pytest.mark.parametrize("num_blocks", [1, 2])
+def test_encoder_gradients_when_every_word_is_one_character(num_blocks):
+    """One step and no recurrence: the recurrent kernel's gradient is zero, not an error."""
+    store, vocab, enc = make_encoder(char_embed=4, units=4, num_blocks=num_blocks)
+    words = [vocab.encode(w) for w in ("a", "x", "b", "a")]
+    assert grad_check(lambda s: weighted_sum(enc.encode_words(words)), store) < 1e-5
+    assert not store["encoder.lstm.recurrent.kernel"].grad.any()
+
+
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 def test_cell_gates_are_the_sigmoid_within_one_epsilon_and_store_tanh_c_exactly(dtype):
     """The stored i, f and o gates against `T._sigmoid` of the same gate inputs, over
@@ -251,7 +260,7 @@ def test_cell_gates_are_the_sigmoid_within_one_epsilon_and_store_tanh_c_exactly(
     bwd = out._backward
     state = dict(zip(bwd.__code__.co_freevars, (cell.cell_contents for cell in bwd.__closure__)))
     acts, cs, hs, tcs = state["acts"], state["cs"], state["hs"], state["tcs"]
-    _, _, sizes, starts, _, _ = T._packed_layout(np.array(lens))
+    _, sizes, starts, _ = T.packed_layout(lens)
     z = X.astype(dtype) + b
     for t in range(1, len(sizes)):
         now, before = slice(starts[t], starts[t] + sizes[t]), slice(starts[t - 1], starts[t - 1] + sizes[t])
@@ -263,12 +272,29 @@ def test_cell_gates_are_the_sigmoid_within_one_epsilon_and_store_tanh_c_exactly(
     assert tcs.dtype == dtype and tcs.tobytes() == np.tanh(cs).tobytes()
 
 
-def test_the_lean_layout_of_sorted_lengths_is_the_packed_layout():
+def brute_force_layout(lens):
+    """(order, sizes, starts, last) by listing every (step, sequence) row: steps in turn, longest sequences
+    first, ties in input order."""
+    order = sorted(range(len(lens)), key=lambda b: (-lens[b], b))
+    cells = [(t, b) for t in range(max(lens)) for b in order if lens[b] > t]
+    sizes = [sum(t == s for t, _ in cells) for s in range(max(lens))]
+    starts = [cells.index((t, order[0])) for t in range(max(lens))]
+    return order, sizes, starts, [cells.index((n - 1, b)) for b, n in enumerate(lens)], cells
+
+
+def test_the_packed_layout_is_the_brute_force_layout():
+    """Random lengths with ties, all-ones lengths and a single sequence; a sequence keeps its sorted place at
+    every step, so its row one step before row p is p - sizes[t - 1]."""
     rng = np.random.default_rng(5)
-    for _ in range(200):
-        lens = sorted(rng.integers(1, 16, int(rng.integers(1, 40))).tolist(), reverse=True)
-        _, _, sizes, starts, _, last = T._packed_layout(np.array(lens))
-        assert T._sorted_layout(lens) == (sizes, starts, last.tolist()), lens
+    cases = [rng.integers(1, 8, int(rng.integers(1, 30))).tolist() for _ in range(200)]
+    cases += [[1] * 7, [1], [9], [4, 4, 4], [2, 5, 5, 1, 5]]
+    for lens in cases:
+        order, sizes, starts, last, cells = brute_force_layout(lens)
+        assert T.packed_layout(lens) == (order, sizes, starts, last), lens
+        for p, (t, b) in enumerate(cells):
+            assert p == starts[t] + order.index(b)
+            if t:
+                assert cells[p - sizes[t - 1]] == (t - 1, b)
 
 
 def test_repeated_word_is_encoded_once_and_bit_equal_alone():

@@ -162,7 +162,8 @@ def test_batched_viterbi_matches_the_loop_bitwise_under_ties(B, K):
                 em3[b, n:] = np.nan  # padding must never be read
             trans = rng.integers(-2, 3, size=(K, K)).astype(dtype)
             start, end = rng.integers(-1, 2, size=(2, K)).astype(dtype)
-            paths, scores = viterbi_decode_batch(em3, lengths, trans, start, end)
+            real = np.arange(t_pad) < lengths[:, None]
+            paths, scores = viterbi_decode_batch(em3[real], lengths, trans, start, end)
             for b, n in enumerate(lengths):
                 want_path, want_score = viterbi_loop(em3[b, :n], trans, start, end)
                 assert paths[b] == want_path
@@ -180,18 +181,21 @@ def test_best_score_read_by_max_is_bitwise_the_gather_at_argmax(dtype):
         shapes = ((B, int(lengths.max()), K), (K, K), K, K)
         draws = [rng.integers(-2, 3, size=s) if trial % 2 else rng.standard_normal(s) for s in shapes]
         em3, trans, start, end = (d.astype(dtype) for d in draws)
-        got = viterbi_decode_batch(em3, lengths, trans, start, end)
+        got = viterbi_decode_batch(em3[np.arange(em3.shape[1]) < lengths[:, None]], lengths, trans, start, end)
         want = viterbi_decode_batch_gather(em3, lengths, trans, start, end)
         assert got[0] == want[0]
         assert np.array(got[1], dtype).tobytes() == np.array(want[1], dtype).tobytes()
 
 
 def test_viterbi_decode_batch_rejects_bad_lengths():
-    em3 = np.zeros((2, 3, 4))
+    """The emissions are the [N, K] packed rows; the lengths must be positive and sum to N."""
+    em = np.zeros((5, 4))
     trans, start, end = np.zeros((4, 4)), np.zeros(4), np.zeros(4)
-    for lengths in ([3], [3, 0], [3, 4], []):
+    for lengths in ([3], [3, 0], [3, 4], [], [2, 2], [6, -1]):
         with pytest.raises(ContractError):
-            viterbi_decode_batch(em3, lengths, trans, start, end)
+            viterbi_decode_batch(em, lengths, trans, start, end)
+    with pytest.raises(DimensionError):
+        viterbi_decode_batch(np.zeros((2, 3, 4)), [3, 3], trans, start, end)
     with pytest.raises(ContractError):
         viterbi_decode(np.zeros((0, 4)), trans, start, end)
 

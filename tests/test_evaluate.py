@@ -75,3 +75,20 @@ def test_micro_pools_counts_across_slots():
     p, r = 2 / 3, 2 / 3
     assert report.micro_f1 == pytest.approx(2 * p * r / (p + r))
     assert report.per_slot["b"].f1 == 0.0
+
+
+def test_score_is_the_span_f1_of_predict_batch_against_the_gold_spans():
+    from slotlab.data import utterance_from_words
+    from slotlab.evaluate import score
+
+    class FirstSpanOnly:
+        def predict_batch(self, utts):
+            return [list(u.spans)[:1] for u in utts]
+
+    utts = [
+        utterance_from_words("from oslo to rome".split(), [S(1, 1, "from"), S(3, 3, "to")]),
+        utterance_from_words("to new york".split(), [S(1, 2, "to")]),
+    ]
+    report = score(FirstSpanOnly(), utts, {"dataset": "two"})
+    want = span_f1([list(u.spans) for u in utts], [list(u.spans)[:1] for u in utts], {"dataset": "two"})
+    assert report.to_dict() == want.to_dict() and report.micro.fn == 1 and report.micro.tp == 2

@@ -45,7 +45,7 @@ def utt(words, *spans):
 
 def features(model, u):
     """Fused features [T, d_model] of one utterance, run as a batch of one."""
-    return model.features_batch([u])[0].data[0]
+    return model.features_batch([u])[0].data
 
 
 def by_utterance(H, lengths) -> list[np.ndarray]:
@@ -256,11 +256,11 @@ def test_batched_features_match_single():
     model = SlotModel(cfg, VOCAB, TAGSET)
     utts = [utt("abc de"), utt("fgh abc de i"), utt("a")]
     H, lengths = model.features_batch(utts)
-    assert H.shape == (7, cfg.d_model) and lengths.tolist() == [2, 4, 1]
+    assert H.shape == (7, cfg.d_model) and lengths == [2, 4, 1]
     for rows, u in zip(by_utterance(H, lengths), utts):
         alone, _ = model.features_batch([u])
-        assert alone.shape == (1, len(u.tokens), cfg.d_model)
-        assert np.max(np.abs(rows - alone.data[0])) < 1e-12
+        assert alone.shape == (len(u.tokens), cfg.d_model)
+        assert np.max(np.abs(rows - alone.data)) < 1e-12
 
 
 def _blas() -> str:
@@ -302,7 +302,7 @@ def _features_differing_alone(checkpoint, test_set) -> int:
             H, lengths = model.features_batch(batch)
             for rows, u in zip(by_utterance(H, lengths), batch):
                 alone, _ = alone_model.features_batch([u])
-                differ += not np.array_equal(alone.data[0], rows)
+                differ += not np.array_equal(alone.data, rows)
     return differ
 
 
@@ -786,12 +786,12 @@ def test_an_unpadded_batch_gives_each_utterance_its_rows_alone_and_padded(desk_s
     longer = next(u for u in test_set if len(u.tokens) > length)
     assert len(equal) > 1
     with T.no_grad():
-        together, _ = model.features_batch(equal)
+        together, equal_lengths = model.features_batch(equal)
         ragged, lengths = padded_model.features_batch(equal + [longer])
-        for b, (rows, u) in enumerate(zip(by_utterance(ragged, lengths), equal)):
+        for mine, rows, u in zip(by_utterance(together, equal_lengths), by_utterance(ragged, lengths), equal):
             alone, _ = alone_model.features_batch([u])
-            assert np.array_equal(together.data[b], alone.data[0]), u.text
-            assert np.array_equal(together.data[b], rows), u.text
+            assert np.array_equal(mine, alone.data), u.text
+            assert np.array_equal(mine, rows), u.text
 
 
 # ---------------------------------------------------------------------------
@@ -864,15 +864,29 @@ def test_packed_rows_equal_the_padded_composition_bit_for_bit(desk_corpus, size,
             H, lengths = model.features_batch(batch)
             _, H3, _ = padded_composition(model, batch, False)
             em3 = model.crf.emission(H3).data
-        real = np.arange(H3.shape[1]) < lengths[:, None]
-        assert H.data.reshape(-1, cfg.d_model).tobytes() == H3.data[real].tobytes(), kind
+        real = np.arange(H3.shape[1]) < np.array(lengths)[:, None]
+        assert H.data.tobytes() == H3.data[real].tobytes(), kind
         crf = model.crf
-        paths, _ = viterbi_decode_batch(em3, lengths, crf.transitions.data, crf.start.data, crf.end.data)
+        paths, _ = viterbi_decode_batch(em3[real], lengths, crf.transitions.data, crf.start.data, crf.end.data)
         assert model.predict_batch(batch) == [spans_from_bio(path, model.tagset) for path in paths], kind
 
 
-def test_an_equal_length_batch_runs_no_pad_or_unpad_op(monkeypatch):
-    """The latency path: a single predict, an equal-length batch and its loss take the unpadded ops."""
+def test_equal_length_pad_and_unpad_are_views_whose_backward_is_the_reshape(monkeypatch):
+    """When every length is the grid's width, pad and unpad return views of their input through a reshape node.
+    So a single predict, an equal-length batch and its loss gather nothing; a ragged batch pads and unpads once,
+    around the attention."""
+    rng = np.random.default_rng(3)
+    for B, n in ((1, 1), (1, 5), (3, 4)):
+        rows = T.Tensor(rng.standard_normal((B * n, 3)), requires_grad=True)
+        grid = T.pad(rows, [n] * B)
+        cut = T.unpad(grid, np.array([n] * B))
+        assert grid.shape == (B, n, 3) and cut.shape == rows.shape
+        for out in (grid, cut):
+            assert np.shares_memory(out.data, rows.data) and out._backward.__qualname__.startswith("reshape.")
+        g = rng.standard_normal(cut.shape)
+        T.backward(T.reduce_sum(cut * T.Tensor(g)))
+        assert rows.grad.tobytes() == g.tobytes()
+
     ops = []
     op_result = T._result
 
@@ -894,12 +908,10 @@ def test_an_equal_length_batch_runs_no_pad_or_unpad_op(monkeypatch):
             ops.clear()
             call()
             assert ops and not {"pad", "unpad"} & set(ops), ops
-        ops.clear()
-        model.predict_batch(ragged)
-        assert ops.count("pad") == 2 and ops.count("unpad") == 1  # the attention input, its output; the emissions
-        ops.clear()
-        model.loss(ragged, training=True)
-        assert ops.count("pad") == 1 and ops.count("unpad") == 1
+        for call in (lambda: model.predict_batch(ragged), lambda: model.loss(ragged, training=True)):
+            ops.clear()
+            call()
+            assert ops.count("pad") == 1 and ops.count("unpad") == 1  # the attention's input and output
 
 
 def test_adamw_counts_a_gradient_never_written_as_zero():

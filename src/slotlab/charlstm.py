@@ -3,22 +3,20 @@
 Each word is encoded independently: its characters run left-to-right through
 a single LSTM starting from a zero state, and the final hidden state is
 projected to the model width. No state crosses word boundaries, so a batch
-encodes each distinct char-id sequence once. The distinct words are sorted
-longest first and their characters laid out time-major, so step t runs only
-the words longer than t. The input kernel has no bias, so it projects the
-character table once (V rows, PAD and UNK included); the recurrence is one
-`T.lstm_packed` op, which reads each real character's row of that table and
-sends the table its gradient as one product over the characters' one-hot
-rows, and one final gather puts the projected rows back in the caller's word
-order. A served model projects the table once (`ParameterStore.planned`) and
-keeps the rows of the last 512 distinct words it encoded
-(`ParameterStore.kept_rows`), so a call runs the LSTM only over the words it
-has not served lately.
+encodes each distinct char-id sequence once, in first-seen order. The input
+kernel has no bias, so it projects the character table once (V rows, PAD and
+UNK included); the recurrence is one `T.lstm_packed` op, which lays the
+characters out time-major (step t runs only the words longer than t), reads
+each real character's row of that table, sends the table its gradient as one
+product over the characters' one-hot rows and returns one row per word. One
+final gather puts the projected rows back in the caller's word order. A
+served model projects the table once (`ParameterStore.planned`) and keeps the
+rows of the last 512 distinct words it encoded (`ParameterStore.kept_rows`),
+so a call runs the LSTM only over the words it has not served lately.
 """
 
 from __future__ import annotations
 
-from itertools import zip_longest
 from typing import Sequence
 
 import numpy as np
@@ -112,18 +110,13 @@ class CharLstmEncoder:
         if not char_ids:
             raise ContractError("encode_words: empty batch")
         # keyed on ids, not strings: UNK merges different strings into one word
-        keys = [tuple(w) for w in char_ids]
-        words = sorted(dict.fromkeys(keys), key=len, reverse=True)  # longest first, ties in first-seen order
-        if not words[-1]:
-            raise ContractError("encode_words: empty word in batch")
-        rows = self.store.kept_rows(words, self._encode_sorted)
-        row = {w: r for r, w in enumerate(words)}
-        return T.take_rows(rows, [row[k] for k in keys])
+        row: dict[tuple[int, ...], int] = {}
+        index = [row.setdefault(tuple(w), len(row)) for w in char_ids]  # each distinct word's first-seen row
+        return T.take_rows(self.store.kept_rows(list(row), self._encode), index)
 
-    def _encode_sorted(self, words: list[tuple[int, ...]]) -> Tensor:
-        """[len(words), d_model] rows of distinct words given longest first: the packed LSTM, then the projection."""
-        # time-major: step t holds the characters of the words longer than t
-        chars = [c for step in zip_longest(*words) for c in step if c is not None]
+    def _encode(self, words: list[tuple[int, ...]]) -> Tensor:
+        """[len(words), d_model] rows of distinct words: the packed LSTM over their characters, then the projection."""
+        chars = [c for w in words for c in w]  # word by word
         # the input kernel is linear without bias, so project the V-row table once; the LSTM reads its rows
         table = self.store.planned("char_table", lambda: self.input_map(self.embed))
         return self.proj(T.lstm_packed(table, chars, self.recurrent_map.kernel, self.b, [len(w) for w in words]))

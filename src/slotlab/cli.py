@@ -11,6 +11,7 @@ import sys
 from pathlib import Path
 
 from .data import (
+    DataError,
     fraction_split,
     load_dataset,
     read_utf8,
@@ -47,22 +48,27 @@ def _report_manifest(config: ModelConfig, dataset: str, count: int) -> dict:
     }
 
 
+def _load(path) -> list:
+    """The utterances of a dataset file; one holding none is an error, since a command would report a number."""
+    if not (utts := load_dataset(path)):
+        raise DataError(f"{path}: holds no utterance")
+    return utts
+
+
 def _cmd_train(args) -> int:
     config = ModelConfig.from_json_file(args.config)
-    train_set = load_dataset(args.train)
-    dev_set = load_dataset(args.dev) if args.dev else None
+    train_set = _load(args.train)
+    dev_set = _load(args.dev) if args.dev else None
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    log_path = out_dir / "train_log.jsonl"
-    with open(log_path, "w", encoding="utf-8") as log:
 
-        def on_epoch(record: dict) -> None:
+    def on_epoch(record: dict) -> None:
+        out_dir.mkdir(parents=True, exist_ok=True)  # not up front: a run failing before its first epoch makes nothing
+        with open(out_dir / "train_log.jsonl", "w" if record["epoch"] == 1 else "a", encoding="utf-8") as log:
             log.write(json.dumps(record) + "\n")
-            log.flush()
-            dev = "-" if record["dev_f1"] is None else f"{record['dev_f1']:.4f}"
-            print(f"epoch {record['epoch']:>3}  loss {record['train_loss']:.4f}  dev_f1 {dev}  {record['seconds']:.1f}s")
+        dev = "-" if record["dev_f1"] is None else f"{record['dev_f1']:.4f}"
+        print(f"epoch {record['epoch']:>3}  loss {record['train_loss']:.4f}  dev_f1 {dev}  {record['seconds']:.1f}s")
 
-        checkpoint, _ = train(train_set, dev_set, config, on_epoch=on_epoch)
+    checkpoint, _ = train(train_set, dev_set, config, on_epoch=on_epoch)
     checkpoint.save(out_dir)
     print(f"saved checkpoint to {out_dir}")
     return 0
@@ -70,7 +76,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     checkpoint = Checkpoint.load(args.ckpt)
-    test_set = load_dataset(args.test)
+    test_set = _load(args.test)
     report = score(checkpoint.build_model(), test_set, _report_manifest(checkpoint.config, args.test, len(test_set)))
     print(report.table())
     print(f"micro F1 (no O): {report.micro_f1:.3f}")
@@ -111,7 +117,7 @@ def _cmd_params(args) -> int:
 
 
 def _cmd_subset(args) -> int:
-    utts = load_dataset(args.inp)
+    utts = _load(args.inp)
     subset = fraction_split(utts, args.denominator, args.seed)
     save_jsonl(subset, args.out)
     print(f"wrote {len(subset)} of {len(utts)} examples (1/{args.denominator}, seed {args.seed}) to {args.out}")
@@ -119,11 +125,11 @@ def _cmd_subset(args) -> int:
 
 
 def _cmd_substitute(args) -> int:
-    utts = load_dataset(args.inp)
+    utts = _load(args.inp)
     values = [line.strip() for line in read_utf8(args.values).splitlines() if line.strip()]
     training_surfaces = None
     if args.train:
-        train_utts = load_dataset(args.train)
+        train_utts = _load(args.train)
         training_surfaces = {
             " ".join(u.words[sp.start_token : sp.end_token + 1])
             for u in train_utts
@@ -138,9 +144,9 @@ def _cmd_substitute(args) -> int:
 
 def _cmd_ablate(args) -> int:
     base = ModelConfig.from_json_file(args.config)
-    train_set = load_dataset(args.train)
-    dev_set = load_dataset(args.dev) if args.dev else None
-    test_set = load_dataset(args.test)
+    train_set = _load(args.train)
+    dev_set = _load(args.dev) if args.dev else None
+    test_set = _load(args.test)
     results = {}
     for label, variant in ABLATION_VARIANTS.items():
         config = ModelConfig.from_dict({**base.to_dict(), "variant": variant})

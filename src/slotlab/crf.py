@@ -5,14 +5,13 @@ transition[y_{t-1}, yt] + end[y_last]. The NLL is one op, `tensor.crf_nll`:
 log Z, computed in log space, minus the gold-path score, with the marginals
 minus the gold feature counts as its gradient. The NLL and the Viterbi read
 one layout: the batch's packed emission rows [N, K], sequence b's after
-sequence b-1's, which both re-lay time-major by `tensor.packed_layout`. No
+sequence b-1's, which both gather time-major through `tensor.packed_layout`. No
 transitions are structurally forbidden; BIO inconsistencies in decoded paths
 are repaired when spans are extracted (a dangling I-x opens a new x span).
 """
 
 from __future__ import annotations
 
-from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -120,7 +119,7 @@ def viterbi_decode_batch(
 
     em holds sequence b's lengths[b] rows after sequence b-1's, the rows
     `tensor.crf_nll` reads. Ties resolve to the lowest tag index at every
-    step. The rows are re-laid time-major (`tensor.packed_layout`), so step
+    step. The rows are gathered time-major (`tensor.packed_layout`), so step
     t touches only the sequences longer than t; a finished sequence keeps the
     scores of its last step.
     """
@@ -129,11 +128,10 @@ def viterbi_decode_batch(
     lens = [int(n) for n in lengths]
     if not lens or min(lens) < 1 or sum(lens) != len(em):
         raise ContractError(f"viterbi_decode_batch: need positive lengths summing to the {len(em)} rows, got {lens}")
-    order, sizes, starts, last = T.packed_layout(lens)
+    order, sizes, starts, last, src = T.packed_layout(lens)
     B = len(lens)
     if B > 1:  # one sequence's rows already are time-major
-        offsets = [0, *accumulate(lens[:-1])]
-        em = em[[offsets[b] + t for t, rows in enumerate(sizes) for b in order[:rows]]]
+        em = em[src]
     trans_t = np.ascontiguousarray(transitions.T)
     # cand[r, j, i] = delta[r, i] + transitions[i, j]; back[p, j] is the best tag before tag j at row p
     back = np.empty(em.shape, dtype=np.intp)

@@ -436,15 +436,16 @@ def einsum2(spec: str, a: Tensor, b: Tensor) -> Tensor:
 # recurrence
 
 
-def packed_layout(lens: list[int]) -> tuple[list[int], list[int], list[int], list[int]]:
+def packed_layout(lens: list[int]) -> tuple[list[int], list[int], list[int], list[int], list[int]]:
     """Where each step of each sequence runs when sequences of these positive lengths run packed.
 
-    The sequences are sorted longest first, ties in input order, and laid out
-    time-major: step t owns the next sizes[t] rows, one per sequence longer
-    than t, in sorted order, from row starts[t]. Returns (order, sizes,
-    starts, last): sequence order[r] runs in row starts[t] + r at each of its
-    steps t, so its row one step before row p is p - sizes[t - 1]; last[b] is
-    the row of sequence b's final step.
+    The only code that orders sequences. They are sorted longest first, ties
+    in input order, and laid out time-major: step t owns the next sizes[t]
+    rows, one per sequence longer than t, in sorted order, from row starts[t].
+    Returns (order, sizes, starts, last, src): sequence order[r] runs in row
+    starts[t] + r at each of its steps t, so its row one step before row p is
+    p - sizes[t - 1]; last[b] is the row of sequence b's final step; and row
+    p reads row src[p] of the rows in sequence order, b's after b-1's.
     """
     order = sorted(range(len(lens)), key=lens.__getitem__, reverse=True)  # stable: ties keep input order
     ends = [0] * lens[order[0]]
@@ -455,7 +456,9 @@ def packed_layout(lens: list[int]) -> tuple[list[int], list[int], list[int], lis
     last = [0] * len(lens)
     for r, b in enumerate(order):
         last[b] = starts[lens[b] - 1] + r
-    return order, sizes, starts, last
+    firsts = [0, *accumulate(lens[:-1])]  # the sequence-order row of each sequence's first step
+    src = [firsts[b] + t for t, rows in enumerate(sizes) for b in order[:rows]]
+    return order, sizes, starts, last, src
 
 
 @lru_cache(maxsize=8)
@@ -468,13 +471,13 @@ def _gate_affine(H: int, dtype: np.dtype) -> tuple[np.ndarray, np.ndarray]:
 
 
 def lstm_packed(table: Tensor, ids, kernel: Tensor, bias: Tensor, lengths: Sequence[int]) -> Tensor:
-    """A unidirectional LSTM over packed sequences as one node; returns each sequence's final h.
+    """A unidirectional LSTM over packed sequences as one node; returns each sequence's final h, in input order.
 
-    The sequences come longest first, with these lengths, and are laid out
-    time-major (`packed_layout`): step t owns the next entries of ids, one
-    per sequence longer than t, in sequence order. Row ids[r] of the table
-    [V, 4H] is that character's input projection, kernel the [k, H/k, 4H/k]
-    recurrent blocks and bias [4H], gates in the order i, f, g, o. State
+    The sequences have these positive lengths, in any order, and ids hold
+    their entries sequence by sequence; the op gathers them time-major
+    (`packed_layout`), so step t runs only the sequences longer than t. Row
+    ids[r] of the table [V, 4H] is that character's input projection, kernel
+    the [k, H/k, 4H/k] recurrent blocks and bias [4H], gates i, f, g, o. State
     starts at zero, and the gate inputs
         z_t = (table[ids_t] + h_{t-1} @ blockdiag(kernel)) + bias
     are summed in this order, the order separate `add` ops would use. Step t
@@ -489,8 +492,8 @@ def lstm_packed(table: Tensor, ids, kernel: Tensor, bias: Tensor, lengths: Seque
     product of the ids' one-hot rows [V, n] with the gate-input gradients.
     """
     lens = [int(n) for n in lengths]
-    if not lens or lens[-1] < 1 or any(b > a for a, b in zip(lens, lens[1:])):
-        raise ContractError(f"lstm_packed: lengths must be positive and non-increasing, got {lens}")
+    if not lens or min(lens) < 1:
+        raise ContractError(f"lstm_packed: lengths must be positive, got {lens}")
     if kernel.data.ndim != 3:
         raise DimensionError(f"lstm_packed: kernel must be [k, m, n], got shape {kernel.shape}")
     k, m, n = kernel.data.shape
@@ -502,7 +505,8 @@ def lstm_packed(table: Tensor, ids, kernel: Tensor, bias: Tensor, lengths: Seque
             f"got {table.shape}, {ids.shape}, {kernel.shape}, {bias.shape}"
         )
     U, b = kernel.data, bias.data
-    _, sizes, starts, last = packed_layout(lens)
+    order, sizes, starts, last, src = packed_layout(lens)
+    ids = ids[src]
     scale, shift = _gate_affine(H, U.dtype)
     I, F, G, O = (slice(j * H, (j + 1) * H) for j in range(4))
     acts = table.data[ids]
@@ -531,7 +535,7 @@ def lstm_packed(table: Tensor, ids, kernel: Tensor, bias: Tensor, lengths: Seque
 
     def bwd(gh, sink):
         dz = np.empty_like(acts)
-        dh = np.array(gh, dtype=acts.dtype)  # row j holds d h_{len_j - 1} until its own last step is done
+        dh = gh[order].astype(acts.dtype, copy=False)  # row r: d h of sequence order[r] until its last step is done
         dc = np.zeros_like(dh)
         back = np.ascontiguousarray(U.swapaxes(1, 2))
         for t in reversed(range(len(sizes))):
@@ -575,7 +579,7 @@ def crf_nll(emissions: Tensor, gold, lengths, transitions: Tensor, start: Tensor
     sequence b's lengths[b] rows after sequence b-1's (`pad`'s layout), and
     gold [N] their tag indices. A path y of sequence b scores start[y_0] +
     sum_t em_b[t, y_t] + sum_t transitions[y_{t-1}, y_t] + end[y_last] over
-    its steps. The forward algorithm runs in log space over the rows re-laid
+    its steps. The forward algorithm runs in log space over the rows gathered
     time-major (`packed_layout`), so step t touches only the sequences
     longer than t, and the gold score is read off the same rows. The
     gradient is the marginals minus the gold feature counts: backward runs
@@ -591,18 +595,16 @@ def crf_nll(emissions: Tensor, gold, lengths, transitions: Tensor, start: Tensor
             f"crf_nll: need transitions [{K}, {K}], start and end [{K}]; "
             f"got {transitions.shape}, {start.shape}, {end.shape}"
         )
-    lens = np.asarray(lengths)
-    if lens.ndim != 1 or len(lens) == 0 or lens.min() < 1 or lens.sum() != N:
-        raise ContractError(f"crf_nll: need positive lengths summing to the {N} emission rows, got {lens.tolist()}")
+    lens = [int(n) for n in lengths] if np.ndim(lengths) == 1 else []
+    if not lens or min(lens) < 1 or sum(lens) != N:
+        raise ContractError(f"crf_nll: need positive lengths summing to {N} rows, got {np.asarray(lengths).tolist()}")
     if np.shape(gold) != (N,):
         raise DimensionError(f"crf_nll: gold must be [{N}] like the rows, got {np.shape(gold)}")
     B = len(lens)
-    order, sizes, starts, last = packed_layout(lens.tolist())
-    rows = np.array(sizes)
-    step = np.repeat(np.arange(len(sizes)), rows)  # packed row p is step step[p] of sequence seq[p]
-    seq = np.array(order)[np.arange(N) - np.repeat(starts, rows)]
-    prev = np.arange(B, N) - rows[step[B:] - 1]  # the row one step before each row of steps 1, 2, ...
-    perm = (np.cumsum(lens) - lens)[seq] + step  # the emission row that packed row p reads
+    order, sizes, starts, last, src = packed_layout(lens)
+    perm = np.array(src)  # the emission row that packed row p reads
+    seq = np.array(order)[np.arange(N) - np.repeat(starts, sizes)]  # packed row p belongs to sequence seq[p]
+    prev = np.arange(B, N) - np.repeat(np.array(sizes[:-1], int), sizes[1:])  # a step before each row of steps 1, 2, ...
     em = emissions.data[perm]
     y = np.asarray(gold)[perm]  # the gold tag of each packed row
     gold_cells = (np.arange(N), y)

@@ -187,6 +187,42 @@ def test_non_utf8_input_file_exits_1_naming_it(tmp_path, capsys, command):
     assert capsys.readouterr().err.startswith(f"error: {bad}: not UTF-8")
 
 
+EMPTY_ARGS = {
+    "train": lambda empty, tmp: ["train", "--config", str(write_config(tmp)), "--train", empty, "--out", str(tmp / "out")],
+    "train-dev": lambda empty, tmp: [
+        "train", "--config", str(write_config(tmp)), "--train", str(FIXTURES / "booking.jsonl"), "--dev", empty, "--out", str(tmp / "out"),
+    ],
+    "evaluate": lambda empty, tmp: ["evaluate", "--ckpt", str(tmp / "ck"), "--test", empty, "--report", str(tmp / "out")],
+    "ablate": lambda empty, tmp: [
+        "ablate", "--config", str(write_config(tmp)), "--train", str(FIXTURES / "booking.jsonl"), "--test", empty, "--report", str(tmp / "out"),
+    ],
+    "subset": lambda empty, tmp: ["subset", "--in", empty, "--denominator", "1", "--out", str(tmp / "out")],
+    "substitute": lambda empty, tmp: ["substitute", "--in", empty, "--slot", "x", "--values", str(FIXTURES / "cities.txt"), "--out", str(tmp / "out")],
+    "substitute-train": lambda empty, tmp: [
+        "substitute", "--in", str(FIXTURES / "fromto.jsonl"), "--slot", "to_city", "--values", str(FIXTURES / "cities.txt"),
+        "--train", empty, "--out", str(tmp / "out"),
+    ],
+}
+
+
+@pytest.mark.parametrize("name, content", [("empty.jsonl", ""), ("blank.conll", "\n  \n"), ("none.json", '{"examples": []}')])
+@pytest.mark.parametrize("command", list(EMPTY_ARGS))
+def test_a_dataset_file_with_no_utterance_exits_1_naming_it_and_writes_nothing(tmp_path, capsys, command, name, content):
+    """An empty --dev would train without early stopping, and an empty --test would score F1 0.000."""
+    from slotlab.charlstm import CharVocab
+    from slotlab.crf import TagSet
+    from slotlab.model import Checkpoint, ModelConfig, SlotModel
+
+    cfg = ModelConfig(char_embed_dim=8, lstm_units=8, d_model=16, num_heads=2, head_size=8, max_relative_distance=2)
+    Checkpoint.from_model(SlotModel(cfg, CharVocab(list("abc")), TagSet.from_slot_types(["x"]))).save(tmp_path / "ck")
+    empty = tmp_path / name
+    empty.write_text(content)
+    assert main(EMPTY_ARGS[command](str(empty), tmp_path)) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"error: {empty}: holds no utterance"]
+    assert not captured.out and not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("flag", ["--num-tags", "--char-vocab-size"])
 def test_params_with_zero_size_exits_1_without_traceback(flag):
     import os

@@ -187,6 +187,25 @@ def test_best_score_read_by_max_is_bitwise_the_gather_at_argmax(dtype):
         assert np.array(got[1], dtype).tobytes() == np.array(want[1], dtype).tobytes()
 
 
+def test_permuting_the_sequences_permutes_the_losses_and_the_viterbi_paths_and_scores_bitwise():
+    """Both ops take rows in sequence order and order them only through `T.packed_layout`; ties in length
+    included, each sequence's loss, path and score do not depend on where it sits in the batch."""
+    rng = np.random.default_rng(21)
+    for _ in range(30):
+        B, K = int(rng.integers(2, 9)), int(rng.integers(1, 6))
+        lengths = rng.integers(1, 6, B)
+        rows = [rng.standard_normal((n, K)) for n in lengths]
+        gold = [rng.integers(0, K, n) for n in lengths]
+        trans, start, end = rng.standard_normal((K, K)), rng.standard_normal(K), rng.standard_normal(K)
+        results = []
+        for perm in (np.arange(B), rng.permutation(B)):
+            em, lens, back = np.concatenate([rows[b] for b in perm]), lengths[perm], np.argsort(perm)
+            nll = T.crf_nll(Tensor(em), np.concatenate([gold[b] for b in perm]), lens, *map(Tensor, (trans, start, end)))
+            paths, scores = viterbi_decode_batch(em, lens, trans, start, end)
+            results.append((nll.data[back].tobytes(), [paths[b] for b in back], np.array(scores)[back].tobytes()))
+        assert results[0] == results[1]
+
+
 def test_viterbi_decode_batch_rejects_bad_lengths():
     """The emissions are the [N, K] packed rows; the lengths must be positive and sum to N."""
     em = np.zeros((5, 4))

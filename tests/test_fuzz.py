@@ -3,11 +3,12 @@
 Each call mutates one input the CLI reads (a layout fixture, a config, a
 checkpoint manifest, the predict text) with stdlib `random` under a fixed
 seed: byte flips, cuts, truncations, swaps, copied runs and inserted JSON or
-TSV tokens, plus config fields set to wrong types and to sizes no machine can
-allocate. Every call must return 0 or 1, and a 1 must print exactly one
-`error:` line. A mutant that would build a large but allocatable model, or
-train for many epochs, is redrawn: the fuzz never allocates more than a
-small model needs.
+TSV tokens, a dataset with no utterance as --train, --dev or --test, plus
+config fields set to wrong types and to sizes no machine can allocate. Every
+call must return 0 or 1, and a 1 must print exactly one `error:` line; a
+failing `train` must leave no --out directory. A mutant that would build a
+large but allocatable model, or train for many epochs, is redrawn: the fuzz
+never allocates more than a small model needs.
 """
 
 import json
@@ -31,6 +32,7 @@ SIZE_FIELDS = ("char_embed_dim", "lstm_units", "d_model", "num_heads", "head_siz
 OVERSIZED = 10**12  # its first array needs hundreds of TiB, so numpy refuses it before touching memory
 TOKENS = [b"{", b"}", b"[", b"]", b'"', b":", b",", b"\t", b"\n", b"null", b"-1", b"0", b"1e999", b"NaN", b"\x00",
           b"\xff", b"\xc3\xa9", b'"spans"', b'"text"', b"O", b"B-x", b"I-", b"  "]
+EMPTY = {".jsonl": b"", ".conll": b"\n \n", ".tsv": b"", ".json": b'{"examples": []}'}  # no utterance in each layout
 TEXTS = ["", " ", "\t\n", "\x00", "a" * 500, "\ud800", "book a table", "x " * 200, "é ü 中文", "-1 1e999 null"]
 
 
@@ -101,30 +103,32 @@ def workspace(tmp_path_factory):
 
 
 def fuzz_calls(root: Path, rng: random.Random):
-    """Yield (what, argv) for CALLS calls, writing each mutant under root first."""
+    """Yield (what, argv) for CALLS calls, writing each mutant under root first; each train call gets a new --out."""
     config, ck = root / "config.json", root / "ck"
+    booking = str(FIXTURES / "booking.jsonl")
     manifest = (ck / "manifest.json").read_bytes()
     bad_ck = root / "bad_ck"
     bad_ck.mkdir(exist_ok=True)
     (bad_ck / "params.bin").write_bytes((ck / "params.bin").read_bytes())
     for k in range(CALLS):
         target = k % 5
-        if target == 0:  # a layout fixture, trained on or evaluated
+        if target == 0:  # a layout fixture, mutated or holding no utterance, as --train, --dev or --test
             name = rng.choice(LAYOUTS)
             path = root / f"mutant_{name}"
-            path.write_bytes(mutate((FIXTURES / name).read_bytes(), rng))
-            if rng.random() < 0.5:
-                yield name, ["train", "--config", str(config), "--train", str(path), "--out", str(root / "out")]
-            else:
+            path.write_bytes(mutate((FIXTURES / name).read_bytes(), rng) if rng.random() < 0.8 else EMPTY[path.suffix])
+            role = rng.choice(["--train", "--dev", "--test"])
+            if role == "--test":
                 yield name, ["evaluate", "--ckpt", str(ck), "--test", str(path)]
+            else:
+                data = ["--train", str(path)] if role == "--train" else ["--train", booking, "--dev", str(path)]
+                yield name, ["train", "--config", str(config), *data, "--out", str(root / f"out{k}")]
         elif target in (1, 2):  # a config: its bytes, or a field's value
             path = root / "mutant_config.json"
             path.write_bytes(config_field_mutant(rng) if target == 2 else safe_mutant(config.read_bytes(), rng))
             if rng.random() < 0.5:
                 yield "config", ["params", "--config", str(path), "--num-tags", "5", "--char-vocab-size", "12"]
             else:
-                train = str(FIXTURES / "booking.jsonl")
-                yield "config", ["train", "--config", str(path), "--train", train, "--out", str(root / "out")]
+                yield "config", ["train", "--config", str(path), "--train", booking, "--out", str(root / f"out{k}")]
         elif target == 3:  # a checkpoint manifest, served or evaluated
             (bad_ck / "manifest.json").write_bytes(safe_mutant(manifest, rng, lambda m: m.get("config")))
             if rng.random() < 0.5:
@@ -152,6 +156,8 @@ def test_mutated_inputs_exit_0_or_1_with_one_named_error(workspace, capsys):
         if code == 1:
             lines = err.splitlines()
             assert len(lines) == 1 and lines[0].startswith("error: "), (what, argv, err)
+            if argv[0] == "train":  # every failure the fuzz provokes comes before the first epoch
+                assert not Path(argv[argv.index("--out") + 1]).exists(), (what, argv, err)
         exits[code] += 1
     assert exits[0] and exits[1], exits  # the mutants reach both outcomes
 
@@ -167,3 +173,4 @@ def test_an_oversized_config_exits_1_with_one_error_line(tmp_path, capsys, comma
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"error: {command}: out of memory: "), lines
     assert "TiB" in lines[0]
+    assert not (tmp_path / "ck").exists()  # train fails before its first epoch, so it creates no --out

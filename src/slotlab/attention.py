@@ -20,7 +20,7 @@ import numpy as np
 from . import tensor as T
 from .layers import Dense, dropout
 from .params import ParameterStore, glorot_uniform
-from .tensor import ConfigError, DimensionError, Tensor
+from .tensor import ConfigError, Tensor
 
 if TYPE_CHECKING:
     from .model import ModelConfig
@@ -159,14 +159,16 @@ class ContextAttention:
 
 
 class FusionGate:
-    """Sigmoid gate g = dense([A; E]); output g*E + (1-g)*A."""
+    """Sigmoid gate g = sigmoid([A; E] @ kernel + bias); output g*E + (1-g)*A, one `tensor.fusion_gate` node.
+
+    The parameters are those of a dense layer from 2*d_model to d_model,
+    `gate.kernel` (block-diagonal with num_blocks blocks) and `gate.bias`.
+    """
 
     def __init__(self, store: ParameterStore, d_model: int, num_blocks: int = 1):
         self.d_model = d_model
-        self.layer = Dense(store, "gate", 2 * d_model, d_model, activation="sigmoid", num_blocks=num_blocks)
+        layer = Dense(store, "gate", 2 * d_model, d_model, num_blocks=num_blocks)
+        self.kernel, self.bias = layer.kernel, layer.bias
 
     def fuse(self, A: Tensor, E: Tensor) -> Tensor:
-        if A.shape != E.shape:
-            raise DimensionError(f"gate: shapes differ, {A.shape} vs {E.shape}")
-        g = self.layer(T.concat([A, E], axis=-1))
-        return g * E + (1.0 - g) * A
+        return T.fusion_gate(A, E, self.kernel, self.bias)

@@ -20,7 +20,6 @@ from .tensor import ConfigError, Tensor
 
 ACTIVATIONS = {
     "none": lambda x: x,
-    "sigmoid": T.sigmoid,
     "tanh": T.tanh,
 }
 

@@ -268,15 +268,6 @@ def _sigmoid(d: np.ndarray) -> np.ndarray:
     return e
 
 
-def sigmoid(x: Tensor) -> Tensor:
-    out = _sigmoid(x.data)
-
-    def bwd(g, sink):
-        sink(x, g * out * (1.0 - out))
-
-    return _result(out, (x,), bwd)
-
-
 def tanh(x: Tensor) -> Tensor:
     out = np.tanh(x.data)
 
@@ -378,7 +369,11 @@ def _einsum_plan(a_s: str, b_s: str, out_s: str) -> tuple:
     Each index must be in at least two of the three terms, so it falls into
     one group: batch (in a, b and out), free in a or in b (that operand and
     out) or summed (a and b only). Batch and free indices keep their output
-    order, summed indices a's order.
+    order, summed indices a's order. The product runs on the operands' views
+    when each operand has one free index, one index is summed and the
+    output's last index is free: then an array in out_s order has a
+    matmul-order view (`to_mm`) whose matrices BLAS writes row- or
+    column-major.
     """
     spec, terms = f"{a_s},{b_s}->{out_s}", (set(a_s), set(b_s), set(out_s))
     if any(len(set(s)) != len(s) for s in (a_s, b_s, out_s)):
@@ -390,23 +385,56 @@ def _einsum_plan(a_s: str, b_s: str, out_s: str) -> tuple:
     free_b = [c for c in out_s if c not in a_s]
     summed = [c for c in a_s if c not in out_s]
     mm = batch + free_a + free_b
+    on_views = len(free_a) == len(free_b) == len(summed) == 1 and out_s[-1] in free_a + free_b
     return (
         tuple(a_s.index(c) for c in batch + free_a + summed),
         tuple(b_s.index(c) for c in batch + summed + free_b),
         (len(batch), len(free_a), len(summed)),
         tuple(mm.index(c) for c in out_s),
+        tuple(out_s.index(c) for c in mm) if on_views else None,
     )
 
 
-def _contract(a_s: str, b_s: str, out_s: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.einsum(f"{a_s},{b_s}->{out_s}", a, b) as transpose, reshape, one `_matmul`, reshape, transpose."""
+def _blas_operand(x: np.ndarray, as_reshaped: bool) -> np.ndarray:
+    """x as np.matmul hands it to BLAS without a copy: its matrices row- or column-major, else a C-ordered copy.
+
+    With `as_reshaped`, a column-major operand is laid out as reshaping it to
+    one batch axis did: a C-ordered copy, unless its batch axes merge into
+    one stride. BLAS rounds a product with a transposed operand differently
+    from the same product with that operand copied, so this keeps the bits
+    of the reshape path.
+    """
+    (r, c), (rs, cs), item = x.shape[-2:], x.strides[-2:], x.itemsize
+    if cs == item and rs >= c * item:
+        return x
+    if rs == item and cs >= r * item:
+        return x.reshape(-1, r, c).reshape(x.shape) if as_reshaped else x
+    return np.ascontiguousarray(x)
+
+
+def _contract(a_s: str, b_s: str, out_s: str, a: np.ndarray, b: np.ndarray, as_reshaped: bool = False) -> np.ndarray:
+    """np.einsum(f"{a_s},{b_s}->{out_s}", a, b) as one batched np.matmul over the operands' transposed views.
+
+    When the plan allows it and the product has at least two rows and four
+    columns, np.matmul reads the views (`_blas_operand`) and writes into a
+    C-ordered array in out_s order through its matmul-order view: no operand
+    or result is copied, and a reshape of the result is a view. Otherwise the
+    operands are reshaped to one batch, row and column axis, multiplied by
+    `_matmul` and the result is reshaped and transposed back. `as_reshaped`
+    keeps the reshape path's bits on the views.
+    """
     if a.ndim != len(a_s) or b.ndim != len(b_s):
         raise DimensionError(f"einsum2: {a_s},{b_s} does not fit operand shapes {a.shape}, {b.shape}")
-    perm_a, perm_b, (nb, nf, ns), perm_out = _einsum_plan(a_s, b_s, out_s)
+    perm_a, perm_b, (nb, nf, ns), perm_out, to_mm = _einsum_plan(a_s, b_s, out_s)
     at, bt = a.transpose(perm_a), b.transpose(perm_b)
     lead, free_a, summed, free_b = at.shape[:nb], at.shape[nb : nb + nf], at.shape[nb + nf :], bt.shape[nb + ns :]
     if bt.shape[:nb] != lead or bt.shape[nb : nb + ns] != summed:
         raise DimensionError(f"einsum2: {a_s},{b_s} sizes disagree, {a.shape} x {b.shape}")
+    if to_mm is not None and free_a[0] > 1 and free_b[0] >= _MIN_COLS:
+        mm_shape = lead + free_a + free_b
+        out = np.empty(tuple(mm_shape[i] for i in perm_out), np.result_type(a, b))
+        np.matmul(_blas_operand(at, as_reshaped), _blas_operand(bt, as_reshaped), out=out.transpose(to_mm))
+        return out
     batch, rows, inner, cols = math.prod(lead), math.prod(free_a), math.prod(summed), math.prod(free_b)
     out = _matmul(at.reshape(batch, rows, inner), bt.reshape(batch, inner, cols))
     return out.reshape(lead + free_a + free_b).transpose(perm_out)
@@ -417,11 +445,13 @@ def einsum2(spec: str, a: Tensor, b: Tensor) -> Tensor:
 
     Every index of each operand must appear in the output or the other
     operand, and at most once per operand, which holds for all contractions
-    this model uses.
+    this model uses. The forward keeps the bits of the reshape path
+    (`_contract`'s `as_reshaped`); the gradients read the operands as they
+    lie, so they may differ from it in their last bits.
     """
     lhs, out_s = spec.replace(" ", "").split("->")
     a_s, b_s = lhs.split(",")
-    data = _contract(a_s, b_s, out_s, a.data, b.data)
+    data = _contract(a_s, b_s, out_s, a.data, b.data, as_reshaped=True)
 
     def bwd(g, sink):
         if a.requires_grad:
@@ -430,6 +460,57 @@ def einsum2(spec: str, a: Tensor, b: Tensor) -> Tensor:
             sink(b, _contract(a_s, out_s, b_s, a.data, g))
 
     return _result(data, (a, b), bwd)
+
+
+def fusion_gate(A: Tensor, E: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
+    """g * E + (1 - g) * A with g = sigmoid([A; E] @ blockdiag(kernel) + bias), as one node.
+
+    A and E are rows of one shape [..., d], packed [N, d] or padded
+    [B, T, d]; kernel holds the [k, 2d/k, d/k] blocks and bias is [d]. The
+    forward runs the composition's operations in its order: concat,
+    `_block_mm`, the bias, `_sigmoid`, then g*E + (1-g)*A, so its bits are
+    the composition's. The backward is written out: the gate's input gradient
+    is g(1-g) times the output gradient times (E - A), and it reaches A and E
+    through one `_block_mm` with a C-ordered copy of the transposed blocks.
+    It keeps the concatenated rows and g, and under `no_grad` nothing.
+    """
+    shape = A.data.shape
+    if E.data.shape != shape:
+        raise DimensionError(f"gate: shapes differ, {A.shape} vs {E.shape}")
+    d, (k, m, n) = shape[-1], kernel.data.shape if kernel.data.ndim == 3 else (0, 0, 0)
+    if (k * m, k * n) != (2 * d, d) or bias.data.shape != (d,):
+        raise DimensionError(f"gate: need kernel [k, {2 * d}/k, {d}/k] and bias [{d}], got {kernel.shape}, {bias.shape}")
+    x = np.concatenate([A.data, E.data], axis=-1)
+    g = _block_mm(x, kernel.data)
+    g += bias.data
+    g = _sigmoid(g)
+    out = g * E.data
+    rest = 1.0 - g
+    rest *= A.data
+    out += rest
+
+    def bwd(gout, sink):
+        rest = 1.0 - g
+        dz = E.data - A.data  # d out / d g, then through the sigmoid
+        dz *= gout
+        dz *= g
+        dz *= rest
+        if A.requires_grad or E.requires_grad:
+            dx = _block_mm(dz, np.ascontiguousarray(kernel.data.swapaxes(1, 2)))
+            if A.requires_grad:
+                rest *= gout
+                rest += dx[..., :d]
+                sink(A, rest)
+            if E.requires_grad:
+                dE = gout * g
+                dE += dx[..., d:]
+                sink(E, dE)
+        if kernel.requires_grad:
+            sink(kernel, _block_kernel_grad(x, dz, k))
+        if bias.requires_grad:
+            sink(bias, dz.sum(axis=tuple(range(dz.ndim - 1))))
+
+    return _result(out, (A, E, kernel, bias), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -568,8 +649,12 @@ def lstm_packed(table: Tensor, ids, kernel: Tensor, bias: Tensor, lengths: Seque
 
 
 def _logsumexp(x: np.ndarray, axis: int) -> np.ndarray:
-    m = x.max(axis=axis)
-    return m + np.log(np.exp(x - np.expand_dims(m, axis)).sum(axis=axis))
+    m = x.max(axis=axis, keepdims=True)
+    e = x - m
+    s = np.exp(e, out=e).sum(axis=axis)
+    np.log(s, out=s)
+    s += m.reshape(s.shape)
+    return s
 
 
 def crf_nll(emissions: Tensor, gold, lengths, transitions: Tensor, start: Tensor, end: Tensor) -> Tensor:

@@ -19,7 +19,7 @@ from .data import DataError, Utterance
 from .evaluate import score
 from .model import Checkpoint, ModelConfig, SlotModel
 from .params import ParameterStore
-from .tensor import NumericError, backward
+from .tensor import NumericError, backward, np_dtype
 
 
 def decays(name: str) -> bool:
@@ -30,7 +30,12 @@ def decays(name: str) -> bool:
 
 
 class AdamW:
-    """Adam moments per parameter plus decoupled weight decay."""
+    """Adam moments per parameter plus decoupled weight decay.
+
+    `step` runs its numpy operations into two scratch buffers sized to the
+    largest parameter, allocated at the first step, so it makes no
+    temporaries.
+    """
 
     def __init__(self, store: ParameterStore, config: ModelConfig):
         self.store = store
@@ -42,24 +47,42 @@ class AdamW:
         self.t = 0
         self._m = {p.name: np.zeros_like(p.data) for p in store}
         self._v = {p.name: np.zeros_like(p.data) for p in store}
+        self._slots: list[tuple] | None = None
+
+    def _make_slots(self) -> list[tuple]:
+        """Per parameter: it, its two moments, its views of the two scratch buffers and whether it decays."""
+        size, dtype = max((p.size for p in self.store), default=0), np_dtype(self.store.dtype)
+        update, tmp = np.empty(size, dtype), np.empty(size, dtype)
+        return [
+            (p, self._m[p.name], self._v[p.name], update[: p.size].reshape(p.shape), tmp[: p.size].reshape(p.shape),
+             bool(self.weight_decay) and decays(p.name))
+            for p in self.store
+        ]
 
     def step(self) -> None:
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         bias1 = 1.0 - b1**self.t
         bias2 = 1.0 - b2**self.t
-        for p in self.store:
+        if self._slots is None:
+            self._slots = self._make_slots()
+        for p, m, v, update, tmp, decay in self._slots:
             g = p.grad  # None: no gradient was ever written, which counts as zero
-            m, v = self._m[p.name], self._v[p.name]
             m *= b1
             v *= b2
             if g is not None:
-                m += (1 - b1) * g
-                v += (1 - b2) * (g * g)
-            update = (m / bias1) / (np.sqrt(v / bias2) + self.eps)
-            if self.weight_decay and decays(p.name):
-                update = update + self.weight_decay * p.data
-            p.data[...] -= self.lr * update
+                m += np.multiply(g, 1 - b1, out=tmp)
+                np.multiply(g, g, out=tmp)
+                tmp *= 1 - b2
+                v += tmp
+            np.divide(m, bias1, out=update)  # (m / bias1) / (sqrt(v / bias2) + eps)
+            np.sqrt(np.divide(v, bias2, out=tmp), out=tmp)
+            tmp += self.eps
+            update /= tmp
+            if decay:
+                update += np.multiply(p.data, self.weight_decay, out=tmp)
+            update *= self.lr
+            p.data[...] -= update
 
 
 def _check_finite(loss_value: float, model: SlotModel) -> None:

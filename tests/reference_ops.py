@@ -1,7 +1,10 @@
 """Code only the tests use, kept out of slotlab: autodiff ops and scalar oracles for the
 reference compositions, the batched Viterbi as it read each step's best score before,
-the finite-difference gradient check, and a CoNLL writer for the loader's round trips."""
+einsum2 by its reshape path, the fusion gate as a composition of ops, AdamW as it
+allocated a temporary per operation, the finite-difference gradient check, and a CoNLL
+writer for the loader's round trips."""
 
+import math
 from itertools import accumulate
 from typing import Callable, Iterable
 
@@ -12,6 +15,7 @@ from slotlab.crf import TagSet
 from slotlab.data import Utterance, bio_from_spans
 from slotlab.params import ParameterStore
 from slotlab.tensor import ContractError, NumericError, Tensor, backward
+from slotlab.training import AdamW, decays
 
 
 def logsumexp_lastdim(x: Tensor) -> Tensor:
@@ -27,6 +31,60 @@ def logsumexp_lastdim(x: Tensor) -> Tensor:
         sink(x, p * np.expand_dims(g, -1))
 
     return T._result(out, (x,), bwd)
+
+
+def sigmoid(x: Tensor) -> Tensor:
+    """The logistic function as its own op, the one `T.fusion_gate` folds in."""
+    out = T._sigmoid(x.data)
+
+    def bwd(g, sink):
+        sink(x, g * out * (1.0 - out))
+
+    return T._result(out, (x,), bwd)
+
+
+def fusion_gate_composed(A: Tensor, E: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
+    """`T.fusion_gate` as the nine ops it replaces: concat, block product, bias, sigmoid, g*E + (1-g)*A."""
+    g = sigmoid(T.block_matmul(T.concat([A, E], axis=-1), kernel) + bias)
+    return g * E + (1.0 - g) * A
+
+
+def contract_reshaped(a_s: str, b_s: str, out_s: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """`T._contract` by its reshape path: transpose, reshape to [batch, rows, inner] x [batch, inner, cols],
+    one `T._matmul`, reshape, transpose."""
+    batch = [c for c in out_s if c in a_s and c in b_s]
+    free_a = [c for c in out_s if c not in b_s]
+    free_b = [c for c in out_s if c not in a_s]
+    summed = [c for c in a_s if c not in out_s]
+    size = dict(zip(a_s + b_s, a.shape + b.shape))
+    at = a.transpose([a_s.index(c) for c in batch + free_a + summed])
+    bt = b.transpose([b_s.index(c) for c in batch + summed + free_b])
+    n_batch, rows, inner, cols = (math.prod(size[c] for c in group) for group in (batch, free_a, summed, free_b))
+    out = T._matmul(at.reshape(n_batch, rows, inner), bt.reshape(n_batch, inner, cols))
+    mm = batch + free_a + free_b
+    return out.reshape([size[c] for c in mm]).transpose([mm.index(c) for c in out_s])
+
+
+class AdamWAllocating(AdamW):
+    """`AdamW.step` as it allocated a temporary for each operation; the in-place step must match it bitwise."""
+
+    def step(self) -> None:
+        self.t += 1
+        b1, b2 = self.beta1, self.beta2
+        bias1 = 1.0 - b1**self.t
+        bias2 = 1.0 - b2**self.t
+        for p in self.store:
+            g = p.grad
+            m, v = self._m[p.name], self._v[p.name]
+            m *= b1
+            v *= b2
+            if g is not None:
+                m += (1 - b1) * g
+                v += (1 - b2) * (g * g)
+            update = (m / bias1) / (np.sqrt(v / bias2) + self.eps)
+            if self.weight_decay and decays(p.name):
+                update = update + self.weight_decay * p.data
+            p.data[...] -= self.lr * update
 
 
 def relative_index(i: int, j: int, max_distance: int) -> int:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference_ops import grad_check, relative_index
+from reference_ops import fusion_gate_composed, grad_check, relative_index
 
 from slotlab import tensor as T
 from slotlab.attention import (
@@ -270,7 +270,7 @@ def test_attention_dropout_applied_to_values_only_in_training():
 def test_gate_saturates_to_embedding():
     store = ParameterStore(seed=0)
     gate = FusionGate(store, 4)
-    gate.layer.bias.data[...] = 30.0
+    gate.bias.data[...] = 30.0
     rng = np.random.default_rng(0)
     A, E = Tensor(rng.standard_normal((3, 4))), Tensor(rng.standard_normal((3, 4)))
     out = gate.fuse(A, E).data
@@ -280,7 +280,7 @@ def test_gate_saturates_to_embedding():
 def test_gate_saturates_to_attention():
     store = ParameterStore(seed=0)
     gate = FusionGate(store, 4)
-    gate.layer.bias.data[...] = -30.0
+    gate.bias.data[...] = -30.0
     rng = np.random.default_rng(1)
     A, E = Tensor(rng.standard_normal((3, 4))), Tensor(rng.standard_normal((3, 4)))
     out = gate.fuse(A, E).data
@@ -293,7 +293,7 @@ def test_gate_matches_elementwise_oracle():
     rng = np.random.default_rng(2)
     A, E = rng.standard_normal((3, 4)), rng.standard_normal((3, 4))
     out = gate.fuse(Tensor(A), Tensor(E)).data
-    z = np.concatenate([A, E], axis=1) @ gate.layer.kernel.data[0] + gate.layer.bias.data
+    z = np.concatenate([A, E], axis=1) @ gate.kernel.data[0] + gate.bias.data
     g = 1.0 / (1.0 + np.exp(-z))
     expected = g * E + (1.0 - g) * A
     assert np.max(np.abs(out - expected)) < 1e-12
@@ -316,3 +316,62 @@ def test_gate_gradients():
         return T.reduce_sum(gate.fuse(A, E) * np.arange(12.0).reshape(3, 4))
 
     assert grad_check(f, store) < 1e-5
+
+
+GATE_ROWS = {"packed": (9,), "padded": (3, 4)}
+
+
+def _gate_inputs(rows, d, k, dtype, seed):
+    """A, E and the gate's kernel blocks and bias, all tracking gradients, in one dtype."""
+    rng = np.random.default_rng(seed)
+    leaves = (rows + (d,), rows + (d,), (k, 2 * d // k, d // k), (d,))
+    return [Tensor(rng.standard_normal(shape).astype(dtype), requires_grad=True) for shape in leaves]
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("k", [1, 4])
+@pytest.mark.parametrize("layout", GATE_ROWS)
+def test_fusion_gate_forward_is_bitwise_the_composition_and_its_gradients_agree(layout, k, dtype):
+    """The fused op against concat, block product, bias, sigmoid and blend as separate ops: the same forward bits,
+    and every gradient within 1e-12 (f64) or 1e-5 (f32) of the composition's largest entry."""
+    fused, composed = (_gate_inputs(GATE_ROWS[layout], 8, k, dtype, seed=k) for _ in range(2))
+    out, ref = T.fusion_gate(*fused), fusion_gate_composed(*composed)
+    assert out.data.dtype == dtype and out.data.tobytes() == ref.data.tobytes()
+    weights = T.constant(np.random.default_rng(9).standard_normal(out.shape).astype(dtype))
+    backward(T.reduce_sum(out * weights))
+    backward(T.reduce_sum(ref * weights))
+    tol = 1e-12 if dtype == np.float64 else 1e-5
+    for got, want in zip(fused, composed):
+        assert got.grad.dtype == dtype
+        assert np.max(np.abs(got.grad - want.grad)) <= tol * np.max(np.abs(want.grad))
+
+
+@pytest.mark.parametrize("layout", GATE_ROWS)
+def test_fusion_gate_gradients_match_finite_differences(layout):
+    store = ParameterStore(seed=5)
+    rng = store.rng("init")
+    rows = GATE_ROWS[layout]
+    for name, shape in (("A", rows + (4,)), ("E", rows + (4,)), ("kernel", (2, 4, 2)), ("bias", (4,))):
+        store.create(name, shape, lambda shape=shape: rng.standard_normal(shape))
+    weights = np.random.default_rng(6).standard_normal(rows + (4,))
+
+    def f(s):
+        return T.reduce_sum(T.fusion_gate(s["A"], s["E"], s["kernel"], s["bias"]) * weights)
+
+    assert grad_check(f, store) < 1e-5
+
+
+def test_fusion_gate_records_no_graph_under_no_grad():
+    A, E, kernel, bias = _gate_inputs((5,), 4, 2, np.float64, seed=0)
+    with T.no_grad():
+        out = T.fusion_gate(A, E, kernel, bias)
+    assert not out.requires_grad and out._parents == () and out._backward is None
+    assert out.data.tobytes() == T.fusion_gate(A, E, kernel, bias).data.tobytes()
+
+
+def test_fusion_gate_rejects_a_kernel_or_bias_of_another_width():
+    A, E, kernel, bias = _gate_inputs((3,), 4, 2, np.float64, seed=0)
+    with pytest.raises(DimensionError):
+        T.fusion_gate(A, E, T.reshape(kernel, (2, 2, 4)), bias)
+    with pytest.raises(DimensionError):
+        T.fusion_gate(A, E, kernel, T.reshape(A, (12,)))

@@ -3,7 +3,7 @@ and the unfused per-step composition of tensor ops as the fused op's reference."
 
 import numpy as np
 import pytest
-from reference_ops import grad_check
+from reference_ops import grad_check, sigmoid
 
 from slotlab import tensor as T
 from slotlab.charlstm import PAD_ID, UNK_ID, CharLstmEncoder, CharVocab
@@ -180,10 +180,10 @@ def unfused_encode(enc, char_ids):
     for t in range(max_len):
         x = T.take_rows(enc.embed, ids[:, t])
         gates = enc.input_map(x) + T.block_matmul(h, enc.recurrent_map.kernel) + enc.b
-        i = T.sigmoid(T.narrow(gates, -1, 0, H))
-        f = T.sigmoid(T.narrow(gates, -1, H, H))
+        i = sigmoid(T.narrow(gates, -1, 0, H))
+        f = sigmoid(T.narrow(gates, -1, H, H))
         g = T.tanh(T.narrow(gates, -1, 2 * H, H))
-        o = T.sigmoid(T.narrow(gates, -1, 3 * H, H))
+        o = sigmoid(T.narrow(gates, -1, 3 * H, H))
         c = f * c + i * g
         h = o * T.tanh(c)
         hs.append(h)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference_ops import grad_check, logsumexp_lastdim
+from reference_ops import contract_reshaped, grad_check, logsumexp_lastdim, sigmoid
 
 from slotlab import tensor as T
 from slotlab.params import ParameterStore
@@ -144,7 +144,7 @@ def test_sigmoid_helper_is_bitwise_the_three_exp_expression(dtype):
     new = T._sigmoid(d)
     assert new.dtype == d.dtype
     assert np.array_equal(new.view(np.uint8), old.view(np.uint8))
-    assert np.array_equal(T.sigmoid(T.constant(d)).data, new)
+    assert np.array_equal(sigmoid(T.constant(d)).data, new)
 
 
 def test_no_grad_records_no_graph_and_restores_on_exit():
@@ -205,7 +205,7 @@ def _composite(store: ParameterStore):
     h = T.tanh(T.block_matmul(a, T.reshape(b, (1, 4, 4))) + store["c"])
     s = T.softmax_lastdim(h * 1.7)
     z = T.einsum2("ij,jk->ik", s, b)
-    return T.reduce_mean(T.sigmoid(z)) + logsumexp_lastdim(T.reshape(h, (-1,)))
+    return T.reduce_mean(sigmoid(z)) + logsumexp_lastdim(T.reshape(h, (-1,)))
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -236,7 +236,7 @@ def test_grad_check_linear_layer_tight():
     [
         lambda x: T.block_matmul(x, Tensor(np.arange(16.0).reshape(2, 2, 4) * 0.1)),
         lambda x: T.einsum2("ij,kj->ik", x, Tensor(np.arange(12.0).reshape(3, 4) * 0.1)),
-        lambda x: T.sigmoid(x),
+        lambda x: sigmoid(x),
         lambda x: T.tanh(x),
         lambda x: logsumexp_lastdim(x),
         lambda x: T.softmax_lastdim(x) * np.arange(8.0).reshape(2, 4),
@@ -270,7 +270,7 @@ def test_broadcast_add_gradients():
     x = Tensor(np.random.default_rng(0).standard_normal((3, 4)))
 
     def f(s):
-        return T.reduce_sum(T.sigmoid(x + s["v"]))
+        return T.reduce_sum(sigmoid(x + s["v"]))
 
     assert grad_check(f, store) < 1e-6
 
@@ -369,6 +369,69 @@ def test_einsum2_matches_np_einsum_forward_and_gradients(spec, a_shape, b_shape)
     store.create("b", b_shape, lambda: b.data * 0.5)
     weights = Tensor(g)
     assert grad_check(lambda s: T.reduce_sum(T.einsum2(spec, s["a"], s["b"]) * weights), store) < 1e-5
+
+
+def variant_einsums(B: int, length: int) -> list[tuple[str, tuple, tuple]]:
+    """The contractions the attention variants' forwards run, at B utterances of `length` words, 2 heads of width 32
+    (where BLAS rounds a transposed operand differently from its C-ordered copy) and 13 relative buckets. The key
+    kernel meets the query as one [1, 64, 2, 32] block and as eight [8, 1, 8] unit blocks."""
+    h, d, r = 2, 32, 13
+    return [
+        ("imcu,icu->imc", (1, 64, 2, d), (1, 2, d)),
+        ("imcu,icu->imc", (8, 8, 1, 8), (8, 1, 8)),
+        ("hd,rd->hr", (h, d), (r, d)),
+        ("bihd,bjhd->bhij", (B, length, h, d), (B, length, h, d)),
+        ("bihd,ijd->bhij", (B, length, h, d), (length, length, d)),
+        ("bhij,bjhd->bihd", (B, h, length, length), (B, length, h, d)),
+    ]
+
+
+VARIANT_SHAPES = {"B = 1": (1, 9), "T = 1": (5, 1), "ragged grid": (3, 7), "batch": (16, 12)}
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("batch", VARIANT_SHAPES)
+def test_einsum2_forward_is_bitwise_the_reshape_path_and_gradients_agree(batch, dtype):
+    """Forward bits are those of transpose, reshape, `_matmul`, reshape, transpose; gradients, which read the
+    operands as they lie, agree with that path to 1e-12 (f64) or 1e-5 (f32) of their largest entry."""
+    rng = np.random.default_rng(sum(VARIANT_SHAPES[batch]))
+    tol = 1e-12 if dtype == np.float64 else 1e-5
+    for spec, a_shape, b_shape in variant_einsums(*VARIANT_SHAPES[batch]):
+        a = Tensor(rng.standard_normal(a_shape).astype(dtype), requires_grad=True)
+        b = Tensor(rng.standard_normal(b_shape).astype(dtype), requires_grad=True)
+        lhs, out_s = spec.split("->")
+        a_s, b_s = lhs.split(",")
+        out = T.einsum2(spec, a, b)
+        want = contract_reshaped(a_s, b_s, out_s, a.data, b.data)
+        assert out.data.dtype == dtype and out.data.tobytes() == np.ascontiguousarray(want).tobytes(), spec
+        g = rng.standard_normal(out.shape).astype(dtype)
+        backward(T.reduce_sum(out * T.constant(g)))
+        for got, ref in (
+            (a.grad, contract_reshaped(out_s, b_s, a_s, g, b.data)),
+            (b.grad, contract_reshaped(a_s, out_s, b_s, a.data, g)),
+        ):
+            assert got.dtype == dtype and np.max(np.abs(got - ref)) <= tol * np.max(np.abs(ref)), spec
+
+
+def test_einsum2_context_product_is_c_ordered_so_its_reshape_is_a_view():
+    """The attention's context product is written in its output order, so flattening the heads copies nothing."""
+    rng = np.random.default_rng(3)
+    probs, values = Tensor(rng.standard_normal((4, 2, 6, 6))), Tensor(rng.standard_normal((4, 6, 2, 32)))
+    ctx = T.einsum2("bhij,bjhd->bihd", probs, values)
+    flat = T.reshape(ctx, (4, 6, 64))
+    assert ctx.data.flags.c_contiguous
+    assert np.shares_memory(flat.data, ctx.data)
+    scores = T.einsum2("bihd,bjhd->bhij", values, values)
+    assert scores.data.flags.c_contiguous
+
+
+def test_einsum2_copies_an_operand_whose_matrices_blas_cannot_read():
+    """An operand with neither unit row nor unit column stride, here a gradient read every other element, is
+    copied before np.matmul, which would otherwise leave BLAS for its own loop."""
+    rng = np.random.default_rng(4)
+    a, b = rng.standard_normal((3, 5, 8)), rng.standard_normal((3, 16, 6))[:, ::2]
+    got = T._contract("bik", "bkj", "bij", a, b)
+    assert got.tobytes() == contract_reshaped("bik", "bkj", "bij", a, np.ascontiguousarray(b)).tobytes()
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])

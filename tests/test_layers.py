@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference_ops import grad_check
+from reference_ops import grad_check, sigmoid
 
 from slotlab import tensor as T
 from slotlab.layers import ACTIVATIONS, Dense, dropout
@@ -116,11 +116,11 @@ def test_block_param_count_512():
 def test_block_equivalence_property(k, m, n, batch, seed):
     in_dim, out_dim = k * m, k * n
     store = ParameterStore(seed=seed)
-    blk = _block(store, in_dim, out_dim, k, activation="sigmoid")
+    blk = _block(store, in_dim, out_dim, k)
     x = np.random.default_rng(seed).standard_normal((batch, in_dim))
     full = expand_blocks(blk.kernel.data)
     expected = 1.0 / (1.0 + np.exp(-(x @ full + blk.bias.data)))
-    assert np.max(np.abs(blk(Tensor(x)).data - expected)) <= 1e-12
+    assert np.max(np.abs(sigmoid(blk(Tensor(x))).data - expected)) <= 1e-12
 
 
 def test_block_handles_leading_batch_dims():
@@ -161,11 +161,11 @@ def test_block_divisibility_checked_at_construction():
 def test_dense_and_block_gradients():
     store = ParameterStore(seed=11)
     dense = _dense(store, 4, 3, activation="tanh", name="dn")
-    blk = _block(store, 4, 6, 2, activation="sigmoid", name="bk")
+    blk = _block(store, 4, 6, 2, name="bk")
     x = Tensor(np.random.default_rng(11).standard_normal((3, 4)))
 
     def f(s):
-        return T.reduce_sum(blk(T.block_matmul(dense(x), Tensor(np.random.default_rng(1).standard_normal((1, 3, 4))))))
+        return T.reduce_sum(sigmoid(blk(T.block_matmul(dense(x), Tensor(np.random.default_rng(1).standard_normal((1, 3, 4)))))))
 
     assert grad_check(f, store) < 1e-6
 
@@ -201,4 +201,4 @@ def test_unknown_activation_rejected():
     store = ParameterStore(seed=0)
     with pytest.raises(ConfigError):
         Dense(store, "x", 2, 2, activation="gelu")
-    assert set(ACTIVATIONS) == {"none", "sigmoid", "tanh"}
+    assert set(ACTIVATIONS) == {"none", "tanh"}

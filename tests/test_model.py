@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from reference_ops import grad_check
+from reference_ops import AdamWAllocating, contract_reshaped, fusion_gate_composed, grad_check
 
 from slotlab import tensor as T
 from slotlab.charlstm import CharVocab
@@ -176,7 +176,7 @@ def test_saturated_gate_equals_crf_only_construction():
     model = SlotModel(cfg_attn, VOCAB, TAGSET)
     for p in ref.store:  # shared submodules have identical names
         model.store[p.name].data[...] = p.data
-    model.gate.layer.bias.data[...] = 30.0
+    model.gate.bias.data[...] = 30.0
     u = utt("abc de fgh abc")
     assert model.predict(u) == ref.predict(u)
     em_a = model.crf.emission(model.features_batch([u])[0]).data
@@ -926,6 +926,25 @@ def test_adamw_counts_a_gradient_never_written_as_zero():
         assert np.array_equal(p.data, zeroed.store[p.name].data), p.name
 
 
+@pytest.mark.parametrize("dtype", ["f64", "f32"])
+def test_adamw_in_place_steps_are_bitwise_the_allocating_steps(dtype):
+    """Twenty steps on real gradients, weight decay on, give the parameters and moments bit for bit."""
+    corpus = _small_corpus(n=16)
+    cfg = train_config(weight_decay=0.01, dtype=dtype)
+    models = build_model(corpus, cfg), build_model(corpus, cfg)
+    optimizers = AdamW(models[0].store, cfg), AdamWAllocating(models[1].store, cfg)
+    for step in range(20):
+        batch = corpus[step % 4 * 4 : step % 4 * 4 + 4]
+        for model, optimizer in zip(models, optimizers):
+            model.store.zero_grads()
+            T.backward(model.loss(batch, training=True))
+            optimizer.step()
+    for p in models[0].store:
+        q = models[1].store[p.name]
+        assert p.data.tobytes() == q.data.tobytes(), p.name
+        assert optimizers[0]._v[p.name].tobytes() == optimizers[1]._v[p.name].tobytes(), p.name
+
+
 def test_checkpoint_rejects_non_finite_parameters(tmp_path):
     model = SlotModel(tiny_config(), VOCAB, TAGSET)
     model.crf.transitions.data[1, 2] = np.nan
@@ -1035,7 +1054,7 @@ def test_desk_loss_graph_stays_small():
             if p.requires_grad and id(p) not in seen:
                 seen.add(id(p))
                 stack.append(p)
-    assert len(seen) <= 61
+    assert len(seen) <= 52
 
 
 def test_training_log_record_shape():
@@ -1045,3 +1064,51 @@ def test_training_log_record_shape():
     record = log[0]
     assert set(record) == {"epoch", "train_loss", "dev_f1", "seconds"}
     assert record["epoch"] == 1 and record["seconds"] >= 0
+
+
+@pytest.mark.parametrize("dtype", ["f64", "f32"])
+@pytest.mark.parametrize("variant", ["abstract_rel", "self_rel", "self_abs", "none"])
+def test_features_and_loss_are_bitwise_those_of_the_reshape_contractions_and_composed_gate(variant, dtype, monkeypatch):
+    """Against einsum2's reshape path and the gate as nine ops: the same features and loss bits, and gradients
+    within 1e-12 (f64) or 1e-5 (f32) of the largest entry. The contractions run, forward and backward, are
+    exactly the attention's forward specs of test_core's `variant_einsums` and their two gradients each."""
+    train_set, _ = make_from_to_corpus(seed=7)
+    model = build_model(train_set, dataclasses.replace(desk_config(variant=variant), dtype=dtype))
+    seen = set()
+    contract = T._contract
+
+    def recorded(a_s, b_s, out_s, a, b, as_reshaped=False):
+        seen.add(f"{a_s},{b_s}->{out_s}")
+        return contract(a_s, b_s, out_s, a, b, as_reshaped)
+
+    def run(batch):
+        model.store.zero_grads()
+        loss = model.loss(batch, training=False)
+        T.backward(loss)
+        with T.no_grad():
+            features = model.features_batch(batch)[0].data
+        return loss.data, features, {p.name: p.grad for p in model.store if p.grad is not None}
+
+    one_word = dataclasses.replace(train_set[0], tokens=train_set[0].tokens[:1], spans=())
+    batches = {"B = 1": train_set[3:4], "T = 1": [one_word], "ragged": train_set[40:47], "batch": train_set[:32]}
+    tol = 1e-12 if dtype == "f64" else 1e-5
+    for name, batch in batches.items():
+        with monkeypatch.context() as m:
+            m.setattr(T, "_contract", recorded)
+            loss, features, grads = run(batch)
+        with monkeypatch.context() as m:
+            m.setattr(T, "_contract", lambda a_s, b_s, out_s, a, b, as_reshaped=False: contract_reshaped(a_s, b_s, out_s, a, b))
+            m.setattr(T, "fusion_gate", fusion_gate_composed)
+            ref_loss, ref_features, ref_grads = run(batch)
+        assert loss.tobytes() == ref_loss.tobytes() and features.tobytes() == ref_features.tobytes(), name
+        for key, want in ref_grads.items():
+            assert np.max(np.abs(grads[key] - want)) <= tol * np.max(np.abs(want)), (name, key)
+    forward = {"abstract_rel": ["imcu,icu->imc", "hd,rd->hr", "bhij,bjhd->bihd"],
+               "self_rel": ["bihd,bjhd->bhij", "bihd,ijd->bhij", "bhij,bjhd->bihd"],
+               "self_abs": ["bihd,bjhd->bhij", "bhij,bjhd->bihd"], "none": []}[variant]
+    expected = set()
+    for spec in forward:
+        lhs, out_s = spec.split("->")
+        a_s, b_s = lhs.split(",")
+        expected |= {spec, f"{out_s},{b_s}->{a_s}", f"{a_s},{out_s}->{b_s}"}
+    assert seen == expected

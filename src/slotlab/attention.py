@@ -167,6 +167,7 @@ class FusionGate:
 
     def __init__(self, store: ParameterStore, d_model: int, num_blocks: int = 1):
         self.d_model = d_model
+        # a dense layer creates the parameters, with its block init and divisibility check; its call is unused
         layer = Dense(store, "gate", 2 * d_model, d_model, num_blocks=num_blocks)
         self.kernel, self.bias = layer.kernel, layer.bias
 

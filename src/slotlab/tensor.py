@@ -371,9 +371,9 @@ def _einsum_plan(a_s: str, b_s: str, out_s: str) -> tuple:
     out) or summed (a and b only). Batch and free indices keep their output
     order, summed indices a's order. The product runs on the operands' views
     when each operand has one free index, one index is summed and the
-    output's last index is free: then an array in out_s order has a
-    matmul-order view (`to_mm`) whose matrices BLAS writes row- or
-    column-major.
+    output's last index is b's free index: then an array in out_s order has a
+    matmul-order view (`to_mm`) whose matrices BLAS writes row-major, as it
+    writes the reshape path's result.
     """
     spec, terms = f"{a_s},{b_s}->{out_s}", (set(a_s), set(b_s), set(out_s))
     if any(len(set(s)) != len(s) for s in (a_s, b_s, out_s)):
@@ -385,7 +385,7 @@ def _einsum_plan(a_s: str, b_s: str, out_s: str) -> tuple:
     free_b = [c for c in out_s if c not in a_s]
     summed = [c for c in a_s if c not in out_s]
     mm = batch + free_a + free_b
-    on_views = len(free_a) == len(free_b) == len(summed) == 1 and out_s[-1] in free_a + free_b
+    on_views = len(free_a) == len(free_b) == len(summed) == 1 and out_s[-1] == free_b[0]
     return (
         tuple(a_s.index(c) for c in batch + free_a + summed),
         tuple(b_s.index(c) for c in batch + summed + free_b),
@@ -395,12 +395,13 @@ def _einsum_plan(a_s: str, b_s: str, out_s: str) -> tuple:
     )
 
 
-def _blas_operand(x: np.ndarray, as_reshaped: bool) -> np.ndarray:
-    """x as np.matmul hands it to BLAS without a copy: its matrices row- or column-major, else a C-ordered copy.
+def _blas_operand(x: np.ndarray) -> np.ndarray:
+    """x laid out as the reshape to one batch axis lays it out, without a copy where that reshape makes none.
 
-    With `as_reshaped`, a column-major operand is laid out as reshaping it to
-    one batch axis did: a C-ordered copy, unless its batch axes merge into
-    one stride. BLAS rounds a product with a transposed operand differently
+    Row-major matrices go to BLAS as they lie. Column-major ones stay views
+    when their batch axes merge into one stride, as the reshape keeps them;
+    otherwise, and for matrices BLAS could read neither way, x is copied
+    C-ordered. BLAS rounds a product with a transposed operand differently
     from the same product with that operand copied, so this keeps the bits
     of the reshape path.
     """
@@ -408,20 +409,19 @@ def _blas_operand(x: np.ndarray, as_reshaped: bool) -> np.ndarray:
     if cs == item and rs >= c * item:
         return x
     if rs == item and cs >= r * item:
-        return x.reshape(-1, r, c).reshape(x.shape) if as_reshaped else x
+        return x.reshape(-1, r, c).reshape(x.shape)
     return np.ascontiguousarray(x)
 
 
-def _contract(a_s: str, b_s: str, out_s: str, a: np.ndarray, b: np.ndarray, as_reshaped: bool = False) -> np.ndarray:
+def _contract(a_s: str, b_s: str, out_s: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """np.einsum(f"{a_s},{b_s}->{out_s}", a, b) as one batched np.matmul over the operands' transposed views.
 
     When the plan allows it and the product has at least two rows and four
     columns, np.matmul reads the views (`_blas_operand`) and writes into a
-    C-ordered array in out_s order through its matmul-order view: no operand
-    or result is copied, and a reshape of the result is a view. Otherwise the
-    operands are reshaped to one batch, row and column axis, multiplied by
-    `_matmul` and the result is reshaped and transposed back. `as_reshaped`
-    keeps the reshape path's bits on the views.
+    C-ordered array in out_s order through its matmul-order view: the result
+    is not copied, and a reshape of it is a view. Otherwise the operands are
+    reshaped to one batch, row and column axis, multiplied by `_matmul` and
+    the result is reshaped and transposed back. Both paths give the same bits.
     """
     if a.ndim != len(a_s) or b.ndim != len(b_s):
         raise DimensionError(f"einsum2: {a_s},{b_s} does not fit operand shapes {a.shape}, {b.shape}")
@@ -433,7 +433,7 @@ def _contract(a_s: str, b_s: str, out_s: str, a: np.ndarray, b: np.ndarray, as_r
     if to_mm is not None and free_a[0] > 1 and free_b[0] >= _MIN_COLS:
         mm_shape = lead + free_a + free_b
         out = np.empty(tuple(mm_shape[i] for i in perm_out), np.result_type(a, b))
-        np.matmul(_blas_operand(at, as_reshaped), _blas_operand(bt, as_reshaped), out=out.transpose(to_mm))
+        np.matmul(_blas_operand(at), _blas_operand(bt), out=out.transpose(to_mm))
         return out
     batch, rows, inner, cols = math.prod(lead), math.prod(free_a), math.prod(summed), math.prod(free_b)
     out = _matmul(at.reshape(batch, rows, inner), bt.reshape(batch, inner, cols))
@@ -441,17 +441,15 @@ def _contract(a_s: str, b_s: str, out_s: str, a: np.ndarray, b: np.ndarray, as_r
 
 
 def einsum2(spec: str, a: Tensor, b: Tensor) -> Tensor:
-    """Two-operand einsum run as one batched np.matmul; each gradient is again such a contraction.
+    """Two-operand einsum run as one batched np.matmul (`_contract`); each gradient is again such a contraction.
 
     Every index of each operand must appear in the output or the other
     operand, and at most once per operand, which holds for all contractions
-    this model uses. The forward keeps the bits of the reshape path
-    (`_contract`'s `as_reshaped`); the gradients read the operands as they
-    lie, so they may differ from it in their last bits.
+    this model uses.
     """
     lhs, out_s = spec.replace(" ", "").split("->")
     a_s, b_s = lhs.split(",")
-    data = _contract(a_s, b_s, out_s, a.data, b.data, as_reshaped=True)
+    data = _contract(a_s, b_s, out_s, a.data, b.data)
 
     def bwd(g, sink):
         if a.requires_grad:

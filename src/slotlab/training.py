@@ -33,8 +33,7 @@ class AdamW:
     """Adam moments per parameter plus decoupled weight decay.
 
     `step` runs its numpy operations into two scratch buffers sized to the
-    largest parameter, allocated at the first step, so it makes no
-    temporaries.
+    largest parameter, so it makes no temporaries.
     """
 
     def __init__(self, store: ParameterStore, config: ModelConfig):
@@ -47,16 +46,13 @@ class AdamW:
         self.t = 0
         self._m = {p.name: np.zeros_like(p.data) for p in store}
         self._v = {p.name: np.zeros_like(p.data) for p in store}
-        self._slots: list[tuple] | None = None
-
-    def _make_slots(self) -> list[tuple]:
-        """Per parameter: it, its two moments, its views of the two scratch buffers and whether it decays."""
-        size, dtype = max((p.size for p in self.store), default=0), np_dtype(self.store.dtype)
+        size, dtype = max((p.size for p in store), default=0), np_dtype(store.dtype)
         update, tmp = np.empty(size, dtype), np.empty(size, dtype)
-        return [
+        # per parameter: it, its two moments, its views of the two scratch buffers and whether it decays
+        self._slots = [
             (p, self._m[p.name], self._v[p.name], update[: p.size].reshape(p.shape), tmp[: p.size].reshape(p.shape),
              bool(self.weight_decay) and decays(p.name))
-            for p in self.store
+            for p in store
         ]
 
     def step(self) -> None:
@@ -64,8 +60,6 @@ class AdamW:
         b1, b2 = self.beta1, self.beta2
         bias1 = 1.0 - b1**self.t
         bias2 = 1.0 - b2**self.t
-        if self._slots is None:
-            self._slots = self._make_slots()
         for p, m, v, update, tmp, decay in self._slots:
             g = p.grad  # None: no gradient was ever written, which counts as zero
             m *= b1

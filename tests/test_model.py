@@ -1077,9 +1077,9 @@ def test_features_and_loss_are_bitwise_those_of_the_reshape_contractions_and_com
     seen = set()
     contract = T._contract
 
-    def recorded(a_s, b_s, out_s, a, b, as_reshaped=False):
+    def recorded(a_s, b_s, out_s, a, b):
         seen.add(f"{a_s},{b_s}->{out_s}")
-        return contract(a_s, b_s, out_s, a, b, as_reshaped)
+        return contract(a_s, b_s, out_s, a, b)
 
     def run(batch):
         model.store.zero_grads()
@@ -1097,7 +1097,7 @@ def test_features_and_loss_are_bitwise_those_of_the_reshape_contractions_and_com
             m.setattr(T, "_contract", recorded)
             loss, features, grads = run(batch)
         with monkeypatch.context() as m:
-            m.setattr(T, "_contract", lambda a_s, b_s, out_s, a, b, as_reshaped=False: contract_reshaped(a_s, b_s, out_s, a, b))
+            m.setattr(T, "_contract", contract_reshaped)
             m.setattr(T, "fusion_gate", fusion_gate_composed)
             ref_loss, ref_features, ref_grads = run(batch)
         assert loss.tobytes() == ref_loss.tobytes() and features.tobytes() == ref_features.tobytes(), name

@@ -7,9 +7,8 @@ the weights, and a training/evaluation harness for few-shot fractions,
 ablations, and unseen-entity substitution.
 """
 
-from .attention import ContextAttention, FusionGate
-from .charlstm import CharLstmEncoder, CharVocab
-from .crf import CrfHead, TagSet, spans_from_bio
+from .charlstm import CharVocab
+from .crf import TagSet, spans_from_bio
 from .data import (
     DataError,
     SlotSpan,
@@ -22,33 +21,22 @@ from .data import (
     tokenize,
 )
 from .evaluate import EvalReport, span_f1
-from .layers import Dense
 from .model import Checkpoint, ModelConfig, SlotModel, count_parameters, parameter_reduction
-from .params import Parameter, ParameterStore
-from .tensor import SlotlabError, Tensor
-from .training import AdamW, train
+from .tensor import SlotlabError
+from .training import train
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdamW",
     "Checkpoint",
-    "CharLstmEncoder",
     "CharVocab",
-    "ContextAttention",
-    "CrfHead",
     "DataError",
-    "Dense",
     "EvalReport",
-    "FusionGate",
     "ModelConfig",
-    "Parameter",
-    "ParameterStore",
     "SlotModel",
     "SlotSpan",
     "SlotlabError",
     "TagSet",
-    "Tensor",
     "Utterance",
     "bio_from_spans",
     "count_parameters",

@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from . import tensor as T
-from .layers import Dense, dropout
+from .layers import Dense, block_kernel, dropout
 from .params import ParameterStore, glorot_uniform
 from .tensor import ConfigError, Tensor
 
@@ -161,15 +161,14 @@ class ContextAttention:
 class FusionGate:
     """Sigmoid gate g = sigmoid([A; E] @ kernel + bias); output g*E + (1-g)*A, one `tensor.fusion_gate` node.
 
-    The parameters are those of a dense layer from 2*d_model to d_model,
-    `gate.kernel` (block-diagonal with num_blocks blocks) and `gate.bias`.
+    The parameters are those a dense layer "gate" from 2*d_model to d_model
+    would create: `gate.kernel`, num_blocks blocks drawn by `layers.block_kernel`,
+    and a zero `gate.bias`.
     """
 
     def __init__(self, store: ParameterStore, d_model: int, num_blocks: int = 1):
-        self.d_model = d_model
-        # a dense layer creates the parameters, with its block init and divisibility check; its call is unused
-        layer = Dense(store, "gate", 2 * d_model, d_model, num_blocks=num_blocks)
-        self.kernel, self.bias = layer.kernel, layer.bias
+        self.kernel = block_kernel(store, "gate.kernel", 2 * d_model, d_model, num_blocks)
+        self.bias = store.create("gate.bias", (d_model,), lambda: np.zeros(d_model))
 
     def fuse(self, A: Tensor, E: Tensor) -> Tensor:
         return T.fusion_gate(A, E, self.kernel, self.bias)

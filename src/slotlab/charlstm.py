@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from . import tensor as T
-from .layers import Dense, dropout
+from .layers import Dense, block_kernel, dropout
 from .params import ParameterStore, glorot_uniform, orthogonal
 from .tensor import ContractError, Tensor
 
@@ -64,8 +64,8 @@ class CharLstmEncoder:
     """Char embeddings -> unidirectional LSTM -> dense projection per word.
 
     With num_blocks > 1 the two LSTM kernels are stored block-diagonally with
-    the per-block Glorot init of Dense; the per-gate orthogonal init of the
-    recurrent kernel applies only at num_blocks == 1.
+    the per-block Glorot init of `layers.block_kernel`; the per-gate
+    orthogonal init of the recurrent kernel applies only at num_blocks == 1.
     """
 
     def __init__(
@@ -90,14 +90,9 @@ class CharLstmEncoder:
             square = (lstm_units, lstm_units)
             return np.concatenate([orthogonal(store.rng(init), square) for _ in range(4)], axis=1)[None]
 
-        self.recurrent_map = Dense(
-            store,
-            "encoder.lstm.recurrent",
-            lstm_units,
-            4 * lstm_units,
-            use_bias=False,
-            num_blocks=num_blocks,
-            kernel_init=orthogonal_gates if num_blocks == 1 else None,
+        recurrent_init = orthogonal_gates if num_blocks == 1 else None
+        self.recurrent = block_kernel(
+            store, "encoder.lstm.recurrent.kernel", lstm_units, 4 * lstm_units, num_blocks, recurrent_init
         )
         # gates i, f, g, o; the forget gate opens at init
         self.b = store.create(
@@ -119,7 +114,7 @@ class CharLstmEncoder:
         chars = [c for w in words for c in w]  # word by word
         # the input kernel is linear without bias, so project the V-row table once; the LSTM reads its rows
         table = self.store.planned("char_table", lambda: self.input_map(self.embed))
-        return self.proj(T.lstm_packed(table, chars, self.recurrent_map.kernel, self.b, [len(w) for w in words]))
+        return self.proj(T.lstm_packed(table, chars, self.recurrent, self.b, [len(w) for w in words]))
 
     def encode_utterance(
         self,

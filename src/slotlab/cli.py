@@ -16,6 +16,7 @@ from .data import (
     load_dataset,
     read_utf8,
     save_jsonl,
+    slot_surfaces,
     substitute_entities,
     utterance_from_text,
 )
@@ -127,15 +128,7 @@ def _cmd_subset(args) -> int:
 def _cmd_substitute(args) -> int:
     utts = _load(args.inp)
     values = [line.strip() for line in read_utf8(args.values).splitlines() if line.strip()]
-    training_surfaces = None
-    if args.train:
-        train_utts = _load(args.train)
-        training_surfaces = {
-            " ".join(u.words[sp.start_token : sp.end_token + 1])
-            for u in train_utts
-            for sp in u.spans
-            if sp.slot_type == args.slot
-        }
+    training_surfaces = slot_surfaces(_load(args.train), args.slot) if args.train else None
     out = substitute_entities(utts, args.slot, values, args.seed, training_surfaces)
     save_jsonl(out, args.out)
     print(f"substituted {args.slot} in {len(out)} utterances -> {args.out}")

@@ -135,17 +135,13 @@ def viterbi_decode_batch(
     trans_t = np.ascontiguousarray(transitions.T)
     # cand[r, j, i] = delta[r, i] + transitions[i, j]; back[p, j] is the best tag before tag j at row p
     back = np.empty(em.shape, dtype=np.intp)
-    finished = []  # best scores of the sequences that ended, shortest last
-    delta = start + em[:B]
+    delta = start + em[:B]  # row r: the best scores of sequence order[r], kept once it has ended
     for t in range(1, len(sizes)):
         lo, rows = starts[t], sizes[t]
-        if rows < len(delta):
-            finished.append(delta[rows:])
-            delta = delta[:rows]
-        cand = delta[:, None, :] + trans_t
+        cand = delta[:rows, None, :] + trans_t
         cand.argmax(axis=2, out=back[lo : lo + rows])  # argmax returns the lowest index on ties
-        delta = cand.max(axis=2) + em[lo : lo + rows]
-    final = (np.concatenate([delta] + finished[::-1]) if finished else delta) + end  # in sorted order
+        np.add(cand.max(axis=2), em[lo : lo + rows], out=delta[:rows])
+    final = delta + end
     best = final.argmax(axis=1).tolist()
     final, back = final.tolist(), back.tolist()
     paths: list = [None] * B

@@ -322,8 +322,11 @@ def fraction_split(items: Sequence, denominator: int, seed: int) -> list:
 # unseen-entity substitution
 
 
-def _span_surface(utt: Utterance, sp: SlotSpan) -> str:
-    return " ".join(utt.words[sp.start_token : sp.end_token + 1])
+def slot_surfaces(dataset: Sequence[Utterance], slot_type: str) -> set[str]:
+    """The surface forms, words joined by spaces, of every span of `slot_type` in `dataset`."""
+    return {
+        " ".join(u.words[sp.start_token : sp.end_token + 1]) for u in dataset for sp in u.spans if sp.slot_type == slot_type
+    }
 
 
 def substitute_entities(
@@ -343,9 +346,7 @@ def substitute_entities(
     if not replacements:
         raise DataError("substitute_entities: empty replacement list")
     if training_surfaces is None:
-        training_surfaces = {
-            _span_surface(u, sp) for u in dataset for sp in u.spans if sp.slot_type == slot_type
-        }
+        training_surfaces = slot_surfaces(dataset, slot_type)
     collisions = sorted(set(replacements) & training_surfaces)
     if collisions:
         raise DataError(f"substitute_entities: replacements collide with known surfaces: {collisions}")

@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from . import tensor as T
-from .params import ParameterStore, glorot_uniform
+from .params import Parameter, ParameterStore, glorot_uniform
 from .tensor import ConfigError, Tensor
 
 ACTIVATIONS = {
@@ -24,13 +24,34 @@ ACTIVATIONS = {
 }
 
 
-class Dense:
-    """x @ expand(kernel) + bias followed by an optional activation.
+def block_kernel(
+    store: ParameterStore,
+    name: str,
+    in_dim: int,
+    out_dim: int,
+    num_blocks: int = 1,
+    init: Callable[[], np.ndarray] | None = None,
+) -> Parameter:
+    """Create `name`, the num_blocks = k diagonal [k, in_dim/k, out_dim/k] blocks of an [in_dim, out_dim] kernel.
 
-    Unless kernel_init gives the [k, m, n] blocks, each block draws its own
-    Glorot-uniform init, in block order, from the stream named after the
-    kernel.
+    Unless init gives the blocks, each block draws its own Glorot-uniform
+    init, in block order, from the stream named `name`.
     """
+    if num_blocks < 1:
+        raise ConfigError(f"num_blocks must be positive, got {num_blocks}")
+    if in_dim % num_blocks or out_dim % num_blocks:
+        raise ConfigError(f"kernel {name!r}: dims ({in_dim}, {out_dim}) not divisible by num_blocks={num_blocks}")
+    m, n = in_dim // num_blocks, out_dim // num_blocks
+
+    def glorot_blocks() -> np.ndarray:
+        rng = store.rng(name)
+        return np.stack([glorot_uniform(rng, (m, n)) for _ in range(num_blocks)])
+
+    return store.create(name, (num_blocks, m, n), init or glorot_blocks)
+
+
+class Dense:
+    """x @ expand(kernel) + bias followed by an optional activation; the kernel's blocks come from `block_kernel`."""
 
     def __init__(
         self,
@@ -41,23 +62,11 @@ class Dense:
         activation: str = "none",
         use_bias: bool = True,
         num_blocks: int = 1,
-        kernel_init: Callable[[], np.ndarray] | None = None,
     ):
         if activation not in ACTIVATIONS:
             raise ConfigError(f"unknown activation {activation!r}")
-        if num_blocks < 1:
-            raise ConfigError(f"num_blocks must be positive, got {num_blocks}")
-        if in_dim % num_blocks or out_dim % num_blocks:
-            raise ConfigError(f"dense {name!r}: dims ({in_dim}, {out_dim}) not divisible by num_blocks={num_blocks}")
-        self.num_blocks = num_blocks
         self.activation = activation
-        m, n = in_dim // num_blocks, out_dim // num_blocks
-
-        def glorot_blocks() -> np.ndarray:
-            rng = store.rng(name + ".kernel")
-            return np.stack([glorot_uniform(rng, (m, n)) for _ in range(num_blocks)])
-
-        self.kernel = store.create(name + ".kernel", (num_blocks, m, n), kernel_init or glorot_blocks)
+        self.kernel = block_kernel(store, name + ".kernel", in_dim, out_dim, num_blocks)
         self.bias = store.create(name + ".bias", (out_dim,), lambda: np.zeros(out_dim)) if use_bias else None
 
     def __call__(self, x: Tensor) -> Tensor:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -38,64 +38,47 @@ def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
-# field -> (test, what a valid value is): the one place a config field is checked
+# a rule is (test, what a valid value is)
 _POSITIVE = (lambda v: _is_int(v) and v >= 1, "a positive integer")
 _FRACTION = (lambda v: _is_number(v) and 0.0 <= v < 1.0, "a number in [0, 1)")
 _NON_NEGATIVE = (lambda v: _is_number(v) and 0.0 <= v < math.inf, "a finite non-negative number")
-_FIELD_RULES = {
-    "char_embed_dim": _POSITIVE,
-    "lstm_units": _POSITIVE,
-    "d_model": _POSITIVE,
-    "num_heads": _POSITIVE,
-    "head_size": _POSITIVE,
-    "num_blocks": _POSITIVE,
-    "dropout": _FRACTION,
-    "attention_dropout": _FRACTION,
-    "weight_decay": _NON_NEGATIVE,
-    "variant": (lambda v: v in VARIANTS, f"one of {VARIANTS}"),
-    "use_block_dense": (lambda v: isinstance(v, bool), "true or false"),
-    "max_relative_distance": _POSITIVE,
-    "learning_rate": _NON_NEGATIVE,
-    "beta1": _FRACTION,
-    "beta2": _FRACTION,
-    "adam_eps": (lambda v: _is_number(v) and 0.0 < v < math.inf, "a finite positive number"),
-    "batch_size": _POSITIVE,
-    "max_epochs": _POSITIVE,
-    "patience": (lambda v: _is_int(v) and v >= 0, "a non-negative integer"),
-    "seed": (_is_int, "an integer"),
-    "dtype": (lambda v: v in ("f32", "f64"), "'f32' or 'f64'"),
-}
+
+
+def _checked(default, rule: tuple):
+    """A config field carrying its rule, the one place `ModelConfig.__post_init__` reads it from."""
+    return field(default=default, metadata={"rule": rule})
 
 
 @dataclass
 class ModelConfig:
-    char_embed_dim: int = 512
-    lstm_units: int = 128
-    d_model: int = 256
-    num_heads: int = 4
-    head_size: int = 128
-    num_blocks: int = 8
-    dropout: float = 0.1
-    attention_dropout: float = 0.1
-    weight_decay: float = 0.01
-    variant: str = "abstract_rel"
-    use_block_dense: bool = False
-    max_relative_distance: int = 8
-    learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
-    batch_size: int = 32
-    max_epochs: int = 50
-    patience: int = 5
-    seed: int = 0
-    dtype: str = "f64"
+    char_embed_dim: int = _checked(512, _POSITIVE)
+    lstm_units: int = _checked(128, _POSITIVE)
+    d_model: int = _checked(256, _POSITIVE)
+    num_heads: int = _checked(4, _POSITIVE)
+    head_size: int = _checked(128, _POSITIVE)
+    num_blocks: int = _checked(8, _POSITIVE)
+    dropout: float = _checked(0.1, _FRACTION)
+    attention_dropout: float = _checked(0.1, _FRACTION)
+    weight_decay: float = _checked(0.01, _NON_NEGATIVE)
+    variant: str = _checked("abstract_rel", (lambda v: v in VARIANTS, f"one of {VARIANTS}"))
+    use_block_dense: bool = _checked(False, (lambda v: isinstance(v, bool), "true or false"))
+    max_relative_distance: int = _checked(8, _POSITIVE)
+    learning_rate: float = _checked(1e-3, _NON_NEGATIVE)
+    beta1: float = _checked(0.9, _FRACTION)
+    beta2: float = _checked(0.999, _FRACTION)
+    adam_eps: float = _checked(1e-8, (lambda v: _is_number(v) and 0.0 < v < math.inf, "a finite positive number"))
+    batch_size: int = _checked(32, _POSITIVE)
+    max_epochs: int = _checked(50, _POSITIVE)
+    patience: int = _checked(5, (lambda v: _is_int(v) and v >= 0, "a non-negative integer"))
+    seed: int = _checked(0, (_is_int, "an integer"))
+    dtype: str = _checked("f64", (lambda v: v in ("f32", "f64"), "'f32' or 'f64'"))
 
     def __post_init__(self):
-        for name, (valid, expected) in _FIELD_RULES.items():
-            value = getattr(self, name)
+        for f in fields(self):
+            valid, expected = f.metadata["rule"]
+            value = getattr(self, f.name)
             if not valid(value):
-                raise ConfigError(f"config field {name!r} must be {expected}, got {value!r}")
+                raise ConfigError(f"config field {f.name!r} must be {expected}, got {value!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)

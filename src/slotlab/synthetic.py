@@ -95,13 +95,10 @@ def render(template: str, from_city: str | None, to_city: str | None) -> Utteran
     return utterance_from_words(words, spans)
 
 
-def sample_utterances(
-    rng: np.random.Generator, cities: list[str], count: int, templates: list[str] | None = None
-) -> list[Utterance]:
-    templates = templates or TEMPLATES
+def sample_utterances(rng: np.random.Generator, cities: list[str], count: int) -> list[Utterance]:
     out = []
     for _ in range(count):
-        template = templates[int(rng.integers(len(templates)))]
+        template = TEMPLATES[int(rng.integers(len(TEMPLATES)))]
         a, b = rng.choice(len(cities), size=2, replace=False)
         out.append(render(template, cities[int(a)], cities[int(b)]))
     return out
@@ -113,17 +110,14 @@ def make_from_to_corpus(
     n_test: int = 200,
     n_train_cities: int = 120,
     n_test_cities: int = 40,
-    n_templates: int = 30,
-    two_word_prob: float = 0.15,
 ) -> tuple[list[Utterance], list[Utterance]]:
-    """(train, test); test city names are disjoint from training city names."""
+    """(train, test); test city names are disjoint from training city names, 15% of them two words long."""
     rng = np.random.default_rng(seed)
-    templates = TEMPLATES[:n_templates]
     taken: set[str] = {w for t in TEMPLATES for w in t.split() if w not in ("{F}", "{T}")}
-    train_cities = make_cities(rng, n_train_cities, taken, two_word_prob)
-    test_cities = make_cities(rng, n_test_cities, taken, two_word_prob)
-    train = sample_utterances(rng, train_cities, n_train, templates)
-    test = sample_utterances(rng, test_cities, n_test, templates)
+    train_cities = make_cities(rng, n_train_cities, taken, 0.15)
+    test_cities = make_cities(rng, n_test_cities, taken, 0.15)
+    train = sample_utterances(rng, train_cities, n_train)
+    test = sample_utterances(rng, test_cities, n_test)
     return train, test
 
 

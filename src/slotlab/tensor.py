@@ -92,10 +92,10 @@ class Tensor:
         return add(_lift(other, self), self)
 
     def __sub__(self, other):
-        return add(self, neg(_lift(other, self)))
+        return add(self, -_lift(other, self))
 
     def __rsub__(self, other):
-        return add(_lift(other, self), neg(self))
+        return add(_lift(other, self), -self)
 
     def __mul__(self, other):
         return mul(self, _lift(other, self))
@@ -109,7 +109,7 @@ class Tensor:
         return mul(self, _lift(1.0 / other, self))
 
     def __neg__(self):
-        return neg(self)
+        return mul(self, constant(-1.0, like=self))  # exact: -x, and its gradient -g
 
 
 def constant(data, like: Tensor | None = None, dtype=None) -> Tensor:
@@ -248,13 +248,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _result(data, (a, b), bwd)
 
 
-def neg(x: Tensor) -> Tensor:
-    def bwd(g, sink):
-        sink(x, -g)
-
-    return _result(-x.data, (x,), bwd)
-
-
 def _sigmoid(d: np.ndarray) -> np.ndarray:
     """Logistic function, stable in both tails: exp of a non-positive argument only, taken once.
 
@@ -284,8 +277,8 @@ def tanh(x: Tensor) -> Tensor:
 _MIN_COLS = 4
 
 
-def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.matmul(a, b) in a layout whose rows round alike at every row count.
+def _matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """np.matmul(a, b, out=out) in a layout whose rows round alike at every row count; the only np.matmul call.
 
     numpy hands a one-row product to BLAS's gemv, which rounds differently
     from the gemm that computes the same row inside a larger product, and
@@ -293,18 +286,24 @@ def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     with the row count (gemv for one column, OpenBLAS's narrow gemm kernels
     for two or three). So a one-row a runs as two copies of its row and a
     narrower b gets zero columns, both dropped from the result: a word's or
-    an utterance's numbers do not depend on the batch it is in.
+    an utterance's numbers do not depend on the batch it is in. Every product
+    passes through here, so which path it takes depends on its structure
+    alone, never on its size.
     """
     rows, cols = a.shape[-2], b.shape[-1]
     if rows > 1 and cols >= _MIN_COLS:
-        return np.matmul(a, b)
+        return np.matmul(a, b, out=out)
     if rows == 1:
         a = np.concatenate([a, a], axis=-2)
     if cols < _MIN_COLS:
         padded = np.zeros(b.shape[:-1] + (_MIN_COLS,), b.dtype)
         padded[..., :cols] = b
         b = padded
-    return np.matmul(a, b)[..., :rows, :cols]
+    product = np.matmul(a, b)[..., :rows, :cols]
+    if out is None:
+        return product
+    out[...] = product
+    return out
 
 
 def _block_mm(x: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -313,22 +312,18 @@ def _block_mm(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     Feature chunk i of x meets block i in one batched `_matmul` over the
     [..., k, N, m] layout. One block is a plain `_matmul` with w[0], which
     numpy broadcasts over the leading axes: the same gemm per [N, m] matrix
-    as the layout, without its reshape and copy. For k > 1, on the shapes
-    `_matmul` passes to np.matmul unchanged, the [..., k, N, n] products are
-    written straight into a swapped view of the result: BLAS only writes
-    them with another row stride, so the bits are those of the product
-    copied into layout.
+    as the layout, without its reshape and copy. For k > 1 the
+    [..., k, N, n] products are written straight into a swapped view of the
+    result: BLAS only writes them with another row stride, so the bits are
+    those of the product copied into layout.
     """
     k, m, n = w.shape
     if k == 1:
         return _matmul(x, w[0])
     lead = x.shape[:-1]
-    xk = x.reshape(lead + (k, m)).swapaxes(-3, -2)
-    if x.shape[-2] > 1 and n >= _MIN_COLS:
-        out = np.empty(lead + (k * n,), np.result_type(x, w))
-        np.matmul(xk, w, out=out.reshape(lead + (k, n)).swapaxes(-3, -2))
-        return out
-    return _matmul(xk, w).swapaxes(-3, -2).reshape(lead + (k * n,))
+    out = np.empty(lead + (k * n,), np.result_type(x, w))
+    _matmul(x.reshape(lead + (k, m)).swapaxes(-3, -2), w, out=out.reshape(lead + (k, n)).swapaxes(-3, -2))
+    return out
 
 
 def _block_kernel_grad(x: np.ndarray, g: np.ndarray, k: int) -> np.ndarray:
@@ -414,14 +409,14 @@ def _blas_operand(x: np.ndarray) -> np.ndarray:
 
 
 def _contract(a_s: str, b_s: str, out_s: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.einsum(f"{a_s},{b_s}->{out_s}", a, b) as one batched np.matmul over the operands' transposed views.
+    """np.einsum(f"{a_s},{b_s}->{out_s}", a, b) as one batched `_matmul` over the operands' transposed views.
 
-    When the plan allows it and the product has at least two rows and four
-    columns, np.matmul reads the views (`_blas_operand`) and writes into a
-    C-ordered array in out_s order through its matmul-order view: the result
-    is not copied, and a reshape of it is a view. Otherwise the operands are
-    reshaped to one batch, row and column axis, multiplied by `_matmul` and
-    the result is reshaped and transposed back. Both paths give the same bits.
+    When the plan allows it, `_matmul` reads the views (`_blas_operand`) and
+    writes into a C-ordered array in out_s order through its matmul-order
+    view: the result is not copied, and a reshape of it is a view. Otherwise
+    the operands are reshaped to one batch, row and column axis, multiplied
+    by `_matmul` and the result is reshaped and transposed back. Both paths
+    give the same bits.
     """
     if a.ndim != len(a_s) or b.ndim != len(b_s):
         raise DimensionError(f"einsum2: {a_s},{b_s} does not fit operand shapes {a.shape}, {b.shape}")
@@ -430,10 +425,10 @@ def _contract(a_s: str, b_s: str, out_s: str, a: np.ndarray, b: np.ndarray) -> n
     lead, free_a, summed, free_b = at.shape[:nb], at.shape[nb : nb + nf], at.shape[nb + nf :], bt.shape[nb + ns :]
     if bt.shape[:nb] != lead or bt.shape[nb : nb + ns] != summed:
         raise DimensionError(f"einsum2: {a_s},{b_s} sizes disagree, {a.shape} x {b.shape}")
-    if to_mm is not None and free_a[0] > 1 and free_b[0] >= _MIN_COLS:
+    if to_mm is not None:
         mm_shape = lead + free_a + free_b
         out = np.empty(tuple(mm_shape[i] for i in perm_out), np.result_type(a, b))
-        np.matmul(_blas_operand(at), _blas_operand(bt), out=out.transpose(to_mm))
+        _matmul(_blas_operand(at), _blas_operand(bt), out=out.transpose(to_mm))
         return out
     batch, rows, inner, cols = math.prod(lead), math.prod(free_a), math.prod(summed), math.prod(free_b)
     out = _matmul(at.reshape(batch, rows, inner), bt.reshape(batch, inner, cols))
@@ -441,7 +436,7 @@ def _contract(a_s: str, b_s: str, out_s: str, a: np.ndarray, b: np.ndarray) -> n
 
 
 def einsum2(spec: str, a: Tensor, b: Tensor) -> Tensor:
-    """Two-operand einsum run as one batched np.matmul (`_contract`); each gradient is again such a contraction.
+    """Two-operand einsum run as one batched `_matmul` (`_contract`); each gradient is again such a contraction.
 
     Every index of each operand must appear in the output or the other
     operand, and at most once per operand, which holds for all contractions

@@ -44,14 +44,12 @@ class AdamW:
         self.eps = config.adam_eps
         self.weight_decay = config.weight_decay
         self.t = 0
-        self._m = {p.name: np.zeros_like(p.data) for p in store}
-        self._v = {p.name: np.zeros_like(p.data) for p in store}
         size, dtype = max((p.size for p in store), default=0), np_dtype(store.dtype)
         update, tmp = np.empty(size, dtype), np.empty(size, dtype)
         # per parameter: it, its two moments, its views of the two scratch buffers and whether it decays
         self._slots = [
-            (p, self._m[p.name], self._v[p.name], update[: p.size].reshape(p.shape), tmp[: p.size].reshape(p.shape),
-             bool(self.weight_decay) and decays(p.name))
+            (p, np.zeros_like(p.data), np.zeros_like(p.data), update[: p.size].reshape(p.shape),
+             tmp[: p.size].reshape(p.shape), bool(self.weight_decay) and decays(p.name))
             for p in store
         ]
 

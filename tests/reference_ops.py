@@ -73,9 +73,8 @@ class AdamWAllocating(AdamW):
         b1, b2 = self.beta1, self.beta2
         bias1 = 1.0 - b1**self.t
         bias2 = 1.0 - b2**self.t
-        for p in self.store:
+        for p, m, v, *_ in self._slots:
             g = p.grad
-            m, v = self._m[p.name], self._v[p.name]
             m *= b1
             v *= b2
             if g is not None:

@@ -14,6 +14,7 @@ from slotlab.attention import (
     _current_mask,
     sinusoid_table,
 )
+from slotlab.layers import Dense
 from slotlab.model import ModelConfig
 from slotlab.params import ParameterStore
 from slotlab.synthetic import desk_config
@@ -297,6 +298,17 @@ def test_gate_matches_elementwise_oracle():
     g = 1.0 / (1.0 + np.exp(-z))
     expected = g * E + (1.0 - g) * A
     assert np.max(np.abs(out - expected)) < 1e-12
+
+
+@pytest.mark.parametrize("k", [1, 4])
+def test_gate_parameters_are_bitwise_the_dense_layer_draws(k):
+    """The gate draws `gate.kernel` and `gate.bias` as a dense layer named "gate" from 2*d to d would."""
+    gate, dense_store = FusionGate(ParameterStore(seed=5), 8, num_blocks=k), ParameterStore(seed=5)
+    dense = Dense(dense_store, "gate", 16, 8, num_blocks=k)
+    assert gate.kernel.name == "gate.kernel" and gate.bias.name == "gate.bias"
+    assert gate.kernel.data.shape == (k, 16 // k, 8 // k)
+    assert gate.kernel.data.tobytes() == dense.kernel.data.tobytes()
+    assert gate.bias.data.tobytes() == dense.bias.data.tobytes()
 
 
 def test_gate_shape_mismatch():

@@ -72,7 +72,7 @@ def test_single_char_word_matches_one_step_oracle():
     x = enc.embed.data[cid[0]]
     h0 = np.zeros(enc.lstm_units)
     h1, _ = _lstm_step_oracle(
-        x, h0, h0, enc.input_map.kernel.data[0], enc.recurrent_map.kernel.data[0], enc.b.data, enc.lstm_units
+        x, h0, h0, enc.input_map.kernel.data[0], enc.recurrent.data[0], enc.b.data, enc.lstm_units
     )
     expected = np.tanh(h1 @ enc.proj.kernel.data[0] + enc.proj.bias.data)
     got = encode_one(enc, cid)
@@ -85,7 +85,7 @@ def test_multi_step_matches_oracle():
     h = c = np.zeros(enc.lstm_units)
     for cid in ids:
         h, c = _lstm_step_oracle(
-            enc.embed.data[cid], h, c, enc.input_map.kernel.data[0], enc.recurrent_map.kernel.data[0], enc.b.data, enc.lstm_units
+            enc.embed.data[cid], h, c, enc.input_map.kernel.data[0], enc.recurrent.data[0], enc.b.data, enc.lstm_units
         )
     expected = np.tanh(h @ enc.proj.kernel.data[0] + enc.proj.bias.data)
     assert np.max(np.abs(encode_one(enc, ids) - expected)) < 1e-12
@@ -179,7 +179,7 @@ def unfused_encode(enc, char_ids):
     hs = []
     for t in range(max_len):
         x = T.take_rows(enc.embed, ids[:, t])
-        gates = enc.input_map(x) + T.block_matmul(h, enc.recurrent_map.kernel) + enc.b
+        gates = enc.input_map(x) + T.block_matmul(h, enc.recurrent) + enc.b
         i = sigmoid(T.narrow(gates, -1, 0, H))
         f = sigmoid(T.narrow(gates, -1, H, H))
         g = T.tanh(T.narrow(gates, -1, 2 * H, H))

@@ -301,12 +301,16 @@ _MODEL_EINSUMS = [
 ]
 
 
+@pytest.mark.parametrize("k", [1, 2, 4, 8])
 @pytest.mark.parametrize("k_in, n_out", [(48, 192), (16, 64), (128, 512), (64, 64), (256, 5), (64, 3)])
-def test_block_matmul_rows_are_bitwise_equal_at_every_row_count(k_in, n_out):
-    """Rows 0..m-1 of an m-row product equal those of the 40-row product, m = 1 (BLAS's gemv) included."""
-    rng = np.random.default_rng(k_in + n_out)
-    x = rng.standard_normal((40, k_in))
-    w = Tensor(rng.standard_normal((1, k_in, n_out)))
+def test_block_matmul_rows_are_bitwise_equal_at_every_row_count(k_in, n_out, k):
+    """Rows 0..m-1 of an m-row product equal those of the 40-row product, m = 1 (BLAS's gemv) included.
+
+    Each of the k blocks is [k_in, n_out].
+    """
+    rng = np.random.default_rng(k_in + n_out + k)
+    x = rng.standard_normal((40, k * k_in))
+    w = Tensor(rng.standard_normal((k, k_in, n_out)))
     full = T.block_matmul(Tensor(x), w).data
     for m in range(1, 40):
         assert np.array_equal(T.block_matmul(Tensor(x[:m]), w).data, full[:m]), m
@@ -595,6 +599,18 @@ def test_every_named_error_is_a_slotlab_error_and_keeps_its_builtin_base():
     ):
         assert issubclass(cls, SlotlabError) and issubclass(cls, builtin), cls
     assert ERRORS == (SlotlabError, OSError)
+
+
+def test_the_package_exports_only_the_user_api():
+    """Layers, parameters, tensors and the optimizer are imported from their modules, not from `slotlab`."""
+    import slotlab
+
+    assert set(slotlab.__all__) == {
+        "Checkpoint", "CharVocab", "DataError", "EvalReport", "ModelConfig", "SlotModel", "SlotSpan", "SlotlabError",
+        "TagSet", "Utterance", "bio_from_spans", "count_parameters", "fraction_split", "load_dataset",
+        "parameter_reduction", "save_jsonl", "span_f1", "spans_from_bio", "substitute_entities", "tokenize", "train",
+    }
+    assert all(hasattr(slotlab, name) for name in slotlab.__all__)
 
 
 def test_grad_check_reports_nan_parameter():

@@ -57,28 +57,38 @@ def by_utterance(H, lengths) -> list[np.ndarray]:
 # configuration
 
 
-@pytest.mark.parametrize(
-    "field, value",
-    [
-        ("batch_size", 0),
-        ("lstm_units", 0),
-        ("lstm_units", "48"),
-        ("d_model", 16.0),
-        ("d_model", 0),
-        ("max_relative_distance", 0),
-        ("num_heads", True),
-        ("max_epochs", -1),
-        ("patience", -1),
-        ("seed", 0.5),
-        ("dropout", 1.0),
-        ("attention_dropout", -0.1),
-        ("beta2", float("nan")),
-        ("learning_rate", -1e-3),
-        ("weight_decay", float("inf")),
-        ("adam_eps", 0.0),
-        ("use_block_dense", 1),
-    ],
-)
+BAD_FIELD_VALUES = [
+    ("char_embed_dim", -2),
+    ("batch_size", 0),
+    ("lstm_units", 0),
+    ("lstm_units", "48"),
+    ("d_model", 16.0),
+    ("d_model", 0),
+    ("num_heads", True),
+    ("head_size", 0),
+    ("num_blocks", 2.0),
+    ("max_relative_distance", 0),
+    ("max_epochs", -1),
+    ("patience", -1),
+    ("seed", 0.5),
+    ("dropout", 1.0),
+    ("attention_dropout", -0.1),
+    ("beta1", 1.0),
+    ("beta2", float("nan")),
+    ("learning_rate", -1e-3),
+    ("weight_decay", float("inf")),
+    ("adam_eps", 0.0),
+    ("use_block_dense", 1),
+    ("variant", "crf_only"),
+    ("dtype", "f16"),
+]
+
+
+def test_every_config_field_has_a_bad_value_case():
+    assert {f.name for f in dataclasses.fields(ModelConfig)} == {name for name, _ in BAD_FIELD_VALUES}
+
+
+@pytest.mark.parametrize("field, value", BAD_FIELD_VALUES)
 def test_config_rejects_a_bad_field_naming_it(field, value):
     with pytest.raises(ConfigError, match=field):
         ModelConfig(**{field: value})
@@ -939,10 +949,9 @@ def test_adamw_in_place_steps_are_bitwise_the_allocating_steps(dtype):
             model.store.zero_grads()
             T.backward(model.loss(batch, training=True))
             optimizer.step()
-    for p in models[0].store:
-        q = models[1].store[p.name]
+    for (p, m, v, *_), (q, m_ref, v_ref, *_) in zip(optimizers[0]._slots, optimizers[1]._slots):
         assert p.data.tobytes() == q.data.tobytes(), p.name
-        assert optimizers[0]._v[p.name].tobytes() == optimizers[1]._v[p.name].tobytes(), p.name
+        assert m.tobytes() == m_ref.tobytes() and v.tobytes() == v_ref.tobytes(), p.name
 
 
 def test_checkpoint_rejects_non_finite_parameters(tmp_path):

@@ -110,9 +110,9 @@ class SlotModel:
     """The assembled network over a frozen vocabulary and tagset.
 
     Without `arrays` every parameter is drawn from its initializer; with them
-    (a checkpoint's) the model serves: each parameter is a read-only copy of
-    the array of its name, and a missing, misshapen or unknown array fails
-    with a ContractError naming it.
+    (a checkpoint's) the model serves: each parameter is a read-only view of
+    the array of its name (`ParameterStore`), and a missing, misshapen or
+    unknown array fails with a ContractError naming it.
     """
 
     def __init__(
@@ -287,7 +287,10 @@ class Checkpoint:
 
     @classmethod
     def load(cls, directory) -> "Checkpoint":
-        """Read a checkpoint; its arrays are read-only views of params.bin, which must be exactly the index long."""
+        """Read a checkpoint; its arrays are read-only views of params.bin, which must be exactly the index long.
+
+        The blob is read once and checked finite in one pass; `build_model` serves these views in place.
+        """
         directory = Path(directory)
         path = directory / "manifest.json"
         try:
@@ -301,9 +304,10 @@ class Checkpoint:
             if not one_char or len(set(chars)) != len(chars):
                 raise ConfigError(f"checkpoint field 'char_vocab' must list distinct single characters, got {chars!r}")
             config = ModelConfig.from_dict(manifest["config"])
-            shapes = {}
+            shapes, entry_keys = {}, {"name", "shape"}
             for entry in manifest["params"]:
-                _check_keys(path, "a 'params' entry", entry, {"name", "shape"})
+                if entry.keys() != entry_keys:
+                    _check_keys(path, "a 'params' entry", entry, entry_keys)
                 name, shape = entry["name"], tuple(entry["shape"])
                 if name in shapes:
                     raise ConfigError(f"checkpoint parameter {name!r} is listed twice")
@@ -316,10 +320,11 @@ class Checkpoint:
             if len(blob) != need:
                 fault = "is truncated" if len(blob) < need else "has trailing bytes"
                 raise ConfigError(f"checkpoint blob params.bin {fault}: {len(blob)} bytes, the index needs {need}")
-            arrays = split_by_shape(np.frombuffer(blob, dtype), shapes)
-            for name, arr in arrays.items():
-                if not np.isfinite(arr).all():
-                    raise ConfigError(f"checkpoint parameter {name!r} has non-finite values")
+            flat = np.frombuffer(blob, dtype)
+            arrays = split_by_shape(flat, shapes)
+            if not np.isfinite(flat).all():
+                bad = next(name for name, arr in arrays.items() if not np.isfinite(arr).all())
+                raise ConfigError(f"checkpoint parameter {bad!r} has non-finite values")
             return cls(config, CharVocab(chars), TagSet(manifest["tagset"]), arrays)
         except SlotlabError:
             raise

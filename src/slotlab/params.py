@@ -41,9 +41,11 @@ class ParameterStore:
 
     Iteration order is insertion order, so two identically configured builds
     produce identical parameter layouts and identical checkpoints. Given
-    `arrays` (a checkpoint's), the store serves: it copies them once into one
-    `bytes` object, and each parameter is a view of its name's array there,
-    which numpy refuses to make writable.
+    `arrays` (a checkpoint's), the store serves: each parameter is a view of
+    its name's array in one `bytes` object, which numpy refuses to make
+    writable. A loaded checkpoint's arrays already are such views of its
+    params.bin, and are served in place; any others are copied once
+    (`_read_only_copy`).
     """
 
     def __init__(self, seed: int = 0, dtype: str = "f64", arrays: dict[str, np.ndarray] | None = None):
@@ -159,9 +161,29 @@ class ParameterStore:
 
 
 def _read_only_copy(arrays: dict[str, np.ndarray], dtype: np.dtype) -> dict[str, np.ndarray]:
-    """The arrays copied once into one `bytes` object, each as a view of it: read-only for good."""
+    """The arrays as views of one `bytes` object, each read-only for good.
+
+    When every array already is a C-ordered view, in `dtype`, of one single `bytes` object (a loaded
+    checkpoint's are views of its params.bin), they are used in place. Anything else is copied once into a
+    new `bytes` object, so a writable source can never change what the store serves.
+    """
+    owners = [_owner(a) for a in arrays.values()]
+    if (
+        owners
+        and type(owners[0]) is bytes
+        and all(owner is owners[0] for owner in owners)
+        and all(isinstance(a, np.ndarray) and a.dtype == dtype and a.flags.c_contiguous for a in arrays.values())
+    ):
+        return arrays
     flat = np.frombuffer(b"".join(np.asarray(a, dtype=dtype, order="C") for a in arrays.values()), dtype)
     return split_by_shape(flat, {name: np.shape(a) for name, a in arrays.items()})
+
+
+def _owner(a):
+    """The end of an array's chain of bases: the object whose memory it views, or None if it owns its own."""
+    while isinstance(a, np.ndarray):
+        a = a.base
+    return a
 
 
 def split_by_shape(flat: np.ndarray, shapes: dict[str, tuple[int, ...]]) -> dict[str, np.ndarray]:

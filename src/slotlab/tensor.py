@@ -744,10 +744,9 @@ def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
 
 def transpose(x: Tensor, axes: Sequence[int]) -> Tensor:
     axes = tuple(axes)
-    inv = np.argsort(axes)
 
     def bwd(g, sink):
-        sink(x, g.transpose(inv))
+        sink(x, g.transpose(np.argsort(axes)))
 
     return _result(x.data.transpose(axes), (x,), bwd)
 

@@ -13,7 +13,7 @@ from slotlab.crf import TagSet, crf_nll_batch, spans_from_bio, viterbi_decode_ba
 from slotlab.data import DataError, SlotSpan, bio_from_spans, utterance_from_words
 from slotlab.evaluate import span_f1
 from slotlab.model import Checkpoint, ModelConfig, SlotModel, count_parameters, parameter_reduction
-from slotlab.params import ROW_CAPACITY
+from slotlab.params import ROW_CAPACITY, split_by_shape
 from slotlab.synthetic import desk_config, make_from_to_corpus
 from slotlab.tensor import ConfigError, ContractError, NumericError
 from slotlab.training import AdamW, build_model, train, _check_finite
@@ -515,6 +515,29 @@ def test_checkpoint_load_names_each_missing_or_extra_key(tmp_path, damage, kind,
         Checkpoint.load(path.parent)
 
 
+@pytest.mark.parametrize(
+    "damage, text",
+    [
+        (lambda e: {"name": e["name"]}, "a 'params' entry: missing keys ['shape'], extra keys []"),
+        (lambda e: {**e, "offset": 0}, "a 'params' entry: missing keys [], extra keys ['offset']"),
+        (lambda e: {"name": e["name"], "shp": e["shape"]}, "a 'params' entry: missing keys ['shape'], extra keys ['shp']"),
+        (lambda e: [e["name"], e["shape"]], "AttributeError(\"'list' object has no attribute 'keys'\")"),
+        (lambda e: None, "AttributeError(\"'NoneType' object has no attribute 'keys'\")"),
+    ],
+    ids=["missing", "extra", "renamed", "list", "null"],
+)
+def test_a_bad_params_entry_fails_with_its_full_error_text(tmp_path, damage, text):
+    import json
+
+    path, manifest = _saved_checkpoint(tmp_path)
+    i = len(manifest["params"]) // 2
+    manifest["params"][i] = damage(manifest["params"][i])
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(ConfigError) as err:
+        Checkpoint.load(path.parent)
+    assert str(err.value) == f"malformed checkpoint manifest {path}: {text}"
+
+
 def test_checkpoint_rejects_missing_parameter(tmp_path):
     import json
 
@@ -625,15 +648,94 @@ def test_checkpoint_rejects_parameter_of_wrong_shape(tmp_path):
         Checkpoint.load(path.parent).build_model()
 
 
-def test_models_built_from_one_checkpoint_share_no_memory(tmp_path):
-    path, _ = _saved_checkpoint(tmp_path)
-    ck = Checkpoint.load(path.parent)
+_BATCH = [utt("abc de"), utt("fgh abc de i"), utt("a"), utt("jab cd ef")]
+
+
+def _assert_same_bits(got, want):
+    assert got[0].tobytes() == want[0].tobytes() and got[1] == want[1]
+
+
+@pytest.mark.parametrize("dtype", ["f64", "f32"])
+def test_models_built_from_one_loaded_checkpoint_share_only_its_read_only_blob(tmp_path, dtype):
+    """A loaded checkpoint's views of params.bin are served in place, and nothing can write them."""
+    Checkpoint.from_model(SlotModel(tiny_config(dtype=dtype), VOCAB, TAGSET)).save(tmp_path / "ck")
+    ck = Checkpoint.load(tmp_path / "ck")
     first, second = ck.build_model(), ck.build_model()
-    for p in second.store:
-        assert np.array_equal(p.data, ck.arrays[p.name]), p.name
-        assert not np.shares_memory(p.data, first.store[p.name].data), p.name
     for p in (*first.store, *second.store):
+        assert np.shares_memory(p.data, ck.arrays[p.name]) and np.array_equal(p.data, ck.arrays[p.name]), p.name
+        with pytest.raises(ValueError):
+            p.data[...] = 0.0
+        with pytest.raises(ValueError):
+            p.data.flags.writeable = True
+    _assert_same_bits(_served(second, _BATCH), _served(first, _BATCH))
+
+
+def test_a_model_built_over_writable_arrays_copies_them():
+    writable = SlotModel(tiny_config(), VOCAB, TAGSET)
+    want = _served(writable, _BATCH)
+    source = writable.store.snapshot()
+    model = SlotModel(tiny_config(), VOCAB, TAGSET, arrays=source)
+    for name, array in source.items():
+        assert not np.shares_memory(model.store[name].data, array), name
+        array += 1.0
+    _assert_same_bits(_served(model, _BATCH), want)
+
+
+def test_a_model_built_from_a_models_checkpoint_shares_no_memory_with_it():
+    corpus = _small_corpus(n=16)
+    cfg = train_config()
+    m = build_model(corpus, cfg)
+    want = _served(m, corpus[:4])
+    ck = Checkpoint.from_model(m)
+    served = ck.build_model()
+    for p in served.store:
+        assert not np.shares_memory(p.data, m.store[p.name].data), p.name
         assert not np.shares_memory(p.data, ck.arrays[p.name]), p.name
+    optimizer = AdamW(m.store, cfg)
+    for _ in range(3):
+        m.store.zero_grads()
+        T.backward(m.loss(corpus[:8], training=True))
+        optimizer.step()
+    for array in ck.arrays.values():
+        array[...] = 0.0
+    assert _served(m, corpus[:4])[0].tobytes() != want[0].tobytes()  # training moved m
+    _assert_same_bits(_served(served, corpus[:4]), want)
+
+
+def test_a_model_built_from_trains_best_snapshot_shares_no_memory_with_it():
+    corpus = _small_corpus(n=16)
+    ck, _ = train(corpus, corpus[:8], train_config(max_epochs=2))
+    want = _served(ck.build_model(), corpus[:4])
+    served = ck.build_model()
+    for p in served.store:
+        assert not np.shares_memory(p.data, ck.arrays[p.name]), p.name
+    for array in ck.arrays.values():
+        array[...] = np.nan
+    _assert_same_bits(_served(served, corpus[:4]), want)
+
+
+def _views_of_two_blobs(arrays):
+    names = list(arrays)
+    views = {}
+    for group in (names[: len(names) // 2], names[len(names) // 2 :]):
+        blob = b"".join(arrays[name].tobytes() for name in group)
+        views.update(split_by_shape(np.frombuffer(blob, np.float64), {name: arrays[name].shape for name in group}))
+    return views
+
+
+def _views_in_f32(arrays):
+    blob = b"".join(a.astype(np.float32).tobytes() for a in arrays.values())
+    return split_by_shape(np.frombuffer(blob, np.float32), {name: a.shape for name, a in arrays.items()})
+
+
+@pytest.mark.parametrize("views", [_views_of_two_blobs, _views_in_f32], ids=["two-blobs", "other-dtype"])
+def test_a_store_copies_bytes_views_it_cannot_serve_in_place(views):
+    writable = SlotModel(tiny_config(), VOCAB, TAGSET)
+    source = views(writable.store.snapshot())
+    model = SlotModel(tiny_config(), VOCAB, TAGSET, arrays=source)
+    for p in model.store:
+        assert not np.shares_memory(p.data, source[p.name]), p.name
+        assert p.data.dtype == np.float64 and np.array_equal(p.data, source[p.name]), p.name
 
 
 def test_serving_a_checkpoint_draws_no_random_numbers(tmp_path, monkeypatch):
@@ -952,6 +1054,15 @@ def test_adamw_in_place_steps_are_bitwise_the_allocating_steps(dtype):
     for (p, m, v, *_), (q, m_ref, v_ref, *_) in zip(optimizers[0]._slots, optimizers[1]._slots):
         assert p.data.tobytes() == q.data.tobytes(), p.name
         assert m.tobytes() == m_ref.tobytes() and v.tobytes() == v_ref.tobytes(), p.name
+
+
+@pytest.mark.parametrize("name, value", [("attention.out.kernel", np.inf), ("crf.end", np.nan)], ids=["middle", "last"])
+def test_checkpoint_load_names_a_non_finite_parameter_anywhere_in_the_blob(tmp_path, name, value):
+    model = SlotModel(tiny_config(), VOCAB, TAGSET)
+    model.store[name].data.flat[-1] = value  # the parameter's last value, next to the following one's first
+    Checkpoint.from_model(model).save(tmp_path / "ck")
+    with pytest.raises(ConfigError, match=f"'{name}' has non-finite values"):
+        Checkpoint.load(tmp_path / "ck")
 
 
 def test_checkpoint_rejects_non_finite_parameters(tmp_path):
